@@ -24,6 +24,8 @@ from .errors import ConditioningWarning, ConstructionError, DescriptorError, Dom
 
 _RANGE_TOL = 1e-12
 _JOIN_TOL = 1e-12
+#: |ln x| below which x and 1 / x are both normal floats (ln of 2^-1022 is -708.4)
+_LOG_NORMAL_RANGE = 708.0
 
 
 @dataclass(frozen=True)
@@ -444,6 +446,12 @@ def make_power_ramp(threshold: float, roi_ratio: float, vmax: float = 1.0) -> Al
     if not 0.0 < threshold <= vmax:
         raise ConstructionError(f"threshold must lie in (0, vmax], got {threshold!r}")
     exponent = 1.0 / (roi_ratio - 1.0)
+    if exponent * abs(math.log(threshold)) > _LOG_NORMAL_RANGE:
+        # the rule is stored as scale * v^exponent, so D^-exponent must be a normal float
+        raise ConstructionError(
+            f"ramp (v / {threshold!r})^{exponent:.6g} leaves the float range: "
+            "roi_ratio is too close to 1 for this threshold"
+        )
     if exponent > 50.0:
         warnings.warn(
             f"ramp exponent {exponent:.3g} is ill-conditioned (roi_ratio near 1); "

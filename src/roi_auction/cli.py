@@ -4,7 +4,9 @@ Exit codes: 0 when the requested computation or check passes, 1 when a
 well-formed input fails a check (non-DMR distribution, failing audit,
 mismatched worked example), 2 for unusable input (bad JSON, unknown fields,
 ratio at or below 1, bad flag values). Output is deterministic: floats render
-at 12 significant digits and rerunning a command reproduces its bytes.
+at 12 significant digits (the allocation that ``solve`` writes keeps full
+precision, so it reads back as the same rule) and rerunning a command
+reproduces its bytes.
 """
 
 from __future__ import annotations
@@ -20,14 +22,7 @@ import numpy as np
 from .allocation import allocation_from_descriptor
 from .audit import Mechanism, mechanism_for, run_standard_audit
 from .distributions import distribution_from_descriptor
-from .errors import (
-    ConstructionError,
-    DescriptorError,
-    DomainError,
-    PreconditionError,
-    QuadratureError,
-    RoiAuctionError,
-)
+from .errors import ConstructionError, DescriptorError, DomainError, RoiAuctionError
 from .formatting import fmt, json_ready
 from .optimal import optimal_mechanism
 from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule
@@ -160,7 +155,8 @@ def _cmd_solve(args) -> int:
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fp:
         sol.schedule.write_csv(fp)
     with open(out, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write(_json_text(sol.descriptor(schedule_csv_path=str(csv_path))))
+        # not _json_text: that would cut the allocation back to 12 digits
+        fp.write(json.dumps(sol.descriptor(str(csv_path)), indent=2, sort_keys=True) + "\n")
     sys.stdout.write(
         f"D = {fmt(sol.threshold)}\n"
         f"boundary_case = {sol.boundary_case.value}\n"
@@ -295,9 +291,6 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, DescriptorError, DomainError, ConstructionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (PreconditionError, QuadratureError) as exc:
-        sys.stderr.write(f"check failed: {exc}\n")
-        return 1
     except RoiAuctionError as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 1
@@ -305,3 +298,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -5,6 +5,10 @@ v - (1 - F(v)) / f(v), and the density-weighted virtual value
 v f(v) + F(v) - 1 whose monotonicity (the DMR property) gates the
 threshold solver. Tabulated and piecewise kinds store the density and
 integrate it exactly; no numerical differentiation happens at runtime.
+
+Every kind also lowers that weighted curve to pieces of power terms in the
+normalized value t = v / vmax (``psi_pieces``), which is what lets the
+threshold solver integrate it in closed form.
 """
 
 from __future__ import annotations
@@ -18,9 +22,11 @@ from typing import Any
 import numpy as np
 
 from .errors import ConstructionError, DescriptorError, DomainError, SingularityError
-from .numerics import bisect_root
 
 _SUPPORT_SLACK = 1e-12
+
+#: (lo, hi, ((a, e), ...)): psi(v) = sum of a * (v / vmax)^e for lo <= v < hi
+PsiPiece = tuple[float, float, tuple[tuple[float, float], ...]]
 
 
 def _prepare(v: Any, vmax: float) -> tuple[np.ndarray, bool]:
@@ -84,6 +90,17 @@ class ValueDistribution(abc.ABC):
     def _pdf(self, v: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
+    def _quantile(self, u: np.ndarray) -> np.ndarray: ...
+
+    @abc.abstractmethod
+    def psi_pieces(self) -> tuple[PsiPiece, ...]:
+        """The weighted curve v f(v) + F(v) - 1 as power terms in v / vmax.
+
+        Pieces tile [0, vmax] in order; on [lo, hi) the curve equals the sum of
+        a * (v / vmax)^e over the piece's (a, e) terms, with every e >= 0.
+        """
+
+    @abc.abstractmethod
     def descriptor(self) -> dict: ...
 
     def cdf(self, v):
@@ -119,23 +136,6 @@ class ValueDistribution(abc.ABC):
             raise DomainError("quantile argument outside [0, 1]")
         a = np.clip(a, 0.0, 1.0)
         return _ret(self._quantile(a), scalar)
-
-    def _quantile(self, u: np.ndarray) -> np.ndarray:
-        # bisection fallback for kinds without a closed form
-        out = np.empty_like(u)
-        for i, ui in enumerate(u):
-            if ui <= 0.0:
-                out[i] = 0.0
-            elif ui >= 1.0:
-                out[i] = self.vmax
-            else:
-                out[i] = bisect_root(
-                    lambda z: float(self._cdf(np.asarray([z]))[0]) - ui,
-                    0.0,
-                    self.vmax,
-                    x_tol=1e-14 * max(1.0, self.vmax),
-                )
-        return out
 
     def check_dmr(self, grid_n: int = 1001) -> DmrReport:
         """Grid test that the density-weighted virtual value never decreases."""
@@ -184,6 +184,9 @@ class UniformDistribution(ValueDistribution):
     def _quantile(self, u):
         return u * self.vmax
 
+    def psi_pieces(self) -> tuple[PsiPiece, ...]:
+        return ((0.0, self.vmax, ((2.0, 1.0), (-1.0, 0.0))),)
+
     def descriptor(self) -> dict:
         return {"kind": "uniform", "vmax": self.vmax}
 
@@ -205,11 +208,16 @@ class PowerCdfDistribution(ValueDistribution):
         return (v / self.vmax) ** self.exponent
 
     def _pdf(self, v):
+        # normalized first, so a huge vmax cannot overflow vmax**k
         k = self.exponent
-        return k * v ** (k - 1.0) / self.vmax**k
+        return (k / self.vmax) * (v / self.vmax) ** (k - 1.0)
 
     def _quantile(self, u):
         return self.vmax * u ** (1.0 / self.exponent)
+
+    def psi_pieces(self) -> tuple[PsiPiece, ...]:
+        k = self.exponent
+        return ((0.0, self.vmax, ((k + 1.0, k), (-1.0, 0.0))),)
 
     def descriptor(self) -> dict:
         return {"kind": "power_cdf", "vmax": self.vmax, "exponent": self.exponent}
@@ -279,6 +287,23 @@ class PiecewiseLinearDensity(ValueDistribution):
         denom = d[i] + np.sqrt(disc)
         t = np.where(denom > 0.0, 2.0 * du / np.where(denom > 0.0, denom, 1.0), 0.0)
         return np.minimum(b[i] + np.minimum(t, width), self.vmax)
+
+    def psi_pieces(self) -> tuple[PsiPiece, ...]:
+        # in t = v / vmax the density per unit t is dens + slope (t - beta) and
+        # F = cum + dens (t - beta) + slope (t - beta)^2 / 2, so psi = t f + F - 1
+        # expands to the quadratic below
+        vmax = self.vmax
+        b = self.breakpoints
+        d = self.densities
+        out = []
+        for i in range(len(b) - 1):
+            beta = b[i] / vmax
+            dens = d[i] * vmax
+            slope = (d[i + 1] - d[i]) / (b[i + 1] - b[i]) * vmax * vmax
+            const = float(self._cum[i]) - dens * beta + 0.5 * slope * beta * beta - 1.0
+            terms = ((1.5 * slope, 2.0), (2.0 * (dens - slope * beta), 1.0), (const, 0.0))
+            out.append((b[i], b[i + 1], terms))
+        return tuple(out)
 
     def density_kinks(self) -> tuple[float, ...]:
         return self.breakpoints[1:-1]
@@ -352,6 +377,15 @@ class TabulatedCdf(ValueDistribution):
         frac = np.where(dF > 0.0, (u - Fs[lo]) / np.where(dF > 0.0, dF, 1.0), 0.0)
         interp = vs[lo] + frac * (vs[i] - vs[lo])
         return np.where(exact, vs[i], interp)
+
+    def psi_pieces(self) -> tuple[PsiPiece, ...]:
+        # F = F_i + s (t - t_i) and t f = s t in t = v / vmax, so psi = 2 s t + F_i - s t_i - 1
+        vmax = self.vmax
+        out = []
+        for (v0, F0), (v1, _), slope in zip(self.points[:-1], self.points[1:], self._slopes):
+            s = float(slope) * vmax
+            out.append((v0, v1, ((2.0 * s, 1.0), (F0 - s * v0 / vmax - 1.0, 0.0))))
+        return tuple(out)
 
     def density_kinks(self) -> tuple[float, ...]:
         return tuple(float(v) for v in self._vs[1:-1])

@@ -10,13 +10,24 @@ All root finding happens on the rescaled form G(D) = H(D) / D^(c+1) with
 c = 1 / (M - 1), i.e. G(D) = integral_0^1 psi(D s) s^c ds; unlike H it does
 not underflow as M -> 1, and the revenue derivative is its fixed multiple
 -(c + 1) G(D), so the bisected sign is the quantity that actually matters.
+
+G is exact, not quadrature: every distribution lowers psi to pieces of power
+terms a (v / vmax)^e (``ValueDistribution.psi_pieces``), and each term of a
+piece [lo, hi) contributes its moment
+
+    a (D / vmax)^e (u^q - l^q) / q,  q = e + c + 1, l = lo / D, u = min(hi, D) / D,
+
+the integral of a (D s / vmax)^e s^c over l <= s < u.
+
+No step of this depends on how steep the weight s^c is, so ratios near 1
+need no special path.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +35,13 @@ import numpy as np
 from .allocation import AllocationRule, make_power_ramp
 from .audit import AuditCheck, AuditReport, Mechanism
 from .distributions import ValueDistribution
-from .errors import ConditioningWarning, DomainError, PreconditionError, QuadratureError
+from .errors import DomainError, PreconditionError, QuadratureError
 from .formatting import json_ready
-from .numerics import adaptive_simpson, bisect_root
+from .numerics import bisect_root
 from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule
 from .revenue import expected_revenue_quadrature
 
-_STEEP_EXPONENT = 50.0
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class BoundaryCase(enum.Enum):
@@ -38,80 +49,35 @@ class BoundaryCase(enum.Enum):
     FULL_SUPPORT = "full_support"
 
 
-def _psi_left(dist: ValueDistribution, v: float) -> float:
-    # left limit of the weighted curve; only the density factor can jump
-    return v * dist.pdf_left(v) + dist.cdf(v) - 1.0
-
-
-def _scaled_integral(
-    dist: ValueDistribution, m: RoiTarget, threshold: float, abs_tol: float
-) -> float:
-    """G(threshold) = integral_0^1 psi(threshold * s) s^c ds."""
+def _scaled_integral(dist: ValueDistribution, m: RoiTarget, threshold: float) -> float:
+    """G(threshold) = integral_0^1 psi(threshold * s) s^c ds, from exact piece moments."""
     c = 1.0 / (m.ratio - 1.0)
     if threshold <= 0.0:
         return dist.marginal_revenue(0.0) / (c + 1.0)
-    if c > _STEEP_EXPONENT:
-        warnings.warn(
-            f"weight exponent {c:.3g} is steep (ratio near 1); "
-            "integrating in transformed coordinates",
-            ConditioningWarning,
-            stacklevel=3,
-        )
-        return _scaled_integral_steep(dist, c, threshold, abs_tol)
-    cuts = sorted(
-        {k / threshold for k in dist.density_kinks() if 0.0 < k < threshold} | {0.0, 1.0}
-    )
+    top = threshold / dist.vmax
     total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-
-        def piece(s: float, _hi: float = hi) -> float:
-            v = threshold * s
-            if s == _hi and _hi < 1.0:
-                return _psi_left(dist, v) * s**c
-            return dist.marginal_revenue(v) * s**c
-
-        total += adaptive_simpson(piece, lo, hi, abs_tol * (hi - lo))
+    for lo, hi, terms in dist.psi_pieces():
+        if lo >= threshold:
+            break
+        s_lo = lo / threshold
+        s_hi = min(hi, threshold) / threshold
+        for a, e in terms:
+            q = e + c + 1.0
+            total += a * top**e * (s_hi**q - s_lo**q) / q
     return total
 
 
-def _scaled_integral_steep(
-    dist: ValueDistribution, c: float, threshold: float, abs_tol: float
-) -> float:
-    # substitute u = s^c, which spreads the mass the weight concentrates at s = 1
-    inv_c = 1.0 / c
-
-    def integrand(u: float) -> float:
-        s = u**inv_c
-        return dist.marginal_revenue(threshold * s) * s * inv_c
-
-    cuts = sorted(
-        {(k / threshold) ** c for k in dist.density_kinks() if 0.0 < k < threshold}
-        | {0.0, 1.0}
-    )
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi > lo:
-            total += adaptive_simpson(integrand, lo, hi, abs_tol * (hi - lo))
-    return total
-
-
-def threshold_integral(
-    dist: ValueDistribution, m: RoiTarget, upper: float, abs_tol: float = 1e-10
-) -> float:
+def threshold_integral(dist: ValueDistribution, m: RoiTarget, upper: float) -> float:
     """H(upper) = integral_0^upper psi(v) v^(1/(ratio-1)) dv."""
     if not 0.0 <= upper <= dist.vmax * (1.0 + 1e-12):
         raise DomainError(f"upper limit {upper!r} outside [0, {dist.vmax}]")
     if upper <= 0.0:
         return 0.0
     c = 1.0 / (m.ratio - 1.0)
-    scale = upper ** (c + 1.0)
-    g_tol = abs_tol / min(max(scale, 1.0), 1e15)
-    return scale * _scaled_integral(dist, m, upper, g_tol)
+    return upper ** (c + 1.0) * _scaled_integral(dist, m, upper)
 
 
-def revenue_derivative(
-    dist: ValueDistribution, m: RoiTarget, threshold: float, abs_tol: float = 1e-10
-) -> float:
+def revenue_derivative(dist: ValueDistribution, m: RoiTarget, threshold: float) -> float:
     """Sensitivity of expected revenue to the threshold: -(c + 1) G(threshold).
 
     Differentiating the ramp revenue in D and integrating by parts collapses
@@ -122,7 +88,7 @@ def revenue_derivative(
     if not 0.0 < threshold <= dist.vmax * (1.0 + 1e-12):
         raise DomainError(f"threshold {threshold!r} outside (0, {dist.vmax}]")
     c = 1.0 / (m.ratio - 1.0)
-    return -(c + 1.0) * _scaled_integral(dist, m, threshold, abs_tol)
+    return -(c + 1.0) * _scaled_integral(dist, m, threshold)
 
 
 def solve_threshold(
@@ -131,7 +97,9 @@ def solve_threshold(
     """Threshold where the weighted marginal-revenue integral vanishes.
 
     Refuses non-DMR inputs: without a monotone weighted curve the sign of G
-    no longer brackets a unique root and the ramp is not optimal.
+    no longer brackets a unique root and the ramp is not optimal. Stops when
+    the bracket is below tol * max(1, vmax) and |H(mid)| <= tol; since that
+    residual is absolute, a vmax whose power c + 1 overflows is a DomainError.
     """
     report = dist.check_dmr(dmr_grid_n)
     if not report.passed:
@@ -140,22 +108,27 @@ def solve_threshold(
             report=report,
         )
     vmax = dist.vmax
+    c = 1.0 / (m.ratio - 1.0)
+    if (c + 1.0) * math.log(vmax) > _LOG_FLOAT_MAX:
+        # the residual H = D^(c+1) G(D) and its absolute tol need a finite scale
+        raise DomainError(
+            f"vmax**(1 + 1/(ratio - 1)) overflows a float (vmax={vmax!r}, "
+            f"ratio={m.ratio!r}); rescale the values"
+        )
     if dist.marginal_revenue(0.0) >= 0.0:
         # F(0) = 0 forces the curve to start at -1; anything else is degenerate
         raise PreconditionError("marginal revenue must start negative at v = 0")
-    g_tol = min(tol, 1e-10)
-    if _scaled_integral(dist, m, vmax, g_tol) <= 0.0:
+    if _scaled_integral(dist, m, vmax) <= 0.0:
         return vmax, BoundaryCase.FULL_SUPPORT
     if dist.marginal_revenue(vmax) <= 0.0:
         return vmax, BoundaryCase.FULL_SUPPORT
     lo = bisect_root(dist.marginal_revenue, 0.0, vmax, x_tol=1e-13 * max(1.0, vmax))
     hi = vmax
-    c = 1.0 / (m.ratio - 1.0)
     mid = 0.5 * (lo + hi)
     residual = math.inf
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        g_mid = _scaled_integral(dist, m, mid, g_tol)
+        g_mid = _scaled_integral(dist, m, mid)
         if g_mid > 0.0:
             hi = mid
         else:
@@ -183,15 +156,21 @@ class OptimalSolution:
         return Mechanism(self.allocation, self.schedule, self.schedule.m)
 
     def descriptor(self, schedule_csv_path: str | None = None) -> dict:
-        return json_ready(
+        """Output fields: D and revenue at 12 digits, the allocation at full precision.
+
+        A ramp scale cut to 12 digits overshoots 1 at D by up to ~1e-11, so the
+        rule read back would fail its monotonicity check; repr floats round-trip.
+        """
+        out = json_ready(
             {
                 "D": self.threshold,
                 "boundary_case": self.boundary_case.value,
                 "revenue": self.expected_revenue,
-                "allocation": self.allocation.descriptor(),
                 "schedule_csv_path": schedule_csv_path,
             }
         )
+        out["allocation"] = self.allocation.descriptor()
+        return out
 
 
 def optimal_mechanism(
@@ -306,7 +285,7 @@ def structural_audit(
     )
 
     if sol.boundary_case is BoundaryCase.INTERIOR_ROOT:
-        residual = abs(threshold_integral(dist, sched.m, threshold, abs_tol=min(tol, 1e-10)))
+        residual = abs(threshold_integral(dist, sched.m, threshold))
         checks.append(
             AuditCheck(
                 "threshold_stationarity",

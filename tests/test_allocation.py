@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from roi_auction import (
     AllocationRule,
+    ConditioningWarning,
     ConstructionError,
     DescriptorError,
     DomainError,
@@ -127,6 +128,17 @@ def test_constructor_guards():
         make_power_ramp(0.5, 1.0)  # ratio must exceed 1
     with pytest.raises(ConstructionError):
         AllocationRule(1.0, (Segment(0.0, 0.4, Linear(1.0, 0.0)),))  # gap before vmax
+
+
+def test_power_ramp_scale_must_stay_a_normal_float():
+    # exponent 1000 keeps 0.5^-1000 ~ 1e301 finite; exponent 1e7 would overflow
+    with pytest.warns(ConditioningWarning):
+        steep = make_power_ramp(0.5, 1.001)
+    assert steep.left_value(0.5) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ConstructionError, match="too close to 1"):
+        make_power_ramp(0.5, 1.0000001)
+    with pytest.raises(ConstructionError, match="too close to 1"):
+        make_power_ramp(1e10, 1.01, vmax=2e10)  # 1e10^-100 underflows instead
 
 
 def test_step_at_zero_is_constant_one():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import roi_auction
 from roi_auction import RoiTarget, make_step, payment_schedule
 from roi_auction.cli import main
 
@@ -117,6 +122,59 @@ def test_solve_usage_errors(uniform_file, capsys):
     assert main(["solve", uniform_file, "--m", "1.0"]) == 2
     assert main(["solve", uniform_file, "--m", "0.5"]) == 2
     assert main(["solve", uniform_file, "--m", "2", "--grid", "1"]) == 2
+
+
+def test_solved_allocation_reads_back_as_monotone(uniform_file, tmp_path, capsys):
+    # the ramp scale is written at full precision; at 12 digits it overshot 1 at D
+    out = tmp_path / "sol.json"
+    assert main(["solve", uniform_file, "--m", "2", "--grid", "501", "--out", str(out)]) == 0
+    rule = _write(tmp_path, "rule.json", json.loads(out.read_text(encoding="utf-8"))["allocation"])
+    capsys.readouterr()
+    assert main(["payment-table", rule, "--m", "2", "--grid", "501"]) == 0
+    assert main(["audit", rule, "--m", "2", "--grid", "501"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
+def _single_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_ratio_too_close_to_one_is_unusable_input(command, uniform_file, tmp_path, capsys):
+    # c = 1e7: the ramp scale D^-c overflows a float
+    argv = [command, uniform_file, "--m", "1.0000001", "--mc-samples", "100"]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    assert "too close to 1" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_huge_vmax_is_unusable_input(command, tmp_path, capsys):
+    # the density no longer overflows, but H(D) = D^2 G(D) would at ratio 2
+    desc = {"kind": "power_cdf", "vmax": 1e300, "exponent": 2.0}
+    path = _write(tmp_path, "huge.json", desc)
+    assert main(["dmr-check", path]) == 0
+    argv = [command, path, "--m", "2", "--mc-samples", "100", "--out", str(tmp_path / "o.json")]
+    assert main(argv) == 2
+    assert "overflows" in _single_error_line(capsys)
+
+
+def test_module_entry_point_runs(uniform_file, tmp_path):
+    src = str(Path(roi_auction.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "sol.json"
+    argv = [sys.executable, "-m", "roi_auction.cli", "solve", uniform_file, "--m", "2"]
+    done = subprocess.run(
+        argv + ["--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "D = 0.75" in done.stdout
+    assert out.exists() and (tmp_path / "sol_schedule.csv").exists()
 
 
 def test_unreadable_inputs_are_usage_errors(tmp_path, capsys):

@@ -51,6 +51,34 @@ def test_marginal_revenue_is_density_weighted_virtual_value(dist):
         assert dist.marginal_revenue(v) == pytest.approx(phi * dist.pdf(v), abs=1e-12)
 
 
+SCALED = [
+    UniformDistribution(2.5),
+    PowerCdfDistribution(3.5, vmax=0.8),
+    PiecewiseLinearDensity((0.0, 0.6, 1.5, 3.0), tuple(h / 9.975 for h in (1.0, 3.0, 4.0, 3.5))),
+    TabulatedCdf(((0.0, 0.0), (0.5, 0.1), (1.0, 0.45), (2.0, 1.0))),
+]
+
+
+@pytest.mark.parametrize("dist", ALL + SCALED, ids=lambda d: f"{type(d).__name__}-{d.vmax}")
+def test_psi_pieces_reproduce_marginal_revenue(dist):
+    pieces = dist.psi_pieces()
+    assert pieces[0][0] == 0.0 and pieces[-1][1] == dist.vmax
+    assert all(a[1] == b[0] for a, b in zip(pieces[:-1], pieces[1:]))
+    for lo, hi, terms in pieces:
+        assert all(e >= 0.0 for _, e in terms)
+        # interior points plus the left end, where the pieces follow the right-continuous pdf
+        for v in np.append(np.linspace(lo, hi, 9)[:-1], hi - 1e-9 * dist.vmax):
+            want = dist.marginal_revenue(v)
+            got = sum(a * (v / dist.vmax) ** e for a, e in terms)
+            assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_power_cdf_density_survives_huge_vmax():
+    dist = PowerCdfDistribution(2.0, vmax=1e300)
+    assert dist.pdf(0.5e300) == pytest.approx(1e-300)
+    assert dist.check_dmr().passed
+
+
 def test_virtual_value_rejects_vanishing_density():
     with pytest.raises(SingularityError):
         TENT.virtual_value(0.0)

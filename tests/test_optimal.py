@@ -12,6 +12,7 @@ from roi_auction import (
     PreconditionError,
     PiecewiseLinearDensity,
     RoiTarget,
+    TabulatedCdf,
     UniformDistribution,
     expected_revenue_quadrature,
     make_constant,
@@ -39,13 +40,12 @@ D_POWER2_M2 = math.sqrt(2.0 / 3.0)
 
 
 def _H_oracle(dist, ratio, upper) -> float:
-    # hand antiderivatives; v^c makes plain Simpson too slow for fractional c
+    # hand antiderivatives; v^c makes plain Simpson too slow for fractional c.
+    # The integrand is ((k + 1)(v / vmax)^k - 1) v^c, with k = 1 for uniform.
     c = 1.0 / (ratio - 1.0)
-    if dist is UNIFORM:  # integrand (2v - 1) v^c
-        return 2.0 * upper ** (c + 2.0) / (c + 2.0) - upper ** (c + 1.0) / (c + 1.0)
-    if dist is POWER2:  # integrand (3v^2 - 1) v^c
-        return 3.0 * upper ** (c + 3.0) / (c + 3.0) - upper ** (c + 1.0) / (c + 1.0)
-    raise AssertionError("no closed form registered for this fixture")
+    k = 1.0 if isinstance(dist, UniformDistribution) else dist.exponent
+    top = (k + 1.0) * upper ** (k + c + 1.0) / ((k + c + 1.0) * dist.vmax**k)
+    return top - upper ** (c + 1.0) / (c + 1.0)
 
 
 def test_analytic_roots_verified_by_independent_quadrature():
@@ -75,6 +75,98 @@ def test_threshold_integral_frozen_values():
 def test_threshold_integral_matches_oracle(dist, ratio, upper):
     got = threshold_integral(dist, RoiTarget(ratio), upper)
     assert got == pytest.approx(_H_oracle(dist, ratio, upper), abs=1e-9)
+
+
+# weight exponents c = 1/(ratio - 1) at ratios 20, 5, 2 and 1.01
+EXPONENTS = (1.0 / 19.0, 0.25, 1.0, 100.0)
+UNIFORM_WIDE = UniformDistribution(2.5)
+POWER_FRACTIONAL = PowerCdfDistribution(3.5, vmax=0.8)
+# breakpoints at 0.4 and 0.7, knots at 0.25, 0.5 and 0.75
+KINKED_DENSITY = PiecewiseLinearDensity(
+    (0.0, 0.4, 0.7, 1.0), tuple(h / 1.8 for h in (0.6, 1.8, 2.4, 2.2))
+)
+KNOTTED_CDF = TabulatedCdf(((0.0, 0.0), (0.25, 0.1), (0.5, 0.3), (0.75, 0.55), (1.0, 1.0)))
+
+
+def _psi_on_piece(dist, v, lo, hi) -> float:
+    # psi with the density of the piece [lo, hi], also at its ends where pdf may jump
+    f = dist.pdf(max(v, lo)) if v < 0.5 * (lo + hi) else dist.pdf_left(min(v, hi))
+    v = min(max(v, lo), hi)
+    return v * f + dist.cdf(v) - 1.0
+
+
+def _H_simpson(dist, c, upper, n=4001) -> float:
+    # v = w^r with r (c + 1) whole makes the weight r w^(r (c + 1) - 1) a polynomial
+    # in w: no infinite slope at 0 as v^c has for c < 1, and a lower degree for c = 100
+    r = {1.0 / 19.0: 9.5, 0.25: 4.0, 100.0: 0.5}.get(c, 1.0)
+    cuts = sorted({0.0, upper} | {k for k in dist.density_kinks() if k < upper})
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        total += simpson_integral(
+            lambda w: _psi_on_piece(dist, w**r, lo, hi) * r * w ** (r * (c + 1.0) - 1.0),
+            lo ** (1.0 / r),
+            hi ** (1.0 / r),
+            n,
+        )
+    return total
+
+
+@pytest.mark.parametrize("c", EXPONENTS, ids=lambda c: f"c={c:.3g}")
+@pytest.mark.parametrize(
+    "dist,upper",
+    [
+        (UNIFORM, 0.6),
+        (UNIFORM_WIDE, 1.9),
+        (UNIFORM_WIDE, 2.5),
+        (POWER2, 0.7),
+        (POWER_FRACTIONAL, 0.55),
+        (POWER_FRACTIONAL, 0.8),
+    ],
+    ids=["uniform", "uniform-wide", "uniform-wide-vmax", "power2", "power3.5", "power3.5-vmax"],
+)
+def test_threshold_integral_exact_closed_forms(dist, upper, c):
+    ratio = 1.0 + 1.0 / c
+    got = threshold_integral(dist, RoiTarget(ratio), upper)
+    # compared as G = H / upper^(c+1), which stays O(1) for every c and upper
+    scale = upper ** (c + 1.0)
+    assert got / scale == pytest.approx(_H_oracle(dist, ratio, upper) / scale, abs=1e-13)
+
+
+@pytest.mark.parametrize("c", EXPONENTS, ids=lambda c: f"c={c:.3g}")
+@pytest.mark.parametrize(
+    "dist,upper",
+    [
+        (KINKED_DENSITY, 0.4),
+        (KINKED_DENSITY, 0.55),
+        (KINKED_DENSITY, 1.0),
+        (KNOTTED_CDF, 0.5),
+        (KNOTTED_CDF, 0.6),
+        (KNOTTED_CDF, 1.0),
+    ],
+    ids=["pld-breakpoint", "pld-between", "pld-vmax", "tab-knot", "tab-between", "tab-vmax"],
+)
+def test_threshold_integral_exact_piecewise_kinds(dist, upper, c):
+    got = threshold_integral(dist, RoiTarget(1.0 + 1.0 / c), upper)
+    scale = upper ** (c + 1.0)
+    assert got / scale == pytest.approx(_H_simpson(dist, c, upper) / scale, abs=1e-11)
+
+
+@pytest.mark.parametrize("c", EXPONENTS + (1e4,), ids=lambda c: f"c={c:.3g}")
+@pytest.mark.parametrize(
+    "dist",
+    [UNIFORM, UniformDistribution(0.9), POWER2, POWER_FRACTIONAL],
+    ids=["uniform", "uniform-0.9", "power2", "power3.5"],
+)
+def test_solver_hits_closed_forms_at_tight_tolerance(dist, c):
+    m = RoiTarget(1.0 + 1.0 / c)
+    c = 1.0 / (m.ratio - 1.0)  # the exponent the solver actually sees
+    k = 1.0 if isinstance(dist, UniformDistribution) else dist.exponent
+    # G(D) = 0 gives (k + 1) t^k / (k + c + 1) = 1 / (c + 1) at t = D / vmax;
+    # for k = 1 this is the uniform root (c + 2) / (2 (c + 1)) vmax
+    want = dist.vmax * ((k + c + 1.0) / ((k + 1.0) * (c + 1.0))) ** (1.0 / k)
+    threshold, case = solve_threshold(dist, m, tol=1e-12)
+    assert case is BoundaryCase.INTERIOR_ROOT
+    assert abs(threshold - want) <= 1e-12 * dist.vmax
 
 
 @pytest.mark.parametrize(
