@@ -3,7 +3,8 @@
 A rule is an ordered list of segments tiling [0, vmax], each carrying a shape
 in global coordinates (constant, linear, power, or an interpolated table).
 Evaluation is right-continuous at segment joins, so the stored value at a jump
-is the post-jump one; prefix integrals use the per-shape closed forms.
+is the post-jump one; prefix integrals use the per-shape closed forms, and
+``pieces`` lowers a rule to power terms in v / vmax for exact integration.
 
 Range ([0, 1]) and tiling are enforced at construction. Monotonicity is NOT:
 check_monotone reports it, and the named constructors reject violations, which
@@ -21,6 +22,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import ConditioningWarning, ConstructionError, DescriptorError, DomainError
+from .numerics import PowerPiece
 
 _RANGE_TOL = 1e-12
 _JOIN_TOL = 1e-12
@@ -47,6 +49,9 @@ class Constant:
 
     def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
         return ()
+
+    def pieces(self, lo: float, hi: float, vmax: float) -> tuple[PowerPiece, ...]:
+        return ((lo, hi, ((self.level, 0.0),)),)
 
     def descriptor(self) -> dict:
         return {"type": "constant", "level": self.level}
@@ -85,6 +90,9 @@ class Linear:
     def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
         return ()
 
+    def pieces(self, lo: float, hi: float, vmax: float) -> tuple[PowerPiece, ...]:
+        return ((lo, hi, ((self.intercept, 0.0), (self.slope * vmax, 1.0))),)
+
     def descriptor(self) -> dict:
         return {"type": "linear", "slope": self.slope, "intercept": self.intercept}
 
@@ -118,6 +126,24 @@ class PowerRamp:
 
     def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
         return ()
+
+    def pieces(self, lo: float, hi: float, vmax: float) -> tuple[PowerPiece, ...]:
+        # the coefficient is x extrapolated to vmax
+        e = self.exponent
+        if e * abs(math.log(vmax)) <= _LOG_NORMAL_RANGE:
+            a = self.scale * vmax**e
+        else:
+            # vmax^e alone leaves the float range; through its e-th root the product may not
+            try:
+                a = (self.scale ** (1.0 / e) * vmax) ** e
+            except OverflowError:
+                a = math.inf
+        if not math.isfinite(a):
+            raise DomainError(
+                f"power segment on [{lo!r}, {hi!r}] extrapolated to vmax={vmax!r} "
+                "leaves the float range"
+            )
+        return ((lo, hi, ((a, e),)),)
 
     def descriptor(self) -> dict:
         return {"type": "power", "scale": self.scale, "exponent": self.exponent}
@@ -185,6 +211,15 @@ class TableShape:
 
     def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
         return tuple(float(v) for v in self._vs[1:-1])
+
+    def pieces(self, lo: float, hi: float, vmax: float) -> tuple[PowerPiece, ...]:
+        # one linear piece per cell; the outer cell ends are the segment's own
+        edges = (lo, *self.interior_knots(lo, hi), hi)
+        out = []
+        for i, ((va, xa), (vb, xb)) in enumerate(zip(self.points[:-1], self.points[1:])):
+            slope = (xb - xa) / (vb - va)
+            out.append((edges[i], edges[i + 1], ((xa - slope * va, 0.0), (slope * vmax, 1.0))))
+        return tuple(out)
 
     def descriptor(self) -> dict:
         return {"type": "table", "points": [[v, x] for v, x in self.points]}
@@ -285,6 +320,13 @@ class AllocationRule:
             pts.add(seg.hi)
             pts.update(seg.shape.interior_knots(seg.lo, seg.hi))
         return tuple(sorted(pts))
+
+    def pieces(self) -> tuple[PowerPiece, ...]:
+        """The rule as power terms in v / vmax, one piece per segment or table cell."""
+        out: list[PowerPiece] = []
+        for seg in self.segments:
+            out.extend(seg.shape.pieces(seg.lo, seg.hi, self.vmax))
+        return tuple(out)
 
     def jump_points(self) -> tuple[tuple[float, float, float], ...]:
         """(v, left limit, right value) at every discontinuous segment join."""

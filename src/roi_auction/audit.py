@@ -22,6 +22,9 @@ from .errors import ConstructionError
 from .formatting import json_ready
 from .payments import DEFAULT_GRID_N, FEASIBILITY_TOL, PaymentSchedule, RoiTarget, payment_schedule
 
+#: rows of the misreport matrices that check_dsic holds at once
+_DSIC_BLOCK = 256
+
 
 class Infeasible:
     """Sentinel outcome for reports violating the hard return constraint."""
@@ -135,20 +138,33 @@ def _audit_grid(mech: Mechanism, grid_n: int) -> np.ndarray:
 
 
 def check_dsic(mech: Mechanism, grid_n: int = 201, tol: float = 1e-6) -> AuditCheck:
-    """Worst utility gain from any misreport over all ordered grid pairs."""
+    """Worst utility gain from any misreport over all ordered grid pairs.
+
+    The value-by-report matrices are built _DSIC_BLOCK rows at a time, so
+    memory stays linear in the grid size.
+    """
     grid = _audit_grid(mech, grid_n)
     x = mech.allocation.evaluate(grid)
     p = mech.schedule.value_many(grid)
-    vx = grid[:, None] * x[None, :]
-    feas = vx >= p[None, :] - FEASIBILITY_TOL
-    util = mech.m.ratio * vx - p[None, :]
-    util_feas = np.where(feas, util, -np.inf)
-    best = util_feas.max(axis=1)
-    best_at = util_feas.argmax(axis=1)
-    truth_feas = np.diag(feas)
-    u_truth = np.diag(util)
+    ratio = mech.m.ratio
+    p_floor = p - FEASIBILITY_TOL
+    best = np.empty_like(grid)
+    best_at = np.empty(grid.size, dtype=np.intp)
+    any_feas = np.empty(grid.size, dtype=bool)
+    for start in range(0, grid.size, _DSIC_BLOCK):
+        rows = slice(start, start + _DSIC_BLOCK)
+        vx = grid[rows, None] * x[None, :]
+        feas = vx >= p_floor
+        util_feas = np.where(feas, ratio * vx - p[None, :], -np.inf)
+        best[rows] = util_feas.max(axis=1)
+        best_at[rows] = util_feas.argmax(axis=1)
+        any_feas[rows] = feas.any(axis=1)
+    # the diagonal of the matrices above, in the same floating-point order
+    vx_truth = grid * x
+    truth_feas = vx_truth >= p_floor
+    u_truth = ratio * vx_truth - p
     gains = np.where(truth_feas, best - u_truth, np.inf)
-    stuck = ~truth_feas & ~feas.any(axis=1)
+    stuck = ~truth_feas & ~any_feas
     gains = np.where(stuck, 0.0, gains)
     worst_i = int(np.argmax(gains))
     worst = max(float(gains[worst_i]), 0.0)

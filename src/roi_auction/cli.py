@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,13 @@ import numpy as np
 from .allocation import allocation_from_descriptor
 from .audit import Mechanism, mechanism_for, run_standard_audit
 from .distributions import distribution_from_descriptor
-from .errors import ConstructionError, DescriptorError, DomainError, RoiAuctionError
+from .errors import (
+    ConditioningWarning,
+    ConstructionError,
+    DescriptorError,
+    DomainError,
+    RoiAuctionError,
+)
 from .formatting import fmt, json_ready
 from .optimal import optimal_mechanism
 from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule
@@ -112,6 +119,8 @@ def _mechanism_from_file(path: str, args, grid_n: int) -> Mechanism:
         raise DescriptorError(f"schedule arrays must be numeric: {exc}")
     if grid.size != payments.size or grid.size < 2:
         raise DescriptorError("schedule arrays must share a length of at least 2")
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(payments))):
+        raise DescriptorError("schedule grid and payments must be finite numbers")
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0) or grid[-1] > rule.vmax * (1 + 1e-12):
         raise DescriptorError("schedule grid must increase strictly from 0 within [0, vmax]")
     x = rule.evaluate(grid)
@@ -211,9 +220,7 @@ def _cmd_compare(args) -> int:
     dist = distribution_from_descriptor(_load_json(args.file))
     m = _require_m(args)
     grid_n = args.grid if args.grid is not None else _default_grid()
-    table = compare_mechanisms(
-        dist, m, mc_samples=args.mc_samples, seed=args.seed, grid_n=grid_n, abs_tol=args.tol
-    )
+    table = compare_mechanisms(dist, m, mc_samples=args.mc_samples, seed=args.seed, grid_n=grid_n)
     if args.format == "json":
         _emit(_json_text(table.to_dict()), args.out)
     elif args.format == "csv":
@@ -254,7 +261,7 @@ def _build_parser() -> _Parser:
     shared = _Parser(add_help=False)
     shared.add_argument("--m", type=float, default=None, help="target return ratio (> 1)")
     shared.add_argument("--grid", type=int, default=None, help="payment grid size")
-    shared.add_argument("--tol", type=float, default=1e-9, help="solver/quadrature tolerance")
+    shared.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
     shared.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     shared.add_argument("--mc-samples", type=int, default=100_000, help="Monte Carlo draws")
     shared.add_argument("--format", choices=("json", "csv", "text"), default="text")
@@ -287,7 +294,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.grid is not None and args.grid < 2:
             raise _UsageError(f"--grid must be at least 2, got {args.grid}")
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            # conditioning notes are for library callers; stderr keeps to error lines
+            warnings.simplefilter("ignore", ConditioningWarning)
+            return _COMMANDS[args.command](args)
     except (_UsageError, DescriptorError, DomainError, ConstructionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -6,9 +6,10 @@ v f(v) + F(v) - 1 whose monotonicity (the DMR property) gates the
 threshold solver. Tabulated and piecewise kinds store the density and
 integrate it exactly; no numerical differentiation happens at runtime.
 
-Every kind also lowers that weighted curve to pieces of power terms in the
-normalized value t = v / vmax (``psi_pieces``), which is what lets the
-threshold solver integrate it in closed form.
+Every kind also lowers that weighted curve and the density itself to pieces
+of power terms in the normalized value t = v / vmax (``psi_pieces``,
+``pdf_pieces``), which is what lets the threshold solver and the revenue
+integral work in closed form.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from typing import Any
 import numpy as np
 
 from .errors import ConstructionError, DescriptorError, DomainError, SingularityError
+from .numerics import PowerPiece
 
 _SUPPORT_SLACK = 1e-12
-
-#: (lo, hi, ((a, e), ...)): psi(v) = sum of a * (v / vmax)^e for lo <= v < hi
-PsiPiece = tuple[float, float, tuple[tuple[float, float], ...]]
 
 
 def _prepare(v: Any, vmax: float) -> tuple[np.ndarray, bool]:
@@ -93,12 +92,16 @@ class ValueDistribution(abc.ABC):
     def _quantile(self, u: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def psi_pieces(self) -> tuple[PsiPiece, ...]:
+    def psi_pieces(self) -> tuple[PowerPiece, ...]:
         """The weighted curve v f(v) + F(v) - 1 as power terms in v / vmax.
 
         Pieces tile [0, vmax] in order; on [lo, hi) the curve equals the sum of
         a * (v / vmax)^e over the piece's (a, e) terms, with every e >= 0.
         """
+
+    @abc.abstractmethod
+    def pdf_pieces(self) -> tuple[PowerPiece, ...]:
+        """The density f(v) as power terms in v / vmax, pieces as in ``psi_pieces``."""
 
     @abc.abstractmethod
     def descriptor(self) -> dict: ...
@@ -159,8 +162,8 @@ class ValueDistribution(abc.ABC):
         )
 
     def density_kinks(self) -> tuple[float, ...]:
-        """Interior kink locations of the density, for forced quadrature nodes."""
-        return ()
+        """Interior breakpoints of the density's pieces."""
+        return tuple(lo for lo, _, _ in self.pdf_pieces()[1:])
 
     def pdf_left(self, v):
         """Density by left limit; differs from pdf only where the density jumps."""
@@ -184,8 +187,11 @@ class UniformDistribution(ValueDistribution):
     def _quantile(self, u):
         return u * self.vmax
 
-    def psi_pieces(self) -> tuple[PsiPiece, ...]:
+    def psi_pieces(self) -> tuple[PowerPiece, ...]:
         return ((0.0, self.vmax, ((2.0, 1.0), (-1.0, 0.0))),)
+
+    def pdf_pieces(self) -> tuple[PowerPiece, ...]:
+        return ((0.0, self.vmax, ((1.0 / self.vmax, 0.0),)),)
 
     def descriptor(self) -> dict:
         return {"kind": "uniform", "vmax": self.vmax}
@@ -215,9 +221,13 @@ class PowerCdfDistribution(ValueDistribution):
     def _quantile(self, u):
         return self.vmax * u ** (1.0 / self.exponent)
 
-    def psi_pieces(self) -> tuple[PsiPiece, ...]:
+    def psi_pieces(self) -> tuple[PowerPiece, ...]:
         k = self.exponent
         return ((0.0, self.vmax, ((k + 1.0, k), (-1.0, 0.0))),)
+
+    def pdf_pieces(self) -> tuple[PowerPiece, ...]:
+        k = self.exponent
+        return ((0.0, self.vmax, ((k / self.vmax, k - 1.0),)),)
 
     def descriptor(self) -> dict:
         return {"kind": "power_cdf", "vmax": self.vmax, "exponent": self.exponent}
@@ -288,7 +298,7 @@ class PiecewiseLinearDensity(ValueDistribution):
         t = np.where(denom > 0.0, 2.0 * du / np.where(denom > 0.0, denom, 1.0), 0.0)
         return np.minimum(b[i] + np.minimum(t, width), self.vmax)
 
-    def psi_pieces(self) -> tuple[PsiPiece, ...]:
+    def psi_pieces(self) -> tuple[PowerPiece, ...]:
         # in t = v / vmax the density per unit t is dens + slope (t - beta) and
         # F = cum + dens (t - beta) + slope (t - beta)^2 / 2, so psi = t f + F - 1
         # expands to the quadratic below
@@ -305,8 +315,16 @@ class PiecewiseLinearDensity(ValueDistribution):
             out.append((b[i], b[i + 1], terms))
         return tuple(out)
 
-    def density_kinks(self) -> tuple[float, ...]:
-        return self.breakpoints[1:-1]
+    def pdf_pieces(self) -> tuple[PowerPiece, ...]:
+        # f = d_i + slope (v - b_i), with slope per unit t = v / vmax
+        vmax = self.vmax
+        b = self.breakpoints
+        d = self.densities
+        out = []
+        for i in range(len(b) - 1):
+            slope = (d[i + 1] - d[i]) / (b[i + 1] - b[i]) * vmax
+            out.append((b[i], b[i + 1], ((d[i] - slope * b[i] / vmax, 0.0), (slope, 1.0))))
+        return tuple(out)
 
     def descriptor(self) -> dict:
         return {
@@ -378,7 +396,7 @@ class TabulatedCdf(ValueDistribution):
         interp = vs[lo] + frac * (vs[i] - vs[lo])
         return np.where(exact, vs[i], interp)
 
-    def psi_pieces(self) -> tuple[PsiPiece, ...]:
+    def psi_pieces(self) -> tuple[PowerPiece, ...]:
         # F = F_i + s (t - t_i) and t f = s t in t = v / vmax, so psi = 2 s t + F_i - s t_i - 1
         vmax = self.vmax
         out = []
@@ -387,8 +405,11 @@ class TabulatedCdf(ValueDistribution):
             out.append((v0, v1, ((2.0 * s, 1.0), (F0 - s * v0 / vmax - 1.0, 0.0))))
         return tuple(out)
 
-    def density_kinks(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self._vs[1:-1])
+    def pdf_pieces(self) -> tuple[PowerPiece, ...]:
+        return tuple(
+            (v0, v1, ((float(slope), 0.0),))
+            for (v0, _), (v1, _), slope in zip(self.points[:-1], self.points[1:], self._slopes)
+        )
 
     def pdf_left(self, v):
         a, scalar = _prepare(v, self.vmax)

@@ -1,8 +1,9 @@
-"""Scalar quadrature and root bracketing used by the solver and revenue paths.
+"""Root bracketing, scalar quadrature and the piecewise power-term format.
 
-Both routines are deliberately small and deterministic: adaptive Simpson with
-an absolute-tolerance budget split across subintervals, and plain bisection
-with an explicit bracket-width stopping rule.
+Both routines are deliberately small and deterministic: plain bisection with
+an explicit bracket-width stopping rule, and adaptive Simpson with an
+absolute-tolerance budget split across subintervals, which no library path
+calls (the threshold solve and the revenue are exact).
 """
 
 from __future__ import annotations
@@ -10,6 +11,10 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from .errors import QuadratureError
+
+#: (lo, hi, ((a, e), ...)): a curve equal to the sum of a * (v / vmax)^e for lo <= v < hi;
+#: densities, allocation rules and payments are lowered to tuples of these
+PowerPiece = tuple[float, float, tuple[tuple[float, float], ...]]
 
 
 def _simpson(fa: float, fm: float, fb: float, a: float, b: float) -> float:

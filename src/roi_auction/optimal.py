@@ -98,8 +98,10 @@ def solve_threshold(
 
     Refuses non-DMR inputs: without a monotone weighted curve the sign of G
     no longer brackets a unique root and the ramp is not optimal. Stops when
-    the bracket is below tol * max(1, vmax) and |H(mid)| <= tol; since that
-    residual is absolute, a vmax whose power c + 1 overflows is a DomainError.
+    the bracket is below tol * max(1, vmax) and the residual
+    |G(mid)| (mid / max(1, vmax))^(c+1) is at most tol: that is |H(mid)| for
+    vmax <= 1, and scale-free above it. A vmax whose power c + 1 overflows,
+    so that H itself cannot be reported, is a DomainError.
     """
     report = dist.check_dmr(dmr_grid_n)
     if not report.passed:
@@ -110,7 +112,7 @@ def solve_threshold(
     vmax = dist.vmax
     c = 1.0 / (m.ratio - 1.0)
     if (c + 1.0) * math.log(vmax) > _LOG_FLOAT_MAX:
-        # the residual H = D^(c+1) G(D) and its absolute tol need a finite scale
+        # H = D^(c+1) G(D), which threshold_integral reports, needs a finite scale
         raise DomainError(
             f"vmax**(1 + 1/(ratio - 1)) overflows a float (vmax={vmax!r}, "
             f"ratio={m.ratio!r}); rescale the values"
@@ -133,7 +135,7 @@ def solve_threshold(
             hi = mid
         else:
             lo = mid
-        residual = g_mid * mid ** (c + 1.0)
+        residual = g_mid * (mid / max(1.0, vmax)) ** (c + 1.0)
         if hi - lo <= 0.5 * tol * max(1.0, vmax) and abs(residual) <= tol:
             return mid, BoundaryCase.INTERIOR_ROOT
     raise QuadratureError(
@@ -184,7 +186,7 @@ def optimal_mechanism(
     rule = make_power_ramp(threshold, m.ratio, dist.vmax)
     schedule = payment_schedule(rule, m, grid_n)
     mech = Mechanism(rule, schedule, m)
-    revenue = expected_revenue_quadrature(mech, dist, abs_tol=min(tol, 1e-9)).mean
+    revenue = expected_revenue_quadrature(mech, dist).mean
     return OptimalSolution(
         threshold=threshold,
         boundary_case=case,

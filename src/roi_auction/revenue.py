@@ -1,14 +1,19 @@
 """Expected revenue, two ways, plus the posted-price baseline.
 
-Quadrature integrates payment(v) * density(v) piecewise between allocation
-knots and density kinks, taking left limits at each piece's right endpoint so
-jumps in either factor never poison the Simpson error estimate. Monte Carlo
-draws values by quantile transform from counter-based substreams, so results
-are byte-identical for a given seed regardless of chunking order.
+The exact path (``expected_revenue_quadrature``) lowers the payment and the
+density to power terms in t = v / vmax on a common partition and sums their
+closed-form moments. Derived payments are cut at the rule's pieces, its
+stationary candidates and the exact points where the rebate's running max
+switches between tight (p = v x) and flat (p = ratio p~ - R); hand-supplied
+schedules are their linear interpolant. Jumps sit on cuts, so no left limits
+are needed. Monte Carlo draws values by quantile transform from
+counter-based substreams, so results are byte-identical for a given seed
+regardless of chunking order.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -18,8 +23,8 @@ from .audit import Mechanism, mechanism_for
 from .allocation import make_step
 from .distributions import ValueDistribution
 from .errors import ConstructionError, PreconditionError, RoiAuctionError
-from .numerics import adaptive_simpson, bisect_root
-from .payments import DEFAULT_GRID_N, RoiTarget
+from .numerics import PowerPiece, bisect_root
+from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget
 
 _MC_CHUNK = 1 << 16
 
@@ -42,28 +47,120 @@ class RevenueEstimate:
         }
 
 
-def expected_revenue_quadrature(
-    mech: Mechanism, dist: ValueDistribution, abs_tol: float = 1e-9
-) -> RevenueEstimate:
-    """Integrate the truthful payment against the value density."""
+def expected_revenue_quadrature(mech: Mechanism, dist: ValueDistribution) -> RevenueEstimate:
+    """Exact integral of the truthful payment against the value density.
+
+    The payment and the density are both sums of power terms in t = v / vmax
+    on every piece of a common partition, so the integral is a sum of
+    closed-form moments a b (u^q - l^q) / q. The name and the method label
+    "quadrature" stay as callers know them.
+    """
     vmax = mech.allocation.vmax
     if abs(dist.vmax - vmax) > 1e-9 * max(1.0, vmax):
         raise ConstructionError(
             f"distribution support [0, {dist.vmax}] does not match the rule's [0, {vmax}]"
         )
-    cuts = sorted(set(mech.allocation.knots()) | set(dist.density_kinks()) | {0.0, vmax})
+    sched = mech.schedule
+    pay = _payment_pieces(sched) if sched.derived else _interpolant_pieces(sched, vmax)
+    # the density's terms, restated in the rule's t = v / vmax
+    rescale = vmax / dist.vmax
+    dens = [(lo, [(b * rescale**k, k) for b, k in f]) for lo, _, f in dist.pdf_pieces()]
+    pay_los = [lo for lo, _, _ in pay]
+    dens_los = [lo for lo, _ in dens]
+    cuts = sorted({0.0, vmax, *(v for v in pay_los + dens_los if 0.0 < v < vmax)})
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi <= lo:
-            continue
+        mid = 0.5 * (lo + hi)
+        p_terms = pay[bisect.bisect_right(pay_los, mid) - 1][2]
+        f_terms = dens[bisect.bisect_right(dens_los, mid) - 1][1]
+        t_lo, t_hi = lo / vmax, hi / vmax
+        for a, e in p_terms:
+            for b, k in f_terms:
+                q = e + k + 1.0
+                total += a * (t_hi**q - t_lo**q) * b / q
+    return RevenueEstimate(mean=vmax * total, stderr=0.0, method="quadrature")
 
-        def piece(v: float, _hi: float = hi) -> float:
-            if v == _hi:
-                return mech.schedule.value_at(v, side="left") * dist.pdf_left(v)
-            return mech.schedule.value_at(v) * dist.pdf(v)
 
-        total += adaptive_simpson(piece, lo, hi, abs_tol * (hi - lo) / vmax)
-    return RevenueEstimate(mean=total, stderr=0.0, method="quadrature")
+def _payment_pieces(sched: PaymentSchedule) -> list[PowerPiece]:
+    """Truthful payments of a derived schedule as power terms in t = v / vmax.
+
+    On a rule piece x = sum a t^e, with C = integral_0^lo x, the envelope
+    payment is p~ = sum vmax a e / (e + 1) t^(e+1) + K, K = sum vmax a
+    (lo / vmax)^(e+1) / (e + 1) - C, and the violation is g = ratio p~ - v x. The
+    pieces are cut at the rule's stationary candidates, so g is monotone on
+    each; a left-to-right pass carries the running max R of g (from g(0) = 0)
+    and splits a rising piece where g crosses R. Where g is the max the piece
+    is tight, p = v x; elsewhere it is flat, p = ratio p~ - R.
+    """
+    rule = sched.allocation
+    ratio = sched.m.ratio
+    vmax = rule.vmax
+    pieces = rule.pieces()
+    below = rule.prefix_integral(np.asarray([lo for lo, _, _ in pieces]))
+    stationary = rule.stationary_candidates(ratio)
+    out: list[PowerPiece] = []
+    best = 0.0
+    for (lo, hi, terms), area in zip(pieces, below):
+        terms = [(a, e) for a, e in terms if a != 0.0]
+        t0 = lo / vmax
+        env0 = sum(vmax * a * t0 ** (e + 1.0) / (e + 1.0) for a, e in terms) - float(area)
+        tight = tuple((vmax * a, e + 1.0) for a, e in terms)
+        flat = [(ratio * vmax * a * e / (e + 1.0), e + 1.0) for a, e in terms if e != 0.0]
+        g = [(vmax * a * (ratio * e / (e + 1.0) - 1.0), e + 1.0) for a, e in terms]
+        g = [(c, q) for c, q in g if c != 0.0]
+        inner = stationary[bisect.bisect_right(stationary, lo):bisect.bisect_left(stationary, hi)]
+        for l, u in zip((lo, *inner), (*inner, hi)):
+            g_l = ratio * env0 + sum(c * (l / vmax) ** q for c, q in g)
+            g_u = ratio * env0 + sum(c * (u / vmax) ** q for c, q in g)
+            start = max(best, g_l)
+            if g_u <= start:
+                out.append((l, u, (*flat, (ratio * env0 - start, 0.0))))
+                best = start
+                continue
+            if g_l < best:
+                cross = _rising_root(g, ratio * env0 - best, l, u, vmax)
+                out.append((l, cross, (*flat, (ratio * env0 - best, 0.0))))
+                l = cross
+            out.append((l, u, tight))
+            best = g_u
+    return out
+
+
+def _rising_root(
+    terms: list[tuple[float, float]], const: float, lo: float, hi: float, vmax: float
+) -> float:
+    """The v in [lo, hi] where const + sum c (v / vmax)^q rises through zero.
+
+    Rule pieces give either one term (power segments, constants) or the
+    exponents 1 and 2 (linear segments and table cells).
+    """
+    if len(terms) == 1:
+        (c, q), = terms
+        t = max(-const / c, 0.0) ** (1.0 / q)
+    else:
+        by_q = {q: c for c, q in terms}
+        c1, c2 = by_q[1.0], by_q[2.0]
+        # the rising root is the one where 2 c2 t + c1 = +sqrt(disc); take
+        # whichever of its two forms does not cancel
+        root = math.sqrt(max(c1 * c1 - 4.0 * c2 * const, 0.0))
+        t = -2.0 * const / (c1 + root) if c1 >= 0.0 else (root - c1) / (2.0 * c2)
+    return min(max(vmax * t, lo), hi)
+
+
+def _interpolant_pieces(sched: PaymentSchedule, vmax: float) -> list[PowerPiece]:
+    """A hand-supplied schedule as value_many reads it: linear between grid
+    points, flat outside them."""
+    grid = [float(v) for v in sched.grid]
+    pays = [float(p) for p in sched.payments]
+    out: list[PowerPiece] = []
+    if grid[0] > 0.0:
+        out.append((0.0, grid[0], ((pays[0], 0.0),)))
+    for va, vb, pa, pb in zip(grid[:-1], grid[1:], pays[:-1], pays[1:]):
+        slope = (pb - pa) / (vb - va)
+        out.append((va, vb, ((pa - slope * va, 0.0), (slope * vmax, 1.0))))
+    if grid[-1] < vmax:
+        out.append((grid[-1], vmax, ((pays[-1], 0.0),)))
+    return out
 
 
 def expected_revenue_mc(
@@ -176,7 +273,6 @@ def compare(
     mc_samples: int = 100_000,
     seed: int = 0,
     grid_n: int = DEFAULT_GRID_N,
-    abs_tol: float = 1e-9,
 ) -> ComparisonTable:
     """Posted-price baseline versus the threshold-optimal mechanism."""
     from .optimal import optimal_mechanism  # deferred: optimal builds on this module
@@ -190,7 +286,7 @@ def compare(
         ("posted_price", base, base_threshold),
         ("roi_optimal", sol.mechanism(), sol.threshold),
     ):
-        quad = expected_revenue_quadrature(mech, dist, abs_tol)
+        quad = expected_revenue_quadrature(mech, dist)
         if mc_samples > 0:
             mc = expected_revenue_mc(mech, dist, mc_samples, seed)
             rows.append(ComparisonRow(name, threshold, quad.mean, mc.mean, mc.stderr))

@@ -72,3 +72,85 @@ def brute_dsic_gain(values, allocs, pays, ratio: float, feas_tol: float = 1e-12)
 
 def central_difference(f, x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def full_matrix_dsic(grid, allocs, pays, ratio: float, tol: float, feas_tol: float = 1e-12):
+    """(worst gain, passed, witness) of the misreport search over whole n x n matrices."""
+    vx = grid[:, None] * allocs[None, :]
+    feas = vx >= pays[None, :] - feas_tol
+    util = ratio * vx - pays[None, :]
+    util_feas = np.where(feas, util, -np.inf)
+    best = util_feas.max(axis=1)
+    best_at = util_feas.argmax(axis=1)
+    truth_feas = np.diag(feas)
+    gains = np.where(truth_feas, best - np.diag(util), np.inf)
+    gains = np.where(~truth_feas & ~feas.any(axis=1), 0.0, gains)
+    i = int(np.argmax(gains))
+    worst = max(float(gains[i]), 0.0)
+    witness = {"v": float(grid[i]), "b": float(grid[int(best_at[i])])} if worst > 0.0 else None
+    return worst, worst <= tol, witness
+
+
+def _bisect_crossing(g, level: float, a: float, b: float) -> float:
+    """Point in [a, b] where a rising g passes level, down to adjacent floats."""
+    for _ in range(2000):
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        if g(mid) < level:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def table_revenue(points, ratio: float, pdf, kinks=(), n: int = 64) -> float:
+    """Revenue of the interpolated table rule through points, by composite Simpson.
+
+    Payments come from their definition on each table cell: the violation
+    g(v) = ratio (v x - int_0^v x) - v x is a parabola there, its running max
+    the rebate. Cells are cut at density kinks, at the parabola's vertex and
+    where a rising g overtakes the running max (by bisection), so on every
+    cut the payment is one quadratic and n Simpson intervals see no kink.
+    The density is read just left of each cut's right end.
+    """
+    total = 0.0
+    area = 0.0  # integral of x over the earlier cells
+    best = 0.0  # running max of g, with g(0) = 0
+    for (v0, x0), (v1, x1) in zip(points[:-1], points[1:]):
+        slope = (x1 - x0) / (v1 - v0)
+
+        def x(v, v0=v0, x0=x0, slope=slope):
+            return x0 + slope * (v - v0)
+
+        def g(v, v0=v0, x0=x0, area=area, x=x):
+            vx = v * x(v)
+            return ratio * (vx - area - 0.5 * (x0 + x(v)) * (v - v0)) - vx
+
+        cuts = {v0, v1} | {k for k in kinks if v0 < k < v1}
+        if slope * (ratio - 2.0) != 0.0:
+            vertex = (x0 - slope * v0) / (slope * (ratio - 2.0))
+            if v0 < vertex < v1:
+                cuts.add(vertex)
+        cuts = sorted(cuts)
+        spans = []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if g(a) < best < g(b):
+                cross = _bisect_crossing(g, best, a, b)
+                spans += [(a, cross), (cross, b)]
+            else:
+                spans.append((a, b))
+        for a, b in spans:
+            if b <= a:
+                continue
+            vs = np.linspace(a, b, n + 1)
+            gv = g(vs)
+            rebate = np.maximum(np.maximum.accumulate(gv), best)
+            best = float(rebate[-1])
+            pay = gv + vs * x(vs) - rebate
+            dens = pdf(np.append(vs[:-1], np.nextafter(b, a)))
+            y = pay * dens
+            h = (b - a) / n
+            total += h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+        area += 0.5 * (x0 + x1) * (v1 - v0)
+    return total

@@ -17,7 +17,7 @@ from roi_auction import (
     random_monotone_rule,
     random_nonmonotone_rule,
 )
-from roi_auction.allocation import Linear, Segment
+from roi_auction.allocation import Constant, Linear, PowerRamp, Segment, TableShape
 from oracles import simpson_integral
 
 STEP = make_step(0.4, 1.0)
@@ -202,3 +202,46 @@ def test_descriptor_rejects_bad_tiling():
 def test_knots_cover_segment_joins_and_table_vertices():
     assert set(STAIRS.knots()) == {0.0, 0.2, 0.6, 1.0}
     assert set(TABLE.knots()) == {0.0, 0.3, 0.6, 1.0}
+
+
+# a rule with every shape, off the unit interval
+MIXED = AllocationRule(
+    3.0,
+    (
+        Segment(0.0, 0.5, Constant(0.1)),
+        Segment(0.5, 1.5, Linear(0.2, 0.05)),
+        Segment(1.5, 2.0, PowerRamp(scale=0.7 / 2.0**3.5, exponent=3.5)),
+        Segment(2.0, 3.0, TableShape(((2.0, 0.8), (2.4, 0.85), (2.5, 0.95), (3.0, 1.0)))),
+    ),
+)
+# x = (v / 600)^110 below 600: vmax^110 alone overflows, the extrapolation to vmax does not
+STEEP = AllocationRule(
+    1000.0,
+    (
+        Segment(0.0, 600.0, PowerRamp(scale=600.0**-110, exponent=110.0)),
+        Segment(600.0, 1000.0, Constant(1.0)),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "rule", [MIXED, STEEP, STEP, RAMP, TABLE], ids=["mixed", "steep", "step", "ramp", "table"]
+)
+def test_pieces_reproduce_evaluate(rule):
+    pieces = rule.pieces()
+    assert pieces[0][0] == 0.0 and pieces[-1][1] == rule.vmax
+    assert all(a[1] == b[0] for a, b in zip(pieces[:-1], pieces[1:]))
+    assert {lo for lo, _, _ in pieces} | {rule.vmax} == set(rule.knots())
+    for lo, hi, terms in pieces:
+        for v in np.linspace(lo, hi, 9)[:-1]:
+            got = sum(a * (v / rule.vmax) ** e for a, e in terms)
+            assert got == pytest.approx(rule.evaluate(v), rel=1e-13, abs=1e-15)
+
+
+def test_power_pieces_out_of_float_range_are_a_domain_error():
+    # x = v^110 on [0, 1] extrapolates to 1000^110 at vmax
+    rule = AllocationRule(
+        1000.0, (Segment(0.0, 1.0, PowerRamp(1.0, 110.0)), Segment(1.0, 1000.0, Constant(1.0)))
+    )
+    with pytest.raises(DomainError, match="float range"):
+        rule.pieces()

@@ -25,7 +25,8 @@ from roi_auction import (
     uniqueness_probe,
     utility,
 )
-from oracles import brute_dsic_gain
+from roi_auction.audit import _audit_grid
+from oracles import brute_dsic_gain, full_matrix_dsic
 
 M2 = RoiTarget(2.0)
 M3 = RoiTarget(3.0)
@@ -249,3 +250,25 @@ def test_report_serializes_infinite_violations():
     report = AuditReport((check_dsic(mech, grid_n=grid.size),))
     assert '"worst_violation": "inf"' in report.to_json_text()
     assert "FAIL" in report.summary()
+
+
+def _dsic_cases():
+    for seed in range(4):
+        rule = random_monotone_rule(seed)
+        honest = mechanism_for(rule, M3, grid_n=601)
+        yield honest
+        sched = honest.schedule
+        bump = np.where(sched.grid > 0.5, 0.02 * (seed - 1.5), 0.0)
+        yield Mechanism(rule, sched.with_payments(sched.payments + bump), M3)
+    yield mechanism_for(random_nonmonotone_rule(2), M2, grid_n=601)
+
+
+@pytest.mark.parametrize("mech", list(_dsic_cases()))
+def test_blocked_dsic_matches_full_matrix_oracle(mech):
+    # 601 requested points (plus knots) span three row blocks, the last one partial
+    grid = _audit_grid(mech, 601)
+    assert grid.size % 256 != 0
+    x = mech.allocation.evaluate(grid)
+    want = full_matrix_dsic(grid, x, mech.schedule.value_many(grid), mech.m.ratio, 1e-6)
+    got = check_dsic(mech, grid_n=601)
+    assert (got.worst_violation, got.passed, got.witness) == want

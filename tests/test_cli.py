@@ -177,6 +177,22 @@ def test_module_entry_point_runs(uniform_file, tmp_path):
     assert out.exists() and (tmp_path / "sol_schedule.csv").exists()
 
 
+def test_steep_ratio_keeps_stderr_clean(uniform_file, tmp_path):
+    # ratio 1.01 gives ramp exponent 100, which the library flags with a ConditioningWarning
+    src = str(Path(roi_auction.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "roi_auction.cli", "solve", uniform_file, "--m", "1.01"]
+    done = subprocess.run(
+        argv + ["--out", str(tmp_path / "sol.json")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+
+
 def test_unreadable_inputs_are_usage_errors(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json", encoding="utf-8")
@@ -240,6 +256,17 @@ def test_audit_flags_tampered_schedule(tmp_path, capsys):
     }
     path = _write(tmp_path, "honest.json", honest)
     assert main(["audit", path]) == 0
+
+
+@pytest.mark.parametrize("array", ["grid", "payments"])
+@pytest.mark.parametrize("literal", [float("nan"), float("inf")])
+def test_non_finite_schedule_is_unusable_input(array, literal, tmp_path, capsys):
+    sched = payment_schedule(make_step(0.4, 1.0), RoiTarget(2.0), grid_n=5)
+    data = {"grid": sched.grid.tolist(), "payments": sched.payments.tolist()}
+    data[array][2] = literal  # json writes NaN / Infinity literals
+    path = _write(tmp_path, "bad.json", {"allocation": STEP_DESC, "m": 2.0, "schedule": data})
+    assert main(["audit", path]) == 2
+    assert "finite" in _single_error_line(capsys)
 
 
 def test_audit_schedule_shape_validation(tmp_path, capsys):

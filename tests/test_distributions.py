@@ -73,6 +73,17 @@ def test_psi_pieces_reproduce_marginal_revenue(dist):
             assert got == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("dist", ALL + SCALED, ids=lambda d: f"{type(d).__name__}-{d.vmax}")
+def test_pdf_pieces_reproduce_pdf(dist):
+    pieces = dist.pdf_pieces()
+    assert pieces[0][0] == 0.0 and pieces[-1][1] == dist.vmax
+    assert all(a[1] == b[0] for a, b in zip(pieces[:-1], pieces[1:]))
+    for lo, hi, terms in pieces:
+        for v in np.append(np.linspace(lo, hi, 9)[:-1], hi - 1e-9 * dist.vmax):
+            got = sum(a * (v / dist.vmax) ** e for a, e in terms)
+            assert got == pytest.approx(dist.pdf(v), abs=1e-12)
+
+
 def test_power_cdf_density_survives_huge_vmax():
     dist = PowerCdfDistribution(2.0, vmax=1e300)
     assert dist.pdf(0.5e300) == pytest.approx(1e-300)

@@ -169,6 +169,22 @@ def test_solver_hits_closed_forms_at_tight_tolerance(dist, c):
     assert abs(threshold - want) <= 1e-12 * dist.vmax
 
 
+@pytest.mark.parametrize("ratio", [1.1, 1.01])
+@pytest.mark.parametrize(
+    "dist",
+    [UniformDistribution(10.0), PowerCdfDistribution(2.0, vmax=10.0)],
+    ids=["uniform", "power2"],
+)
+def test_solver_residual_is_scale_free_above_unit_vmax(dist, ratio):
+    # |H(D)| = D^(c+1) |G(D)| sat above rounding at vmax 10 and the solve stalled
+    c = 1.0 / (ratio - 1.0)
+    k = 1.0 if isinstance(dist, UniformDistribution) else dist.exponent
+    want = dist.vmax * ((k + c + 1.0) / ((k + 1.0) * (c + 1.0))) ** (1.0 / k)
+    threshold, case = solve_threshold(dist, RoiTarget(ratio), tol=1e-9)
+    assert case is BoundaryCase.INTERIOR_ROOT
+    assert abs(threshold - want) <= 1e-9 * dist.vmax
+
+
 @pytest.mark.parametrize(
     "dist,ratio",
     [(UNIFORM, 2.0), (UNIFORM, 5.0), (POWER2, 2.0), (POWER2, 3.0)],
@@ -250,7 +266,7 @@ def test_revenue_derivative_matches_finite_difference(at):
 
     def rev(d: float) -> float:
         mech = mechanism_for(make_power_ramp(d, 2.0, 1.0), M2, grid_n=2001)
-        return expected_revenue_quadrature(mech, UNIFORM, abs_tol=1e-11).mean
+        return expected_revenue_quadrature(mech, UNIFORM).mean
 
     numeric = central_difference(rev, at, 1e-5)
     assert revenue_derivative(UNIFORM, M2, at) == pytest.approx(numeric, abs=1e-5)
@@ -330,7 +346,7 @@ def test_monotone_perturbations_never_beat_the_optimum(seed):
     sol = optimal_mechanism(UNIFORM, M2)
     nearby = perturbed_table_copy(sol.allocation, seed, n_knots=41, magnitude=0.03)
     mech = mechanism_for(nearby, M2, grid_n=2001)
-    rev = expected_revenue_quadrature(mech, UNIFORM, abs_tol=1e-8).mean
+    rev = expected_revenue_quadrature(mech, UNIFORM).mean
     assert rev <= sol.expected_revenue + 1e-8
 
 
@@ -338,5 +354,5 @@ def test_flat_start_strictly_hurts():
     sol = optimal_mechanism(UNIFORM, M2)
     flattened = sol.allocation.with_floor(0.1)
     mech = mechanism_for(flattened, M2, grid_n=2001)
-    rev = expected_revenue_quadrature(mech, UNIFORM, abs_tol=1e-10).mean
+    rev = expected_revenue_quadrature(mech, UNIFORM).mean
     assert rev < sol.expected_revenue - 1e-6

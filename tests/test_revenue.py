@@ -1,26 +1,41 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import roi_auction
 from roi_auction import (
+    ConditioningWarning,
     ConstructionError,
+    Mechanism,
+    PaymentSchedule,
     PiecewiseLinearDensity,
     PowerCdfDistribution,
     PreconditionError,
     RevenueEstimate,
     RoiAuctionError,
     RoiTarget,
+    TabulatedCdf,
     UniformDistribution,
     compare,
     expected_revenue_mc,
     expected_revenue_quadrature,
     make_constant,
     make_piecewise_constant,
+    make_power_ramp,
     make_step,
     mechanism_for,
     myerson_baseline,
     optimal_mechanism,
+    payment_schedule,
+    perturbed_table_copy,
 )
+from oracles import table_revenue
 
 M2 = RoiTarget(2.0)
 UNIFORM = UniformDistribution(1.0)
@@ -184,3 +199,109 @@ def test_revenue_estimate_to_dict():
         "n_samples": 10,
         "seed": 2,
     }
+
+
+# one distribution per kind, off the unit interval; power_cdf with exponent 2
+# has a linear density, so the Simpson oracle is exact on every cut
+TABLE_DISTS = [
+    UniformDistribution(2.5),
+    PowerCdfDistribution(2.0, vmax=1.5),
+    PiecewiseLinearDensity((0.0, 0.9, 2.1, 3.0), tuple(h / 2.595 for h in (0.3, 1.0, 1.0, 0.8))),
+    TabulatedCdf(((0.0, 0.0), (0.4, 0.05), (1.1, 0.35), (1.6, 0.7), (2.0, 1.0))),
+]
+
+
+@pytest.mark.parametrize("ratio", [2.0, 5.0])
+@pytest.mark.parametrize("dist", TABLE_DISTS, ids=lambda d: type(d).__name__)
+def test_table_revenue_matches_dense_oracle(dist, ratio):
+    # seeded perturbations of a ramp onto 101 knots, as in the local-optimality gate
+    kinks = tuple(lo for lo, _, _ in dist.pdf_pieces()[1:])
+    for seed in range(3):
+        ramp = make_power_ramp(0.7 * dist.vmax, ratio, dist.vmax)
+        table = perturbed_table_copy(ramp, seed, n_knots=101, magnitude=0.03)
+        points = table.segments[0].shape.points
+        got = expected_revenue_quadrature(mechanism_for(table, RoiTarget(ratio)), dist).mean
+        assert got == pytest.approx(table_revenue(points, ratio, dist.pdf, kinks), abs=1e-12)
+
+
+def _uniform_ramp_revenue(d, c, vmax):
+    # integral_0^d v (v / d)^c / vmax dv + d (1 - d / vmax)
+    return d * d / ((c + 2.0) * vmax) + d * (1.0 - d / vmax)
+
+
+def _power2_ramp_revenue(d, c, vmax):
+    # density 2 v / vmax^2: integral_0^d v (v / d)^c 2 v / vmax^2 dv + d (1 - (d / vmax)^2)
+    return 2.0 * d**3 / ((c + 3.0) * vmax**2) + d * (1.0 - (d / vmax) ** 2)
+
+
+@pytest.mark.parametrize("c", [1.0 / 19.0, 1.0, 4.0, 100.0])
+@pytest.mark.parametrize(
+    "dist, closed_form",
+    [
+        (UniformDistribution(2.0), _uniform_ramp_revenue),
+        (PowerCdfDistribution(2.0), _power2_ramp_revenue),
+    ],
+    ids=["uniform", "power2"],
+)
+def test_ramp_revenue_matches_closed_forms(dist, closed_form, c):
+    ratio = 1.0 + 1.0 / c
+    d = 0.6 * dist.vmax
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        ramp = make_power_ramp(d, ratio, dist.vmax)
+    got = expected_revenue_quadrature(mechanism_for(ramp, RoiTarget(ratio), grid_n=2001), dist).mean
+    assert got == pytest.approx(closed_form(d, c, dist.vmax), abs=1e-12)
+
+
+def test_hand_schedule_revenue_is_its_interpolant_integral():
+    rule = make_step(0.5, 1.0)
+    m = RoiTarget(3.0)
+    grid = np.asarray([0.0, 0.3, 0.45, 0.8])
+    hand = PaymentSchedule(
+        grid=grid,
+        allocations=rule.evaluate(grid),
+        myerson=np.zeros(4),
+        rebates=np.zeros(4),
+        payments=np.asarray([0.0, 0.1, 0.4, 0.7]),
+        allocation=rule,
+        m=m,
+        derived=False,
+    )
+    mech = Mechanism(rule, hand, m)
+    # uniform density: trapezoids, then the flat extension at 0.7 past v = 0.8
+    want = 0.5 * (0.1 * 0.3 + 0.5 * 0.15 + 1.1 * 0.35) + 0.7 * 0.2
+    assert expected_revenue_quadrature(mech, UNIFORM).mean == pytest.approx(want, abs=1e-15)
+    # density 2v: p = a + b v on [l, u] gives a (u^2 - l^2) + 2 b (u^3 - l^3) / 3
+    cells = [
+        (0.0, 0.3, 0.0, 1.0 / 3.0),
+        (0.3, 0.45, -0.5, 2.0),
+        (0.45, 0.8, 0.4 - 0.45 * 6.0 / 7.0, 6.0 / 7.0),
+    ]
+    want = sum(a * (u * u - l * l) + 2.0 * b * (u**3 - l**3) / 3.0 for l, u, a, b in cells)
+    want += 0.7 * (1.0 - 0.8**2)
+    assert expected_revenue_quadrature(mech, POWER2).mean == pytest.approx(want, abs=1e-15)
+    # with_payments halves the step's price to 0.25, reached linearly from the
+    # grid point 0.4 below the jump
+    derived = payment_schedule(rule, m, grid_n=11)
+    halved = Mechanism(rule, derived.with_payments(0.5 * derived.payments), m)
+    want = 0.5 * 0.25 * 0.1 + 0.25 * 0.5
+    assert expected_revenue_quadrature(halved, UNIFORM).mean == pytest.approx(want, abs=1e-15)
+
+
+def test_huge_vmax_solve_finishes(tmp_path):
+    # an absolute Simpson tolerance below the rounding of payments near 1e20 never converged
+    src = str(Path(roi_auction.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    desc = tmp_path / "wide.json"
+    desc.write_text('{"kind": "uniform", "vmax": 1e20}', encoding="utf-8")
+    argv = [sys.executable, "-m", "roi_auction.cli", "solve", str(desc), "--m", "2"]
+    done = subprocess.run(
+        argv + ["--out", str(tmp_path / "sol.json")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    revenue = float(done.stdout.split("revenue = ")[1].split()[0])
+    assert revenue == pytest.approx(3.75e19, rel=1e-9)
