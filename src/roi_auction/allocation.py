@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -266,51 +266,37 @@ class AllocationRule:
         parts = [float(s.shape.integral(s.lo, s.hi)) for s in self.segments]
         return np.concatenate([[0.0], np.cumsum(parts)])
 
-    def _prepare(self, v: Any) -> tuple[np.ndarray, bool]:
+    def _per_segment(self, v, side: str, fn):
+        """fn(i, segment, points) on the points in each segment, which must lie in
+        [0, vmax] up to the join tolerance; a float for a scalar v."""
         arr = np.asarray(v, dtype=float)
-        scalar = arr.ndim == 0
         a = np.atleast_1d(arr)
         if a.size:
             slack = _JOIN_TOL * max(1.0, self.vmax)
             if float(np.min(a)) < -slack or float(np.max(a)) > self.vmax + slack:
                 raise DomainError(f"evaluation point outside [0, {self.vmax}]")
-        return np.clip(a, 0.0, self.vmax), scalar
-
-    def _indices(self, a: np.ndarray, side: str = "right") -> np.ndarray:
-        return np.clip(np.searchsorted(self._los, a, side=side) - 1, 0, len(self.segments) - 1)
+        a = np.clip(a, 0.0, self.vmax)
+        idx = np.clip(np.searchsorted(self._los, a, side=side) - 1, 0, len(self.segments) - 1)
+        out = np.empty_like(a)
+        for i, seg in enumerate(self.segments):
+            mask = idx == i
+            if np.any(mask):
+                out[mask] = fn(i, seg, a[mask])
+        return float(out[0]) if arr.ndim == 0 else out
 
     def evaluate(self, v):
         """Allocation at v; the right limit at every jump."""
-        a, scalar = self._prepare(v)
-        idx = self._indices(a)
-        out = np.empty_like(a)
-        for i, seg in enumerate(self.segments):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = seg.shape.value(a[mask])
-        return float(out[0]) if scalar else out
+        return self._per_segment(v, "right", lambda i, seg, a: seg.shape.value(a))
 
     def left_value(self, v):
         """Limit of the allocation from below; equals evaluate away from joins."""
-        a, scalar = self._prepare(v)
-        idx = self._indices(a, side="left")
-        out = np.empty_like(a)
-        for i, seg in enumerate(self.segments):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = seg.shape.value(a[mask])
-        return float(out[0]) if scalar else out
+        return self._per_segment(v, "left", lambda i, seg, a: seg.shape.value(a))
 
     def prefix_integral(self, v):
         """Exact integral of the allocation from 0 to v."""
-        a, scalar = self._prepare(v)
-        idx = self._indices(a)
-        out = np.empty_like(a)
-        for i, seg in enumerate(self.segments):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = self._cum[i] + seg.shape.integral(seg.lo, a[mask])
-        return float(out[0]) if scalar else out
+        return self._per_segment(
+            v, "right", lambda i, seg, a: self._cum[i] + seg.shape.integral(seg.lo, a)
+        )
 
     def knots(self) -> tuple[float, ...]:
         """Segment endpoints plus interior table vertices, sorted."""

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .formatting import fmt, json_ready
 from .optimal import optimal_mechanism
-from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule
+from .payments import DEFAULT_GRID_N, RoiTarget, payment_schedule, schedule_on
 from .revenue import compare as compare_mechanisms
 from .revenue import expected_revenue_quadrature, myerson_baseline
 
@@ -106,7 +106,11 @@ def _mechanism_from_file(path: str, args, grid_n: int) -> Mechanism:
     ratio = args.m if args.m is not None else data.get("m")
     if ratio is None:
         raise _UsageError("no target ratio: pass --m or put an 'm' field in the file")
-    m = RoiTarget(float(ratio))
+    try:
+        ratio = float(ratio)
+    except (TypeError, ValueError, OverflowError):
+        raise DescriptorError(f"'m' must be a number, got {ratio!r}")
+    m = RoiTarget(ratio)
     if "schedule" not in data:
         return mechanism_for(rule, m, grid_n)
     sched = data["schedule"]
@@ -115,7 +119,7 @@ def _mechanism_from_file(path: str, args, grid_n: int) -> Mechanism:
     try:
         grid = np.asarray([float(v) for v in sched["grid"]])
         payments = np.asarray([float(p) for p in sched["payments"]])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DescriptorError(f"schedule arrays must be numeric: {exc}")
     if grid.size != payments.size or grid.size < 2:
         raise DescriptorError("schedule arrays must share a length of at least 2")
@@ -123,19 +127,7 @@ def _mechanism_from_file(path: str, args, grid_n: int) -> Mechanism:
         raise DescriptorError("schedule grid and payments must be finite numbers")
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0) or grid[-1] > rule.vmax * (1 + 1e-12):
         raise DescriptorError("schedule grid must increase strictly from 0 within [0, vmax]")
-    x = rule.evaluate(grid)
-    pre = grid * x - rule.prefix_integral(grid)
-    g = m.ratio * pre - grid * x
-    schedule = PaymentSchedule(
-        grid=grid,
-        allocations=x,
-        myerson=pre,
-        rebates=np.maximum.accumulate(g),
-        payments=payments,
-        allocation=rule,
-        m=m,
-        derived=False,
-    )
+    schedule = schedule_on(rule, m, grid).with_payments(payments)
     return Mechanism(rule, schedule, m)
 
 

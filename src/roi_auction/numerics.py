@@ -8,7 +8,7 @@ calls (the threshold solve and the revenue are exact).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import QuadratureError
 
@@ -123,12 +123,3 @@ def bisect_root(
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
 
-
-def sorted_unique(values: Sequence[float], *, merge_tol: float = 0.0) -> list[float]:
-    """Sort and deduplicate floats, optionally merging points closer than merge_tol."""
-    out: list[float] = []
-    for x in sorted(float(v) for v in values):
-        if not out or x - out[-1] > merge_tol:
-            out.append(x)
-        # on a merge the earlier (smaller) representative is kept
-    return out

@@ -35,10 +35,10 @@ import numpy as np
 from .allocation import AllocationRule, make_power_ramp
 from .audit import AuditCheck, AuditReport, Mechanism
 from .distributions import ValueDistribution
-from .errors import DomainError, PreconditionError, QuadratureError
+from .errors import ConstructionError, DomainError, PreconditionError, QuadratureError
 from .formatting import json_ready
 from .numerics import bisect_root
-from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule
+from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, _envelope, payment_schedule
 from .revenue import expected_revenue_quadrature
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -101,8 +101,11 @@ def solve_threshold(
     the bracket is below tol * max(1, vmax) and the residual
     |G(mid)| (mid / max(1, vmax))^(c+1) is at most tol: that is |H(mid)| for
     vmax <= 1, and scale-free above it. A vmax whose power c + 1 overflows,
-    so that H itself cannot be reported, is a DomainError.
+    so that H itself cannot be reported, is a DomainError; a tol that is not
+    positive and finite is a ConstructionError.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConstructionError(f"solver tolerance must be positive and finite, got {tol!r}")
     report = dist.check_dmr(dmr_grid_n)
     if not report.passed:
         raise PreconditionError(
@@ -216,12 +219,10 @@ def structural_audit(
     grid = np.unique(
         np.concatenate([np.linspace(0.0, vmax, grid_n), np.asarray(rule.knots()), [threshold]])
     )
-    x = rule.evaluate(grid)
+    x, _, cap = _envelope(rule, ratio, grid)
     p = sched.value_many(grid)
-    pre_myerson = grid * x - rule.prefix_integral(grid)
     checks: list[AuditCheck] = []
 
-    cap = ratio * pre_myerson - grid * x
     i = int(np.argmax(cap))
     worst = max(float(cap[i]), 0.0)
     checks.append(

@@ -47,6 +47,16 @@ class RevenueEstimate:
         }
 
 
+def _shared_support(mech: Mechanism, dist: ValueDistribution) -> float:
+    """The rule's vmax, once the distribution is known to share it."""
+    vmax = mech.allocation.vmax
+    if abs(dist.vmax - vmax) > 1e-9 * max(1.0, vmax):
+        raise ConstructionError(
+            f"distribution support [0, {dist.vmax}] does not match the rule's [0, {vmax}]"
+        )
+    return vmax
+
+
 def expected_revenue_quadrature(mech: Mechanism, dist: ValueDistribution) -> RevenueEstimate:
     """Exact integral of the truthful payment against the value density.
 
@@ -55,11 +65,7 @@ def expected_revenue_quadrature(mech: Mechanism, dist: ValueDistribution) -> Rev
     closed-form moments a b (u^q - l^q) / q. The name and the method label
     "quadrature" stay as callers know them.
     """
-    vmax = mech.allocation.vmax
-    if abs(dist.vmax - vmax) > 1e-9 * max(1.0, vmax):
-        raise ConstructionError(
-            f"distribution support [0, {dist.vmax}] does not match the rule's [0, {vmax}]"
-        )
+    vmax = _shared_support(mech, dist)
     sched = mech.schedule
     pay = _payment_pieces(sched) if sched.derived else _interpolant_pieces(sched, vmax)
     # the density's terms, restated in the rule's t = v / vmax
@@ -176,11 +182,7 @@ def expected_revenue_mc(
         raise ConstructionError(f"need at least one sample, got {n}")
     if seed < 0:
         raise ConstructionError(f"seed must be non-negative, got {seed}")
-    vmax = mech.allocation.vmax
-    if abs(dist.vmax - vmax) > 1e-9 * max(1.0, vmax):
-        raise ConstructionError(
-            f"distribution support [0, {dist.vmax}] does not match the rule's [0, {vmax}]"
-        )
+    _shared_support(mech, dist)
     pays = np.empty(n)
     for k, start in enumerate(range(0, n, _MC_CHUNK)):
         stop = min(start + _MC_CHUNK, n)

@@ -154,3 +154,46 @@ def table_revenue(points, ratio: float, pdf, kinks=(), n: int = 64) -> float:
             total += h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
         area += 0.5 * (x0 + x1) * (v1 - v0)
     return total
+
+
+def exact_payments(rule, ratio: float, grid) -> list[float]:
+    """Truthful payments on the grid in rational arithmetic, rounded once at the end.
+
+    For rules of constant and linear segments (a power segment of exponent 1
+    is linear): x, its prefix integral, p~ = v x - integral and
+    g = ratio p~ - v x are exact rationals of the stored floats, and the
+    rebate is the running max of g over the grid, the candidates the
+    library takes, so only the library's rounding separates the two.
+    """
+    from fractions import Fraction
+
+    def coeffs(shape):
+        kind = type(shape).__name__
+        if kind == "Constant":
+            return Fraction(0), Fraction(shape.level)
+        if kind == "Linear":
+            return Fraction(shape.slope), Fraction(shape.intercept)
+        if kind == "PowerRamp" and shape.exponent == 1.0:
+            return Fraction(shape.scale), Fraction(0)
+        raise ValueError(f"no exact form for {shape!r}")
+
+    def integral(slope, icpt, a, b):
+        return slope * (b * b - a * a) / 2 + icpt * (b - a)
+
+    segs = [(Fraction(s.lo), Fraction(s.hi), *coeffs(s.shape)) for s in rule.segments]
+    below = [Fraction(0)]
+    for lo, hi, slope, icpt in segs:
+        below.append(below[-1] + integral(slope, icpt, lo, hi))
+    m = Fraction(ratio)
+    out = []
+    best = None
+    for v in grid:
+        v = Fraction(float(v))
+        i = max(k for k, seg in enumerate(segs) if seg[0] <= v or k == 0)
+        lo, _, slope, icpt = segs[i]
+        vx = v * (slope * v + icpt)
+        pt = vx - below[i] - integral(slope, icpt, lo, v)
+        g = m * pt - vx
+        best = g if best is None else max(best, g)
+        out.append(float(m * pt - best))
+    return out

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import roi_auction
-from roi_auction import RoiTarget, make_step, payment_schedule
+from roi_auction import RoiTarget, make_power_ramp, make_step, payment_schedule
 from roi_auction.cli import main
 
 UNIFORM_DESC = {"kind": "uniform", "vmax": 1.0}
@@ -158,6 +158,39 @@ def test_huge_vmax_is_unusable_input(command, tmp_path, capsys):
     argv = [command, path, "--m", "2", "--mc-samples", "100", "--out", str(tmp_path / "o.json")]
     assert main(argv) == 2
     assert "overflows" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("tol", ["inf", "0", "-1", "nan"])
+def test_unusable_solver_tolerance_is_unusable_input(tol, tmp_path, capsys):
+    # --tol inf printed a wrong D with exit 0; 0, -1 and nan exited 1
+    path = _write(tmp_path, "power.json", {"kind": "power_cdf", "vmax": 1.0, "exponent": 2.0})
+    out = str(tmp_path / "sol.json")
+    assert main(["solve", path, "--m", "2", f"--tol={tol}", "--out", out]) == 2
+    assert "tolerance" in _single_error_line(capsys)
+    assert main(["example1", f"--tol={tol}"]) == 2
+    assert "tolerance" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "ratio", ["abc", [2], {}, 10**400], ids=["string", "list", "object", "huge_int"]
+)
+def test_non_numeric_file_ratio_is_unusable_input(ratio, tmp_path, capsys):
+    path = _write(tmp_path, "mech.json", {"allocation": STEP_DESC, "m": ratio})
+    assert main(["audit", path]) == 2
+    assert "'m' must be a number" in _single_error_line(capsys)
+
+
+def test_file_ratio_at_or_below_one_names_the_range(tmp_path, capsys):
+    path = _write(tmp_path, "mech.json", {"allocation": STEP_DESC, "m": 0.5})
+    assert main(["audit", path]) == 2
+    assert "1 < ratio < inf" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("ratio", ["1e5", "1e6"])
+def test_audit_passes_honest_ramp_at_large_ratio(ratio, tmp_path, capsys):
+    path = _write(tmp_path, "ramp.json", make_power_ramp(0.75, 2.0).descriptor())
+    assert main(["audit", path, "--m", ratio]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 def test_module_entry_point_runs(uniform_file, tmp_path):

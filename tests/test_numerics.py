@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from roi_auction.errors import QuadratureError
-from roi_auction.numerics import adaptive_simpson, bisect_root, sorted_unique
+from roi_auction.numerics import adaptive_simpson, bisect_root
 
 
 def test_simpson_polynomial_exact():
@@ -49,7 +49,3 @@ def test_bisect_requires_bracket():
     with pytest.raises(ValueError):
         bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, x_tol=1e-9)
 
-
-def test_sorted_unique_merges():
-    assert sorted_unique([0.3, 0.1, 0.1 + 1e-13, 0.2], merge_tol=1e-12) == [0.1, 0.2, 0.3]
-    assert sorted_unique([], merge_tol=1e-12) == []

@@ -6,6 +6,7 @@ import pytest
 from roi_auction import (
     BoundaryCase,
     ConditioningWarning,
+    ConstructionError,
     DomainError,
     OptimalSolution,
     PowerCdfDistribution,
@@ -356,3 +357,10 @@ def test_flat_start_strictly_hurts():
     mech = mechanism_for(flattened, M2, grid_n=2001)
     rev = expected_revenue_quadrature(mech, UNIFORM).mean
     assert rev < sol.expected_revenue - 1e-6
+
+
+@pytest.mark.parametrize("tol", [math.inf, 0.0, -1.0, math.nan])
+def test_solver_rejects_unusable_tolerance(tol):
+    # inf stopped at the first midpoint; 0, -1 and nan reported a stalled residual
+    with pytest.raises(ConstructionError, match="tolerance"):
+        solve_threshold(POWER2, M2, tol=tol)

@@ -15,8 +15,10 @@ from roi_auction import (
     rebate,
     roi_payment,
     roi_violation,
+    run_standard_audit,
+    mechanism_for,
 )
-from oracles import brute_rebate, brute_roi_payment
+from oracles import brute_rebate, brute_roi_payment, exact_payments
 
 M2 = RoiTarget(2.0)
 RAMP = make_power_ramp(0.75, 2.0)
@@ -190,3 +192,39 @@ def test_hand_schedules_interpolate_and_hide_rebates():
 def test_payment_outside_support_fails():
     with pytest.raises(DomainError):
         roi_payment(RAMP, M2, 1.7)
+
+
+@pytest.mark.parametrize("ratio", [5.0, 1e5, 1e6])
+def test_tight_payments_are_exactly_realized_value(ratio):
+    # where the violation is its own running max, p = v x with no rounding left
+    sched = payment_schedule(RAMP, RoiTarget(ratio), grid_n=2001)
+    vx = sched.grid * sched.allocations
+    g = ratio * sched.myerson - vx
+    tight = g == sched.rebates
+    assert np.count_nonzero(tight) > 1000
+    assert np.array_equal(sched.payments[tight], vx[tight])
+    assert np.all(sched.payments <= vx)
+
+
+@pytest.mark.parametrize("ratio", [1e5, 1e6])
+def test_honest_ramp_passes_audit_at_large_ratio(ratio):
+    # M p~ - R on the tight ramp left p above v x by ~ratio ulps: dsic read inf
+    report = run_standard_audit(mechanism_for(RAMP, RoiTarget(ratio)))
+    assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("ratio", [1e2, 1e5, 1e8, 1e10])
+@pytest.mark.parametrize("vmax", [1.0, 3.0])
+def test_payment_error_within_stated_ratio_limit(ratio, vmax):
+    """Payments stay within 2 ratio 2^-52 vmax of exact rational payments."""
+    rules = [
+        make_power_ramp(0.75 * vmax, 2.0, vmax),
+        make_step(0.4 * vmax, vmax),
+        make_piecewise_constant([0.2 * vmax, 0.6 * vmax], [0.0, 0.5, 1.0], vmax),
+        *(random_monotone_rule(seed, vmax) for seed in range(6)),
+    ]
+    bound = 2.0 * ratio * 2.0**-52 * vmax
+    for rule in rules:
+        sched = payment_schedule(rule, RoiTarget(ratio), grid_n=201)
+        exact = np.asarray(exact_payments(rule, ratio, sched.grid))
+        assert float(np.max(np.abs(sched.payments - exact))) <= bound
