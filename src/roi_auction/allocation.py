@@ -109,7 +109,12 @@ class PowerRamp:
             raise ConstructionError(f"power scale must be >= 0, got {self.scale!r}")
         if not (math.isfinite(self.exponent) and self.exponent > 0.0):
             raise ConstructionError(f"power exponent must be > 0, got {self.exponent!r}")
-        top = self.scale * hi**self.exponent
+        try:
+            top = self.scale * hi**self.exponent
+        except OverflowError:
+            raise ConstructionError(
+                f"power shape needs {hi!r}**{self.exponent!r}, past the float range"
+            ) from None
         if top > 1.0 + max(_RANGE_TOL, 1e-9 * top):
             raise ConstructionError(f"power shape exceeds 1 at v={hi!r} (x={top!r})")
 
@@ -118,7 +123,13 @@ class PowerRamp:
 
     def integral(self, a, b):
         e1 = self.exponent + 1.0
-        return self.scale * (np.asarray(b, dtype=float) ** e1 - a**e1) / e1
+        b = np.asarray(b, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.scale * (b**e1 - np.float64(a) ** e1) / e1
+        if np.all(np.isfinite(out)):
+            return out
+        # v^(e+1) left the float range; v x(v) / (e+1) is the same antiderivative
+        return (b * self.value(b) - a * self.value(a)) / e1
 
     def stationary(self, lo: float, hi: float, ratio: float) -> tuple[float, ...]:
         # g' keeps one sign on a power piece, so the extremes sit at the ends
@@ -519,7 +530,7 @@ def _shape_from_descriptor(data: dict) -> Shape:
     if not isinstance(data, dict):
         raise DescriptorError("shape descriptor must be an object")
     kind = data.get("type")
-    if kind not in _SHAPE_FIELDS:
+    if not isinstance(kind, str) or kind not in _SHAPE_FIELDS:
         raise DescriptorError(f"unknown shape type {kind!r}")
     if set(data) != _SHAPE_FIELDS[kind]:
         unknown = sorted(set(data) - _SHAPE_FIELDS[kind])
@@ -533,7 +544,7 @@ def _shape_from_descriptor(data: dict) -> Shape:
         if kind == "power":
             return PowerRamp(scale=float(data["scale"]), exponent=float(data["exponent"]))
         return TableShape(points=tuple((float(v), float(x)) for v, x in data["points"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DescriptorError(f"malformed {kind!r} shape: {exc}") from exc
 
 
@@ -555,11 +566,11 @@ def allocation_from_descriptor(data: dict) -> AllocationRule:
         try:
             lo = float(item["lo"])
             hi = float(item["hi"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DescriptorError(f"segment bounds must be numbers: {exc}") from exc
         segs.append(Segment(lo, hi, _shape_from_descriptor(item["shape"])))
     try:
         vmax = float(data["vmax"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DescriptorError(f"'vmax' must be a number: {exc}") from exc
     return AllocationRule(vmax, tuple(segs))

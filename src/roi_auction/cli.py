@@ -68,7 +68,8 @@ def _load_json(path: str) -> dict:
             return json.load(fp)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad syntax or bytes, an integer past Python's digit limit, or deep nesting
         raise _UsageError(f"{path} is not valid JSON: {exc}")
 
 

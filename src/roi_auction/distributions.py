@@ -6,17 +6,17 @@ v f(v) + F(v) - 1 whose monotonicity (the DMR property) gates the
 threshold solver. Tabulated and piecewise kinds store the density and
 integrate it exactly; no numerical differentiation happens at runtime.
 
-Every kind also lowers that weighted curve and the density itself to pieces
-of power terms in the normalized value t = v / vmax (``psi_pieces``,
-``pdf_pieces``), which is what lets the threshold solver and the revenue
-integral work in closed form.
+Each kind lowers only its density, to pieces of power terms in the
+normalized value t = v / vmax (``pdf_pieces``). The base class derives the
+weighted curve's pieces from them (``psi_pieces``), which is what lets the
+threshold solver and the revenue integral work in closed form.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Any
 
@@ -59,14 +59,7 @@ class DmrReport:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_drop": self.worst_drop,
-            "worst_at": self.worst_at,
-            "first_violation_at": self.first_violation_at,
-            "grid_n": self.grid_n,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         if self.passed:
@@ -92,16 +85,12 @@ class ValueDistribution(abc.ABC):
     def _quantile(self, u: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def psi_pieces(self) -> tuple[PowerPiece, ...]:
-        """The weighted curve v f(v) + F(v) - 1 as power terms in v / vmax.
-
-        Pieces tile [0, vmax] in order; on [lo, hi) the curve equals the sum of
-        a * (v / vmax)^e over the piece's (a, e) terms, with every e >= 0.
-        """
-
-    @abc.abstractmethod
     def pdf_pieces(self) -> tuple[PowerPiece, ...]:
-        """The density f(v) as power terms in v / vmax, pieces as in ``psi_pieces``."""
+        """The density f(v) as power terms in v / vmax.
+
+        Pieces tile [0, vmax] in order; on [lo, hi) the density equals the sum
+        of b * (v / vmax)^k over the piece's (b, k) terms, with every k >= 0.
+        """
 
     @abc.abstractmethod
     def descriptor(self) -> dict: ...
@@ -125,10 +114,34 @@ class ValueDistribution(abc.ABC):
             )
         return _ret(a - (1.0 - self._cdf(a)) / f, scalar)
 
+    def _psi(self, v: np.ndarray) -> np.ndarray:
+        return v * self._pdf(v) + self._cdf(v) - 1.0
+
     def marginal_revenue(self, v):
         """Density-weighted virtual value v f(v) + F(v) - 1."""
         a, scalar = _prepare(v, self.vmax)
-        return _ret(a * self._pdf(a) + self._cdf(a) - 1.0, scalar)
+        return _ret(self._psi(a), scalar)
+
+    def psi_pieces(self) -> tuple[PowerPiece, ...]:
+        """v f(v) + F(v) - 1 as power terms in v / vmax, on the pieces of ``pdf_pieces``."""
+        return self._psi_pieces
+
+    @cached_property
+    def _psi_pieces(self) -> tuple[PowerPiece, ...]:
+        # on a piece from t0 = lo / vmax each density term b t^k gives v f the term
+        # vmax b t^(k+1) and F the term vmax b (t^(k+1) - t0^(k+1)) / (k+1) over F(lo)
+        vmax = self.vmax
+        pieces = self.pdf_pieces()
+        starts = self._cdf(np.asarray([lo for lo, _, _ in pieces]))
+        out = []
+        for (lo, hi, terms), start in zip(pieces, starts):
+            t0 = lo / vmax
+            const = float(start) - 1.0
+            for b, k in terms:
+                const -= vmax * b * t0 ** (k + 1.0) / (k + 1.0)
+            lifted = tuple((vmax * b * (k + 2.0) / (k + 1.0), k + 1.0) for b, k in terms)
+            out.append((lo, hi, lifted + ((const, 0.0),)))
+        return tuple(out)
 
     def quantile(self, u):
         """Generalized inverse of the CDF; exact where closed forms exist."""
@@ -145,11 +158,15 @@ class ValueDistribution(abc.ABC):
         if grid_n < 2:
             raise ConstructionError("check_dmr needs at least two grid points")
         grid = np.linspace(0.0, self.vmax, grid_n)
-        psi = grid * self._pdf(grid) + self._cdf(grid) - 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = self._psi(grid)
+        if not np.all(np.isfinite(psi)):
+            where = float(grid[int(np.argmin(np.isfinite(psi)))])
+            raise DomainError(f"v f(v) + F(v) - 1 is not a finite float at v={where:.6g}")
         tol = 1e-9 * max(1.0, abs(float(psi[-1])))
         drops = psi[:-1] - psi[1:]
-        worst = float(np.max(drops)) if drops.size else 0.0
-        worst_idx = int(np.argmax(drops)) if drops.size else 0
+        worst_idx = int(np.argmax(drops))
+        worst = float(drops[worst_idx])
         violating = drops > tol
         passed = not bool(np.any(violating))
         return DmrReport(
@@ -160,14 +177,6 @@ class ValueDistribution(abc.ABC):
             grid_n=grid_n,
             tol=tol,
         )
-
-    def density_kinks(self) -> tuple[float, ...]:
-        """Interior breakpoints of the density's pieces."""
-        return tuple(lo for lo, _, _ in self.pdf_pieces()[1:])
-
-    def pdf_left(self, v):
-        """Density by left limit; differs from pdf only where the density jumps."""
-        return self.pdf(v)
 
 
 @dataclass(frozen=True)
@@ -186,9 +195,6 @@ class UniformDistribution(ValueDistribution):
 
     def _quantile(self, u):
         return u * self.vmax
-
-    def psi_pieces(self) -> tuple[PowerPiece, ...]:
-        return ((0.0, self.vmax, ((2.0, 1.0), (-1.0, 0.0))),)
 
     def pdf_pieces(self) -> tuple[PowerPiece, ...]:
         return ((0.0, self.vmax, ((1.0 / self.vmax, 0.0),)),)
@@ -220,10 +226,6 @@ class PowerCdfDistribution(ValueDistribution):
 
     def _quantile(self, u):
         return self.vmax * u ** (1.0 / self.exponent)
-
-    def psi_pieces(self) -> tuple[PowerPiece, ...]:
-        k = self.exponent
-        return ((0.0, self.vmax, ((k + 1.0, k), (-1.0, 0.0))),)
 
     def pdf_pieces(self) -> tuple[PowerPiece, ...]:
         k = self.exponent
@@ -268,17 +270,13 @@ class PiecewiseLinearDensity(ValueDistribution):
         areas = 0.5 * (d[:-1] + d[1:]) * np.diff(b)
         return np.concatenate([[0.0], np.cumsum(areas)])
 
-    def _segment_index(self, v: np.ndarray) -> np.ndarray:
-        b = np.asarray(self.breakpoints)
-        return np.clip(np.searchsorted(b, v, side="right") - 1, 0, b.size - 2)
-
     def _pdf(self, v):
         return np.interp(v, self.breakpoints, self.densities)
 
     def _cdf(self, v):
         b = np.asarray(self.breakpoints)
         d = np.asarray(self.densities)
-        i = self._segment_index(v)
+        i = np.clip(np.searchsorted(b, v, side="right") - 1, 0, b.size - 2)
         width = b[i + 1] - b[i]
         slope = (d[i + 1] - d[i]) / width
         t = v - b[i]
@@ -297,23 +295,6 @@ class PiecewiseLinearDensity(ValueDistribution):
         denom = d[i] + np.sqrt(disc)
         t = np.where(denom > 0.0, 2.0 * du / np.where(denom > 0.0, denom, 1.0), 0.0)
         return np.minimum(b[i] + np.minimum(t, width), self.vmax)
-
-    def psi_pieces(self) -> tuple[PowerPiece, ...]:
-        # in t = v / vmax the density per unit t is dens + slope (t - beta) and
-        # F = cum + dens (t - beta) + slope (t - beta)^2 / 2, so psi = t f + F - 1
-        # expands to the quadratic below
-        vmax = self.vmax
-        b = self.breakpoints
-        d = self.densities
-        out = []
-        for i in range(len(b) - 1):
-            beta = b[i] / vmax
-            dens = d[i] * vmax
-            slope = (d[i + 1] - d[i]) / (b[i + 1] - b[i]) * vmax * vmax
-            const = float(self._cum[i]) - dens * beta + 0.5 * slope * beta * beta - 1.0
-            terms = ((1.5 * slope, 2.0), (2.0 * (dens - slope * beta), 1.0), (const, 0.0))
-            out.append((b[i], b[i + 1], terms))
-        return tuple(out)
 
     def pdf_pieces(self) -> tuple[PowerPiece, ...]:
         # f = d_i + slope (v - b_i), with slope per unit t = v / vmax
@@ -396,25 +377,11 @@ class TabulatedCdf(ValueDistribution):
         interp = vs[lo] + frac * (vs[i] - vs[lo])
         return np.where(exact, vs[i], interp)
 
-    def psi_pieces(self) -> tuple[PowerPiece, ...]:
-        # F = F_i + s (t - t_i) and t f = s t in t = v / vmax, so psi = 2 s t + F_i - s t_i - 1
-        vmax = self.vmax
-        out = []
-        for (v0, F0), (v1, _), slope in zip(self.points[:-1], self.points[1:], self._slopes):
-            s = float(slope) * vmax
-            out.append((v0, v1, ((2.0 * s, 1.0), (F0 - s * v0 / vmax - 1.0, 0.0))))
-        return tuple(out)
-
     def pdf_pieces(self) -> tuple[PowerPiece, ...]:
         return tuple(
             (v0, v1, ((float(slope), 0.0),))
             for (v0, _), (v1, _), slope in zip(self.points[:-1], self.points[1:], self._slopes)
         )
-
-    def pdf_left(self, v):
-        a, scalar = _prepare(v, self.vmax)
-        i = np.clip(np.searchsorted(self._vs, a, side="left") - 1, 0, self._slopes.size - 1)
-        return _ret(self._slopes[i], scalar)
 
     def descriptor(self) -> dict:
         return {
@@ -436,7 +403,10 @@ def _require_number(data: dict, key: str) -> float:
     x = data[key]
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise DescriptorError(f"field {key!r} must be a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise DescriptorError(f"field {key!r} is too large for a float") from None
 
 
 def distribution_from_descriptor(data: dict) -> ValueDistribution:
@@ -444,7 +414,7 @@ def distribution_from_descriptor(data: dict) -> ValueDistribution:
     if not isinstance(data, dict):
         raise DescriptorError(f"descriptor must be an object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind not in _REQUIRED_FIELDS:
+    if not isinstance(kind, str) or kind not in _REQUIRED_FIELDS:
         raise DescriptorError(f"unknown distribution kind {kind!r}")
     expected = _REQUIRED_FIELDS[kind]
     got = set(data)
@@ -467,7 +437,7 @@ def distribution_from_descriptor(data: dict) -> ValueDistribution:
             )
         else:
             dist = TabulatedCdf(points=tuple((float(v), float(F)) for v, F in data["points"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConstructionError):
             raise
         raise DescriptorError(f"malformed {kind!r} descriptor: {exc}") from exc

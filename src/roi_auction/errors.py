@@ -35,7 +35,10 @@ class PreconditionError(RoiAuctionError, ValueError):
 
 
 class QuadratureError(RoiAuctionError, RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """The threshold bisection stalled before its residual reached the tolerance.
+
+    ``numerics.adaptive_simpson``, which no library path calls, raises it too.
+    """
 
     def __init__(self, message: str, achieved_tol: float | None = None):
         super().__init__(message)

@@ -2,8 +2,10 @@
 
 Both routines are deliberately small and deterministic: plain bisection with
 an explicit bracket-width stopping rule, and adaptive Simpson with an
-absolute-tolerance budget split across subintervals, which no library path
-calls (the threshold solve and the revenue are exact).
+absolute-tolerance budget split across subintervals. No library path calls
+adaptive Simpson (the threshold solve and the revenue are exact); it stays
+only because the benchmark's tracer, ``perfbench/tracing.py``, wraps it by
+name.
 """
 
 from __future__ import annotations

@@ -123,7 +123,10 @@ def solve_threshold(
     if dist.marginal_revenue(0.0) >= 0.0:
         # F(0) = 0 forces the curve to start at -1; anything else is degenerate
         raise PreconditionError("marginal revenue must start negative at v = 0")
-    if _scaled_integral(dist, m, vmax) <= 0.0:
+    g_top = _scaled_integral(dist, m, vmax)
+    if not math.isfinite(g_top):
+        raise DomainError(f"the power terms of v f(v) + F(v) - 1 overflow a float (vmax={vmax!r})")
+    if g_top <= 0.0:
         return vmax, BoundaryCase.FULL_SUPPORT
     if dist.marginal_revenue(vmax) <= 0.0:
         return vmax, BoundaryCase.FULL_SUPPORT

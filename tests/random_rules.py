@@ -1,4 +1,4 @@
-"""Seeded generators for allocation rules used in tests and robustness sweeps.
+"""Seeded generators for the allocation rules that tests and robustness sweeps use.
 
 Every generator is a pure function of its seed (numpy's default PCG64
 stream), so failures reproduce exactly from the seed alone.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .allocation import AllocationRule, Constant, Linear, Segment, TableShape, make_table
+from roi_auction.allocation import AllocationRule, Constant, Linear, Segment, TableShape, make_table
 
 
 def random_monotone_rule(seed: int, vmax: float = 1.0) -> AllocationRule:

@@ -25,13 +25,12 @@ from roi_auction import (
     myerson_baseline,
     optimal_mechanism,
     payment_schedule,
-    perturbed_table_copy,
-    random_monotone_rule,
     structural_audit,
     uniqueness_probe,
 )
 from roi_auction.cli import main as cli_main
 from oracles import simpson_integral
+from random_rules import perturbed_table_copy, random_monotone_rule
 
 UNIFORM = UniformDistribution(1.0)
 POWER2 = PowerCdfDistribution(2.0)

@@ -8,17 +8,18 @@ from roi_auction import (
     ConstructionError,
     DescriptorError,
     DomainError,
+    RoiTarget,
     allocation_from_descriptor,
     make_constant,
     make_piecewise_constant,
     make_power_ramp,
     make_step,
     make_table,
-    random_monotone_rule,
-    random_nonmonotone_rule,
+    payment_schedule,
 )
 from roi_auction.allocation import Constant, Linear, PowerRamp, Segment, TableShape
 from oracles import simpson_integral
+from random_rules import random_monotone_rule, random_nonmonotone_rule
 
 STEP = make_step(0.4, 1.0)
 RAMP = make_power_ramp(0.75, 2.0)  # x = (4/3) v below 0.75, then 1
@@ -236,6 +237,14 @@ def test_pieces_reproduce_evaluate(rule):
         for v in np.linspace(lo, hi, 9)[:-1]:
             got = sum(a * (v / rule.vmax) ** e for a, e in terms)
             assert got == pytest.approx(rule.evaluate(v), rel=1e-13, abs=1e-15)
+
+
+def test_power_integral_past_float_range_of_v_to_the_e_plus_one():
+    # 600^111 overflows, so the integral goes through v x(v) / 111 there
+    assert STEEP.prefix_integral(700.0) == pytest.approx(600.0 / 111.0 + 100.0, rel=1e-14)
+    want = 599.0 / 111.0 * (599.0 / 600.0) ** 110
+    assert STEEP.prefix_integral(599.0) == pytest.approx(want, rel=1e-13)
+    assert np.all(np.isfinite(payment_schedule(STEEP, RoiTarget(2.0), 101).payments))
 
 
 def test_power_pieces_out_of_float_range_are_a_domain_error():

@@ -19,14 +19,13 @@ from roi_auction import (
     mechanism_for,
     payment_schedule,
     profile_audit,
-    random_monotone_rule,
-    random_nonmonotone_rule,
     run_standard_audit,
     uniqueness_probe,
     utility,
 )
 from roi_auction.audit import _audit_grid
 from oracles import brute_dsic_gain, full_matrix_dsic
+from random_rules import random_monotone_rule, random_nonmonotone_rule
 
 M2 = RoiTarget(2.0)
 M3 = RoiTarget(3.0)

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import roi_auction
 from roi_auction import RoiTarget, make_power_ramp, make_step, payment_schedule
@@ -178,6 +182,78 @@ def test_non_numeric_file_ratio_is_unusable_input(ratio, tmp_path, capsys):
     path = _write(tmp_path, "mech.json", {"allocation": STEP_DESC, "m": ratio})
     assert main(["audit", path]) == 2
     assert "'m' must be a number" in _single_error_line(capsys)
+
+
+BIG = 10**400  # json writes all 401 digits; float() overflows on it
+
+
+def _one_segment_rule(shape: dict, vmax: float = 1.0) -> dict:
+    return {"vmax": vmax, "segments": [{"lo": 0.0, "hi": vmax, "shape": shape}]}
+
+
+def _linear_density(breakpoints: list, densities: list) -> dict:
+    return {
+        "kind": "piecewise_linear_density",
+        "vmax": breakpoints[-1],
+        "breakpoints": breakpoints,
+        "densities": densities,
+    }
+
+
+# a density rising from 0 over [0, 1e-300], then flat to 1e10: DMR, with psi finite on
+# the grid, but the t^2 coefficient of psi on the first piece, vmax^2 y / w, overflows
+STEEP_Y = 1.0 / (0.5e-300 + (1e10 - 1e-300))
+
+
+@pytest.mark.parametrize(
+    "command,desc",
+    [
+        ("solve", {"kind": "uniform", "vmax": BIG}),
+        ("solve", {"kind": "power_cdf", "vmax": 1.0, "exponent": BIG}),
+        ("dmr-check", {"kind": "tabulated_cdf", "vmax": 1, "points": [[0, 0], [BIG, 0.5], [1, 1]]}),
+        ("payment-table", _one_segment_rule({"type": "constant", "level": BIG})),
+        # the slope 2e600 overflows, so psi is nan on the grid
+        ("dmr-check", _linear_density([0.0, 1e-300], [0.0, 2e300])),
+        ("solve", _linear_density([0.0, 1e-300, 1e10], [0.0, STEEP_Y, STEEP_Y])),
+        # x = 0 * v^2 on [0, 1e300]: v^2 itself leaves the float range
+        ("payment-table", _one_segment_rule({"type": "power", "scale": 0, "exponent": 2}, 1e300)),
+        ("dmr-check", {"kind": [], "vmax": 1.0}),
+        ("payment-table", _one_segment_rule({"type": ["constant"], "level": 1.0})),
+    ],
+    ids=[
+        "big_uniform_vmax",
+        "big_power_exponent",
+        "big_tabulated_point",
+        "big_constant_level",
+        "nan_psi",
+        "psi_terms_overflow",
+        "power_integral_overflow",
+        "list_kind",
+        "list_shape_type",
+    ],
+)
+def test_out_of_range_or_mistyped_descriptors_are_unusable_input(
+    command, desc, tmp_path, capsys
+):
+    path = _write(tmp_path, "input.json", desc)
+    assert main([command, path, "--m", "2", "--out", str(tmp_path / "o.json")]) == 2
+    _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"kind": "uniform", "vmax": 1' + b"0" * 5000 + b"}",
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"kind": "\xff"}',
+    ],
+    ids=["integer_past_digit_limit", "deep_nesting", "not_utf8"],
+)
+def test_undecodable_json_is_unusable_input(raw, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert main(["dmr-check", str(path)]) == 2
+    assert "is not valid JSON" in _single_error_line(capsys)
 
 
 def test_file_ratio_at_or_below_one_names_the_range(tmp_path, capsys):
@@ -374,3 +450,141 @@ def test_argparse_problems_use_exit_code_two(capsys):
     assert main(["dmr-check"]) == 2
     assert main(["example1", "--format", "yaml"]) == 2
     capsys.readouterr()
+
+
+# --- exit-code contract over generated inputs --------------------------------------------
+# Descriptors start valid and are then mutated; fields and flags range over huge integers,
+# NaN/Infinity literals, empty lists, wrong types, extreme vmax and extreme --m.
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, 1, -1, 2, BIG, -BIG, 5e-324, 1e-300, 1e300, 1.7e308]),
+)
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just([]), st.just({}))
+_FIELD = st.one_of(_NUMBERS, _JUNK)
+_SCALE = st.sampled_from([1e-300, 1e-8, 1.0, 3.0, 1e8, 1e300])
+
+
+@st.composite
+def _mutated(draw, base):
+    # most examples stay well-formed; the rest lose a field, gain one, or get a bad value
+    desc = dict(draw(base))
+    action = draw(st.sampled_from(["keep"] * 5 + ["drop", "extra", "junk"]))
+    key = draw(st.sampled_from(sorted(desc)))
+    if action == "drop":
+        del desc[key]
+    elif action == "extra":
+        desc["extra"] = 1
+    elif action == "junk":
+        desc[key] = draw(_FIELD)
+    return desc
+
+
+@st.composite
+def _knots(draw, vmax, n):
+    cuts = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1)))
+    return [0.0, *(vmax * t for t in cuts), vmax]
+
+
+_KINDS = ["uniform", "power_cdf", "tabulated_cdf", "piecewise_linear_density"]
+
+
+@st.composite
+def _distribution(draw):
+    vmax = draw(_SCALE)
+    kind = draw(st.sampled_from(_KINDS))
+    if kind == "uniform":
+        return {"kind": kind, "vmax": vmax}
+    if kind == "power_cdf":
+        return {"kind": kind, "vmax": vmax, "exponent": draw(st.floats(1.0, 1e3))}
+    n = draw(st.integers(1, 4))
+    knots = draw(_knots(vmax, n))
+    if kind == "tabulated_cdf":
+        levels = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1)))
+        points = [[v, F] for v, F in zip(knots, [0.0, *levels, 1.0])]
+        return {"kind": kind, "vmax": vmax, "points": points}
+    heights = draw(st.lists(st.floats(0.0, 10.0), min_size=n + 1, max_size=n + 1))
+    pairs = zip(heights, heights[1:], knots, knots[1:])
+    mass = sum(0.5 * (a + b) * (w - v) for a, b, v, w in pairs)
+    return _linear_density(knots, [h / mass for h in heights] if mass > 0.0 else heights)
+
+
+@st.composite
+def _allocation(draw):
+    vmax = draw(_SCALE)
+    n = draw(st.integers(1, 3))
+    edges = draw(_knots(vmax, n))
+    levels = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=n + 1, max_size=n + 1)))
+    segments = []
+    for lo, hi, a, b in zip(edges, edges[1:], levels, levels[1:]):
+        kind = draw(st.sampled_from(["constant", "linear", "power", "table"]))
+        if kind == "constant":
+            shape = {"type": kind, "level": a}
+        elif kind == "linear":
+            slope = (b - a) / (hi - lo) if hi > lo else 0.0
+            shape = {"type": kind, "slope": slope, "intercept": a - slope * lo}
+        elif kind == "power":
+            exponent = draw(st.floats(0.01, 100.0))
+            try:
+                scale = b / hi**exponent
+            except (OverflowError, ZeroDivisionError):
+                scale = 0.0
+            shape = {"type": kind, "scale": scale, "exponent": exponent}
+        else:
+            shape = {"type": kind, "points": [[lo, a], [hi, b]]}
+        segments.append({"lo": lo, "hi": hi, "shape": draw(_mutated(st.just(shape)))})
+    return {"vmax": vmax, "segments": segments}
+
+
+@st.composite
+def _mechanism_file(draw):
+    rule = draw(_mutated(_allocation()))
+    data = {"allocation": rule, "m": draw(st.sampled_from([2.0, 1.5, 0.5]) | _FIELD)}
+    vmax = rule.get("vmax")
+    if isinstance(vmax, float):
+        n = draw(st.integers(2, 5))
+        pay = st.floats(0.0, 1.0).map(lambda t: t * vmax) | _NUMBERS
+        grid = [vmax * i / (n - 1) for i in range(n)]
+        data["schedule"] = {"grid": grid, "payments": draw(st.lists(pay, min_size=n, max_size=n))}
+    return draw(_mutated(st.just(data)))
+
+
+_INPUT_JUNK = st.one_of(_JUNK, st.dictionaries(st.text(max_size=8), _FIELD, max_size=3))
+_COMMANDS = st.one_of(
+    st.tuples(st.sampled_from(["dmr-check", "solve", "compare"]), _mutated(_distribution())),
+    st.tuples(st.sampled_from(["payment-table", "audit"]), _mutated(_allocation())),
+    st.tuples(st.just("audit"), _mechanism_file()),
+    st.tuples(st.sampled_from(["dmr-check", "solve", "payment-table", "audit"]), _INPUT_JUNK),
+    st.tuples(st.just("example1"), st.none()),
+)
+_RATIOS = ["1.01", "1.5", "2", "3", "20"] * 3
+_RATIOS += ["1", "1.0000001", "1e15", "1e300", "inf", "nan", "-1"]
+
+
+@given(
+    command=_COMMANDS,
+    m=st.sampled_from(_RATIOS + [None]),
+    tol=st.sampled_from(["1e-9", "1e-12", "0", "nan", "inf"]),
+    fmt=st.sampled_from(["json", "csv", "text"]),
+    grid=st.sampled_from(["51", "51", "51", "2", "1"]),
+    mc_samples=st.sampled_from(["200", "1", "0"]),
+)
+@settings(max_examples=150, derandomize=True, deadline=2000)
+def test_exit_code_contract_holds_on_generated_inputs(command, m, tol, fmt, grid, mc_samples):
+    name, data = command
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [name]
+        if name != "example1":
+            argv.append(os.path.join(tmp, "input.json"))
+            with open(argv[-1], "w", encoding="utf-8") as fp:
+                json.dump(data, fp)
+        argv += ["--grid", grid, "--tol", tol, "--format", fmt, "--mc-samples", mc_samples]
+        argv += ["--out", os.path.join(tmp, "out.json")] + ([] if m is None else [f"--m={m}"])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

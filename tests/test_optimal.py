@@ -28,6 +28,7 @@ from roi_auction import (
     threshold_integral,
 )
 from oracles import central_difference, simpson_integral
+from random_rules import perturbed_table_copy
 
 UNIFORM = UniformDistribution(1.0)
 POWER2 = PowerCdfDistribution(2.0)
@@ -89,10 +90,10 @@ KINKED_DENSITY = PiecewiseLinearDensity(
 KNOTTED_CDF = TabulatedCdf(((0.0, 0.0), (0.25, 0.1), (0.5, 0.3), (0.75, 0.55), (1.0, 1.0)))
 
 
-def _psi_on_piece(dist, v, lo, hi) -> float:
+def _psi_on_piece(dist, v, lo, hi, terms) -> float:
     # psi with the density of the piece [lo, hi], also at its ends where pdf may jump
-    f = dist.pdf(max(v, lo)) if v < 0.5 * (lo + hi) else dist.pdf_left(min(v, hi))
     v = min(max(v, lo), hi)
+    f = sum(b * (v / dist.vmax) ** k for b, k in terms)
     return v * f + dist.cdf(v) - 1.0
 
 
@@ -100,11 +101,13 @@ def _H_simpson(dist, c, upper, n=4001) -> float:
     # v = w^r with r (c + 1) whole makes the weight r w^(r (c + 1) - 1) a polynomial
     # in w: no infinite slope at 0 as v^c has for c < 1, and a lower degree for c = 100
     r = {1.0 / 19.0: 9.5, 0.25: 4.0, 100.0: 0.5}.get(c, 1.0)
-    cuts = sorted({0.0, upper} | {k for k in dist.density_kinks() if k < upper})
     total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
+    for lo, hi, terms in dist.pdf_pieces():
+        if lo >= upper:
+            break
+        hi = min(hi, upper)
         total += simpson_integral(
-            lambda w: _psi_on_piece(dist, w**r, lo, hi) * r * w ** (r * (c + 1.0) - 1.0),
+            lambda w: _psi_on_piece(dist, w**r, lo, hi, terms) * r * w ** (r * (c + 1.0) - 1.0),
             lo ** (1.0 / r),
             hi ** (1.0 / r),
             n,
@@ -342,8 +345,6 @@ def test_domain_guards():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_monotone_perturbations_never_beat_the_optimum(seed):
-    from roi_auction import perturbed_table_copy
-
     sol = optimal_mechanism(UNIFORM, M2)
     nearby = perturbed_table_copy(sol.allocation, seed, n_knots=41, magnitude=0.03)
     mech = mechanism_for(nearby, M2, grid_n=2001)

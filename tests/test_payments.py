@@ -11,7 +11,6 @@ from roi_auction import (
     make_step,
     myerson_payment,
     payment_schedule,
-    random_monotone_rule,
     rebate,
     roi_payment,
     roi_violation,
@@ -19,6 +18,7 @@ from roi_auction import (
     mechanism_for,
 )
 from oracles import brute_rebate, brute_roi_payment, exact_payments
+from random_rules import random_monotone_rule
 
 M2 = RoiTarget(2.0)
 RAMP = make_power_ramp(0.75, 2.0)

@@ -33,9 +33,9 @@ from roi_auction import (
     myerson_baseline,
     optimal_mechanism,
     payment_schedule,
-    perturbed_table_copy,
 )
 from oracles import table_revenue
+from random_rules import perturbed_table_copy
 
 M2 = RoiTarget(2.0)
 UNIFORM = UniformDistribution(1.0)
