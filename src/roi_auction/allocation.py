@@ -77,7 +77,14 @@ class Linear:
 
     def integral(self, a, b):
         b = np.asarray(b, dtype=float)
-        return 0.5 * self.slope * (b * b - a * a) + self.intercept * (b - a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = 0.5 * self.slope * (b * b - a * a) + self.intercept * (b - a)
+            finite = np.isfinite(out)
+            if np.all(finite):
+                return out
+            # b^2 left the float range; (b - a)(b + a) keeps the same integral inside it
+            factored = 0.5 * (b - a) * (self.slope * (b + a)) + self.intercept * (b - a)
+        return np.where(finite, out, factored)
 
     def stationary(self, lo: float, hi: float, ratio: float) -> tuple[float, ...]:
         # interior zero of g'(z) = slope * z * (ratio - 2) - intercept

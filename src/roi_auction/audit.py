@@ -132,7 +132,11 @@ def _audit_grid(mech: Mechanism, grid_n: int) -> np.ndarray:
         base = sg[take]
     if knots.size:
         merge_tol = 10.0 * FEASIBILITY_TOL * max(1.0, mech.allocation.vmax)
-        gap = np.min(np.abs(base[:, None] - knots[None, :]), axis=1)
+        # knots are sorted, so the nearest one to each point is a searchsorted neighbour
+        j = np.searchsorted(knots, base)
+        below = knots[(j - 1).clip(min=0)]
+        above = knots[j.clip(max=knots.size - 1)]
+        gap = np.minimum(np.abs(base - below), np.abs(base - above))
         base = base[gap > merge_tol]
     return np.unique(np.concatenate([base, knots]))
 
@@ -275,6 +279,13 @@ def profile_audit(
     induced single-bidder mechanism (with bidder i's target) is checked for
     truthfulness and feasibility; non-monotone induced curves are reported
     without deriving payments for them.
+
+    The factory is called for every profile, but each distinct induced
+    (rule, target) pair is audited once per call: rules and targets are
+    frozen and compare by value, and many profiles induce the same curve
+    (under ``highest_bid_wins`` it depends only on the top opponent bid).
+    Worst violations and witnesses are taken in profile order, so a witness
+    names the first profile that reaches the worst violation.
     """
     n = len(ms)
     if n < 2:
@@ -284,22 +295,29 @@ def profile_audit(
     opponents = np.linspace(0.0, vmax, opponent_grid_n)
     worst = {"profile_monotone": 0.0, "profile_dsic": 0.0, "profile_ir": 0.0}
     witness: dict[str, dict | None] = {k: None for k in worst}
+    audited: dict[tuple[AllocationRule, RoiTarget], tuple] = {}
     for i in range(n):
         for profile in itertools.product(opponents, repeat=n - 1):
             bids = tuple(float(b) for b in profile)
             rule = factory(i, bids)
-            mono = rule.check_monotone(grid_n=own_grid_n)
+            key = (rule, ms[i])
+            if key not in audited:
+                mono = rule.check_monotone(grid_n=own_grid_n)
+                dsic = ir = None
+                if mono.passed:
+                    mech = mechanism_for(rule, ms[i], grid_n=schedule_grid_n)
+                    dsic = check_dsic(mech, grid_n=own_grid_n, tol=tol)
+                    ir = check_ir(mech, grid_n=own_grid_n, tol=ir_tol)
+                audited[key] = (mono, dsic, ir)
+            mono, dsic, ir = audited[key]
             if not mono.passed:
                 if mono.worst_violation > worst["profile_monotone"]:
                     worst["profile_monotone"] = mono.worst_violation
                     witness["profile_monotone"] = {"bidder": i, "opponents": list(bids)}
                 continue
-            mech = mechanism_for(rule, ms[i], grid_n=schedule_grid_n)
-            dsic = check_dsic(mech, grid_n=own_grid_n, tol=tol)
             if dsic.worst_violation > worst["profile_dsic"]:
                 worst["profile_dsic"] = dsic.worst_violation
                 witness["profile_dsic"] = {"bidder": i, "opponents": list(bids), **(dsic.witness or {})}
-            ir = check_ir(mech, grid_n=own_grid_n, tol=ir_tol)
             if ir.worst_violation > worst["profile_ir"]:
                 worst["profile_ir"] = ir.worst_violation
                 witness["profile_ir"] = {"bidder": i, "opponents": list(bids), **(ir.witness or {})}

@@ -197,3 +197,80 @@ def exact_payments(rule, ratio: float, grid) -> list[float]:
         best = g if best is None else max(best, g)
         out.append(float(m * pt - best))
     return out
+
+
+def per_profile_audit(
+    factory,
+    ms,
+    vmax: float = 1.0,
+    *,
+    opponent_grid_n: int = 21,
+    own_grid_n: int = 201,
+    tol: float = 1e-6,
+    ir_tol: float = 1e-9,
+    schedule_grid_n: int = 2001,
+):
+    """profile_audit with every profile's induced mechanism derived and audited afresh."""
+    import itertools
+
+    from roi_auction.audit import AuditCheck, AuditReport, check_dsic, check_ir, mechanism_for
+    from roi_auction.errors import ConstructionError
+
+    n = len(ms)
+    if n < 2:
+        raise ConstructionError("profile audits need at least two bidders")
+    if n > 3:
+        raise ConstructionError("profile audits support at most three bidders")
+    opponents = np.linspace(0.0, vmax, opponent_grid_n)
+    worst = {"profile_monotone": 0.0, "profile_dsic": 0.0, "profile_ir": 0.0}
+    witness: dict[str, dict | None] = {k: None for k in worst}
+    for i in range(n):
+        for profile in itertools.product(opponents, repeat=n - 1):
+            bids = tuple(float(b) for b in profile)
+            rule = factory(i, bids)
+            mono = rule.check_monotone(grid_n=own_grid_n)
+            if not mono.passed:
+                if mono.worst_violation > worst["profile_monotone"]:
+                    worst["profile_monotone"] = mono.worst_violation
+                    witness["profile_monotone"] = {"bidder": i, "opponents": list(bids)}
+                continue
+            mech = mechanism_for(rule, ms[i], grid_n=schedule_grid_n)
+            dsic = check_dsic(mech, grid_n=own_grid_n, tol=tol)
+            if dsic.worst_violation > worst["profile_dsic"]:
+                worst["profile_dsic"] = dsic.worst_violation
+                witness["profile_dsic"] = {"bidder": i, "opponents": list(bids), **(dsic.witness or {})}
+            ir = check_ir(mech, grid_n=own_grid_n, tol=ir_tol)
+            if ir.worst_violation > worst["profile_ir"]:
+                worst["profile_ir"] = ir.worst_violation
+                witness["profile_ir"] = {"bidder": i, "opponents": list(bids), **(ir.witness or {})}
+    checks = (
+        AuditCheck(
+            "profile_monotone",
+            worst["profile_monotone"] == 0.0,
+            worst["profile_monotone"],
+            witness["profile_monotone"],
+        ),
+        AuditCheck(
+            "profile_dsic", worst["profile_dsic"] <= tol, worst["profile_dsic"], witness["profile_dsic"]
+        ),
+        AuditCheck(
+            "profile_ir", worst["profile_ir"] <= ir_tol, worst["profile_ir"], witness["profile_ir"]
+        ),
+    )
+    return AuditReport(checks)
+
+
+def broadcast_audit_grid(mech, grid_n: int):
+    """The audit grid with each point's nearest knot found over the whole grid x knots matrix."""
+    from roi_auction.payments import FEASIBILITY_TOL
+
+    knots = np.asarray(mech.allocation.knots())
+    if mech.schedule.derived:
+        base = np.linspace(0.0, mech.allocation.vmax, grid_n)
+    else:
+        sg = mech.schedule.grid
+        take = np.unique(np.linspace(0, sg.size - 1, min(grid_n, sg.size)).round().astype(int))
+        base = sg[take]
+    merge_tol = 10.0 * FEASIBILITY_TOL * max(1.0, mech.allocation.vmax)
+    gap = np.min(np.abs(base[:, None] - knots[None, :]), axis=1)
+    return np.unique(np.concatenate([base[gap > merge_tol], knots]))

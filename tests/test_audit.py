@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from roi_auction import (
     check_ir,
     highest_bid_wins,
     make_step,
+    make_table,
     mechanism_for,
     payment_schedule,
     profile_audit,
@@ -23,8 +26,10 @@ from roi_auction import (
     uniqueness_probe,
     utility,
 )
+from roi_auction import audit
 from roi_auction.audit import _audit_grid
-from oracles import brute_dsic_gain, full_matrix_dsic
+from roi_auction.payments import FEASIBILITY_TOL
+from oracles import broadcast_audit_grid, brute_dsic_gain, full_matrix_dsic, per_profile_audit
 from random_rules import random_monotone_rule, random_nonmonotone_rule
 
 M2 = RoiTarget(2.0)
@@ -215,6 +220,77 @@ def test_profile_audit_flags_nonmonotone_factory():
     assert report.checks[0].witness["bidder"] == 0
 
 
+def _mixed_factory(vmax):
+    # seeded rules keyed on the bid total: repeats across profiles, some non-monotone
+    def factory(i, bids):
+        k = int(round(4.0 * sum(bids) / vmax))
+        if k % 2:
+            return random_nonmonotone_rule(k, vmax)
+        return random_monotone_rule(k, vmax)
+
+    return factory
+
+
+@pytest.mark.parametrize(
+    "factory,ms,vmax,opponent_grid_n",
+    [
+        (highest_bid_wins(1.0), [M2, M2], 1.0, 21),
+        (highest_bid_wins(1.0), [M2, M3], 1.0, 21),
+        (highest_bid_wins(3.0), [M2, M3], 3.0, 21),
+        (highest_bid_wins(1.0), [RoiTarget(1.5), M2, M3], 1.0, 9),
+        (highest_bid_wins(3.0), [M2, M2, M2], 3.0, 9),
+        (_mixed_factory(1.0), [M2, M3], 1.0, 21),
+        (_mixed_factory(3.0), [M2, M3, RoiTarget(1.5)], 3.0, 5),
+    ],
+    ids=[
+        "two_equal",
+        "two_mixed",
+        "two_mixed_vmax3",
+        "three_mixed",
+        "three_equal_vmax3",
+        "mixed_factory_two",
+        "mixed_factory_three_vmax3",
+    ],
+)
+def test_profile_audit_matches_per_profile_oracle(factory, ms, vmax, opponent_grid_n):
+    got = profile_audit(factory, ms, vmax, opponent_grid_n=opponent_grid_n)
+    want = per_profile_audit(factory, ms, vmax, opponent_grid_n=opponent_grid_n)
+    assert got.to_json_text() == want.to_json_text()
+
+
+@pytest.mark.parametrize(
+    "ms,audits", [([RoiTarget(1.5), M2, RoiTarget(5.0)], 63), ([M2, M2, M2], 21)]
+)
+def test_profile_audit_audits_each_induced_mechanism_once(ms, audits, monkeypatch):
+    # under highest_bid_wins the curve depends only on the top opponent bid: 21 curves
+    counts = {"check_dsic": 0, "check_ir": 0}
+
+    def counted(name):
+        inner = getattr(audit, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(audit, name, counted(name))
+    calls = []
+    inner_factory = highest_bid_wins()
+
+    def factory(i, bids):
+        calls.append((i, bids))
+        return inner_factory(i, bids)
+
+    assert profile_audit(factory, ms).passed
+    assert counts == {"check_dsic": audits, "check_ir": audits}
+    # yet the factory still sees every profile, once each and in order
+    opponents = [float(b) for b in np.linspace(0.0, 1.0, 21)]
+    assert calls == [(i, bids) for i in range(3) for bids in itertools.product(opponents, repeat=2)]
+    assert len(calls) == 1323
+
+
 def test_highest_bid_wins_induced_curves():
     factory = highest_bid_wins()
     faced = factory(0, (0.4,))
@@ -260,6 +336,47 @@ def _dsic_cases():
         bump = np.where(sched.grid > 0.5, 0.02 * (seed - 1.5), 0.0)
         yield Mechanism(rule, sched.with_payments(sched.payments + bump), M3)
     yield mechanism_for(random_nonmonotone_rule(2), M2, grid_n=601)
+
+
+def _crowded_table(rng, vmax, grid_n, n_random):
+    """A table rule whose knots include points within a few merge bands of the uniform grid."""
+    base = np.linspace(0.0, vmax, grid_n)
+    band = 10.0 * FEASIBILITY_TOL * max(1.0, vmax)
+    near = base[rng.integers(0, grid_n, n_random)] + band * rng.choice(
+        [-1.0, 1.0, -0.5, 0.5, -2.0, 2.0, 0.0], n_random
+    )
+    vs = np.unique(np.concatenate([rng.uniform(0.0, vmax, n_random), near]))
+    vs = vs[(vs > 0.0) & (vs < vmax)]
+    xs = np.sort(rng.uniform(0.0, 1.0, vs.size))
+    return make_table([(0.0, 0.0), *zip(vs.tolist(), xs.tolist()), (vmax, 1.0)])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_audit_grid_matches_broadcast_nearest_knot(seed):
+    rng = np.random.default_rng(seed)
+    vmax = float(rng.choice([1.0, 3.0, 1e3]))
+    grid_n = int(rng.integers(20, 400))
+    rule = _crowded_table(rng, vmax, grid_n, int(rng.integers(1, 300)))
+    derived = mechanism_for(rule, M2, grid_n=grid_n)
+    hand = Mechanism(rule, derived.schedule.with_payments(derived.schedule.payments), M2)
+    for mech in (derived, hand):
+        for n in (grid_n, grid_n // 3 + 2):
+            assert np.array_equal(_audit_grid(mech, n), broadcast_audit_grid(mech, n))
+
+
+def test_audit_grid_memory_is_linear_in_grid_and_knots():
+    # a grid x knots matrix here is 2001 x 2001 float64, 32 MB; the audit grid needs O(n)
+    rule = _crowded_table(np.random.default_rng(0), 1.0, 2001, 1000)
+    assert len(rule.knots()) > 1900
+    mech = mechanism_for(rule, M2, grid_n=2)
+    tracemalloc.start()
+    try:
+        grid = _audit_grid(mech, 2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.size > 3000
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("mech", list(_dsic_cases()))

@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -238,6 +240,43 @@ def test_out_of_range_or_mistyped_descriptors_are_unusable_input(
     path = _write(tmp_path, "input.json", desc)
     assert main([command, path, "--m", "2", "--out", str(tmp_path / "o.json")]) == 2
     _single_error_line(capsys)
+
+
+# x = 1e-300 v on [0, 1e300]: v^2 leaves the float range, the integral 1e-300 v^2 / 2 does not
+TINY_SLOPE_RULE = _one_segment_rule({"type": "linear", "slope": 1e-300, "intercept": 0.0}, 1e300)
+
+
+def _run_quietly(argv, capsys):
+    """(exit code, stdout), asserting that nothing reached stderr or the warnings module."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [str(w.message) for w in caught] == []
+    return code, out
+
+
+def test_linear_rule_past_float_range_of_v_squared_has_finite_payments(tmp_path, capsys):
+    path = _write(tmp_path, "rule.json", TINY_SLOPE_RULE)
+    code, out = _run_quietly(["payment-table", path, "--m", "2", "--format", "csv"], capsys)
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header == "v,x,p_myerson,p_roi,rebate"
+    rows = {row[0]: [float(c) for c in row] for row in (line.split(",") for line in lines)}
+    assert all(math.isfinite(c) for row in rows.values() for c in row)
+    _, x, p_myerson, p_roi, rebate = rows["5e+299"]
+    assert x == 0.5 and rebate == 0.0
+    assert p_myerson == pytest.approx(1.25e299, rel=1e-12)
+    assert p_roi == pytest.approx(2.5e299, rel=1e-12)
+
+
+def test_linear_rule_past_float_range_of_v_squared_audits_without_nan(tmp_path, capsys):
+    path = _write(tmp_path, "rule.json", TINY_SLOPE_RULE)
+    _, out = _run_quietly(["audit", path, "--m", "2"], capsys)
+    assert "nan" not in out
+    for name in ("monotone", "characterization", "dsic", "ir"):
+        assert f"\n{name}: pass" in f"\n{out}"
 
 
 @pytest.mark.parametrize(
