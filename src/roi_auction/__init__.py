@@ -19,20 +19,15 @@ from .allocation import (
     make_table,
 )
 from .audit import (
-    INFEASIBLE,
     AuditCheck,
     AuditReport,
-    Infeasible,
-    Mechanism,
     check_characterization,
     check_dsic,
     check_ir,
     highest_bid_wins,
-    mechanism_for,
     profile_audit,
     run_standard_audit,
     uniqueness_probe,
-    utility,
 )
 from .distributions import (
     DmrReport,
@@ -68,8 +63,6 @@ from .payments import (
     RoiTarget,
     myerson_payment,
     payment_schedule,
-    rebate,
-    roi_payment,
     roi_violation,
 )
 from .revenue import (
@@ -97,9 +90,6 @@ __all__ = [
     "DescriptorError",
     "DmrReport",
     "DomainError",
-    "INFEASIBLE",
-    "Infeasible",
-    "Mechanism",
     "MonotonicityReport",
     "OptimalSolution",
     "PaymentSchedule",
@@ -129,20 +119,16 @@ __all__ = [
     "make_power_ramp",
     "make_step",
     "make_table",
-    "mechanism_for",
     "myerson_baseline",
     "myerson_payment",
     "optimal_mechanism",
     "payment_schedule",
     "profile_audit",
-    "rebate",
     "revenue_derivative",
-    "roi_payment",
     "roi_violation",
     "run_standard_audit",
     "solve_threshold",
     "structural_audit",
     "threshold_integral",
     "uniqueness_probe",
-    "utility",
 ]

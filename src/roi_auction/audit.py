@@ -1,11 +1,9 @@
-"""Grid-based incentive audits for mechanism bundles.
+"""Grid-based incentive audits of mechanisms, each given as a ``PaymentSchedule``.
 
 The checks here are sound but grid-limited: they evaluate truthful and
 misreported outcomes on finite grids (always including allocation knots,
 where first-price tightness makes violations show up) and report the worst
-observed violation with a witness. A bidder whose hard return constraint
-fails gets no finite utility; that case is carried as an explicit sentinel,
-ordered below every finite utility and never mixed into arithmetic.
+observed violation with a witness.
 """
 
 from __future__ import annotations
@@ -20,58 +18,13 @@ import numpy as np
 from .allocation import AllocationRule, make_constant, make_step
 from .errors import ConstructionError
 from .formatting import json_ready
-from .payments import DEFAULT_GRID_N, FEASIBILITY_TOL, PaymentSchedule, RoiTarget, payment_schedule
+from .payments import FEASIBILITY_TOL, PaymentSchedule, RoiTarget, payment_schedule
 
 #: rows of the misreport matrices that check_dsic holds at once
 _DSIC_BLOCK = 256
 
-
-class Infeasible:
-    """Sentinel outcome for reports violating the hard return constraint."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFEASIBLE"
-
-
-INFEASIBLE = Infeasible()
-
-
-def utility(v: float, x_b: float, p_b: float, m: RoiTarget):
-    """ratio * v * x - p when the constraint v * x >= p holds, else the sentinel."""
-    if v * x_b >= p_b - FEASIBILITY_TOL:
-        return m.ratio * v * x_b - p_b
-    return INFEASIBLE
-
-
-@dataclass(frozen=True, eq=False)
-class Mechanism:
-    """Allocation rule, payment schedule and the ROI target they were built for."""
-
-    allocation: AllocationRule
-    schedule: PaymentSchedule
-    m: RoiTarget
-
-    def __post_init__(self):
-        if self.schedule.m.ratio != self.m.ratio:
-            raise ConstructionError("schedule and mechanism disagree on the ROI ratio")
-
-    def allocation_at(self, v: float) -> float:
-        return float(self.allocation.evaluate(v))
-
-    def payment_at(self, v: float, side: str = "right") -> float:
-        return self.schedule.value_at(v, side=side)
-
-
-def mechanism_for(rule: AllocationRule, m: RoiTarget, grid_n: int = DEFAULT_GRID_N) -> Mechanism:
-    """Bundle a rule with its derived truthful payments."""
-    return Mechanism(rule, payment_schedule(rule, m, grid_n), m)
+#: a rule's truthful mechanism, under the name audit callers use
+mechanism_for = payment_schedule
 
 
 @dataclass(frozen=True)
@@ -114,7 +67,7 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _audit_grid(mech: Mechanism, grid_n: int) -> np.ndarray:
+def _audit_grid(mech: PaymentSchedule, grid_n: int) -> np.ndarray:
     """Evaluation points: a uniform grid (or schedule subsample) plus knots.
 
     Grid points inside the feasibility slack band around a knot are dropped in
@@ -123,11 +76,11 @@ def _audit_grid(mech: Mechanism, grid_n: int) -> np.ndarray:
     that exists only at tolerance scale.
     """
     knots = np.asarray(mech.allocation.knots())
-    if mech.schedule.derived:
+    if mech.derived:
         base = np.linspace(0.0, mech.allocation.vmax, grid_n)
     else:
         # hand-supplied payments are defined at their own grid; audit there
-        sg = mech.schedule.grid
+        sg = mech.grid
         take = np.unique(np.linspace(0, sg.size - 1, min(grid_n, sg.size)).round().astype(int))
         base = sg[take]
     if knots.size:
@@ -141,7 +94,7 @@ def _audit_grid(mech: Mechanism, grid_n: int) -> np.ndarray:
     return np.unique(np.concatenate([base, knots]))
 
 
-def check_dsic(mech: Mechanism, grid_n: int = 201, tol: float = 1e-6) -> AuditCheck:
+def check_dsic(mech: PaymentSchedule, grid_n: int = 201, tol: float = 1e-6) -> AuditCheck:
     """Worst utility gain from any misreport over all ordered grid pairs.
 
     The value-by-report matrices are built _DSIC_BLOCK rows at a time, so
@@ -149,7 +102,7 @@ def check_dsic(mech: Mechanism, grid_n: int = 201, tol: float = 1e-6) -> AuditCh
     """
     grid = _audit_grid(mech, grid_n)
     x = mech.allocation.evaluate(grid)
-    p = mech.schedule.value_many(grid)
+    p = mech.value_many(grid)
     ratio = mech.m.ratio
     p_floor = p - FEASIBILITY_TOL
     best = np.empty_like(grid)
@@ -178,11 +131,11 @@ def check_dsic(mech: Mechanism, grid_n: int = 201, tol: float = 1e-6) -> AuditCh
     return AuditCheck("dsic", worst <= tol, worst, witness)
 
 
-def check_ir(mech: Mechanism, grid_n: int = 201, tol: float = 1e-9) -> AuditCheck:
+def check_ir(mech: PaymentSchedule, grid_n: int = 201, tol: float = 1e-9) -> AuditCheck:
     """Truthful payments never exceed realized value v * x(v) (the hard constraint)."""
     grid = _audit_grid(mech, grid_n)
     x = mech.allocation.evaluate(grid)
-    p = mech.schedule.value_many(grid)
+    p = mech.value_many(grid)
     viol = p - grid * x
     worst_i = int(np.argmax(viol))
     worst = max(float(viol[worst_i]), 0.0)
@@ -190,11 +143,13 @@ def check_ir(mech: Mechanism, grid_n: int = 201, tol: float = 1e-9) -> AuditChec
     return AuditCheck("ir", worst <= tol, worst, witness)
 
 
-def check_characterization(mech: Mechanism, grid_n: int = 201, tol: float = 1e-9) -> AuditCheck:
+def check_characterization(
+    mech: PaymentSchedule, grid_n: int = 201, tol: float = 1e-9
+) -> AuditCheck:
     """Payments must match the rebate formula for the rule, and the rule be monotone."""
     ref = payment_schedule(mech.allocation, mech.m, grid_n=max(grid_n, 201))
-    recomputed = ref.value_many(mech.schedule.grid)
-    gaps = np.abs(mech.schedule.payments - recomputed)
+    recomputed = ref.value_many(mech.grid)
+    gaps = np.abs(mech.payments - recomputed)
     gap_i = int(np.argmax(gaps))
     gap = float(gaps[gap_i])
     mono = mech.allocation.check_monotone(grid_n=max(grid_n, 201))
@@ -204,7 +159,7 @@ def check_characterization(mech: Mechanism, grid_n: int = 201, tol: float = 1e-9
     if not passed:
         witness = {
             "payment_gap": gap,
-            "payment_gap_at": float(mech.schedule.grid[gap_i]),
+            "payment_gap_at": float(mech.grid[gap_i]),
             "monotone": mono.passed,
             "monotone_violation_at": mono.at_v,
         }
@@ -212,18 +167,24 @@ def check_characterization(mech: Mechanism, grid_n: int = 201, tol: float = 1e-9
 
 
 def uniqueness_probe(
-    mech: Mechanism, offsets: Sequence[float] = (0.01, -0.01), grid_n: int = 201
+    mech: PaymentSchedule, offsets: Sequence[float] = (0.01, -0.01), grid_n: int = 201
 ) -> AuditCheck:
-    """Shifting payments on the top half of the grid must break DSIC or the constraint."""
+    """Shifting payments on the top half of the grid must break DSIC or the constraint.
+
+    Offsets are in units of max(1, vmax). Payments reach up to v x <= vmax, so
+    an absolute shift would vanish in their rounding at large vmax; below 1 the
+    unit stays 1, so the shift stays above the audits' absolute tolerances.
+    The witness lists the offsets as given.
+    """
     if not offsets or any(off == 0.0 for off in offsets):
         raise ConstructionError("probe offsets must be non-zero")
-    base = mech.schedule
-    mask = base.grid >= mech.allocation.vmax / 2.0
+    vmax = mech.allocation.vmax
+    mask = mech.grid >= vmax / 2.0
     uncaught: list[float] = []
     for off in offsets:
-        perturbed = base.payments.copy()
-        perturbed[mask] += off
-        probe = Mechanism(mech.allocation, base.with_payments(perturbed), mech.m)
+        perturbed = mech.payments.copy()
+        perturbed[mask] += off * max(1.0, vmax)
+        probe = mech.with_payments(perturbed)
         dsic = check_dsic(probe, grid_n=grid_n)
         ir = check_ir(probe, grid_n=grid_n)
         if dsic.passed and ir.passed:
@@ -233,7 +194,7 @@ def uniqueness_probe(
 
 
 def run_standard_audit(
-    mech: Mechanism,
+    mech: PaymentSchedule,
     *,
     grid_n: int = 201,
     dsic_tol: float = 1e-6,
@@ -305,7 +266,7 @@ def profile_audit(
                 mono = rule.check_monotone(grid_n=own_grid_n)
                 dsic = ir = None
                 if mono.passed:
-                    mech = mechanism_for(rule, ms[i], grid_n=schedule_grid_n)
+                    mech = payment_schedule(rule, ms[i], grid_n=schedule_grid_n)
                     dsic = check_dsic(mech, grid_n=own_grid_n, tol=tol)
                     ir = check_ir(mech, grid_n=own_grid_n, tol=ir_tol)
                 audited[key] = (mono, dsic, ir)

@@ -3,17 +3,16 @@
 Exit codes: 0 when the requested computation or check passes, 1 when a
 well-formed input fails a check (non-DMR distribution, failing audit,
 mismatched worked example), 2 for unusable input (bad JSON, unknown fields,
-ratio at or below 1, bad flag values). Output is deterministic: floats render
-at 12 significant digits (the allocation that ``solve`` writes keeps full
-precision, so it reads back as the same rule) and rerunning a command
-reproduces its bytes.
+ratio at or below 1 or at 2**51 and above, bad flag values). Output is
+deterministic: floats render at 12 significant digits (the allocation that
+``solve`` writes keeps full precision, so it reads back as the same rule) and
+rerunning a command reproduces its bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import allocation_from_descriptor
-from .audit import Mechanism, mechanism_for, run_standard_audit
+from .audit import run_standard_audit
 from .distributions import distribution_from_descriptor
 from .errors import (
     ConditioningWarning,
@@ -32,11 +31,9 @@ from .errors import (
 )
 from .formatting import fmt, json_ready
 from .optimal import optimal_mechanism
-from .payments import DEFAULT_GRID_N, RoiTarget, payment_schedule, schedule_on
+from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule, schedule_on
 from .revenue import compare as compare_mechanisms
 from .revenue import expected_revenue_quadrature, myerson_baseline
-
-_GRID_ENV = "ROI_AUCTION_DEFAULT_GRID"
 
 
 class _UsageError(Exception):
@@ -47,19 +44,6 @@ class _Parser(argparse.ArgumentParser):
     # report usage problems through the exit-code contract instead of exiting
     def error(self, message: str):
         raise _UsageError(message)
-
-
-def _default_grid() -> int:
-    raw = os.environ.get(_GRID_ENV)
-    if raw is None:
-        return DEFAULT_GRID_N
-    try:
-        n = int(raw)
-    except ValueError:
-        raise _UsageError(f"{_GRID_ENV} must be an integer, got {raw!r}")
-    if n < 2:
-        raise _UsageError(f"{_GRID_ENV} must be at least 2, got {n}")
-    return n
 
 
 def _load_json(path: str) -> dict:
@@ -91,13 +75,13 @@ def _require_m(args) -> RoiTarget:
     return RoiTarget(args.m)
 
 
-def _mechanism_from_file(path: str, args, grid_n: int) -> Mechanism:
+def _mechanism_from_file(path: str, args, grid_n: int) -> PaymentSchedule:
     data = _load_json(path)
     if not isinstance(data, dict):
         raise DescriptorError("mechanism file must hold a JSON object")
     if "segments" in data:
         rule = allocation_from_descriptor(data)
-        return mechanism_for(rule, _require_m(args), grid_n)
+        return payment_schedule(rule, _require_m(args), grid_n)
     allowed = {"allocation", "m", "schedule"}
     if "allocation" not in data or not set(data) <= allowed:
         raise DescriptorError(
@@ -113,7 +97,7 @@ def _mechanism_from_file(path: str, args, grid_n: int) -> Mechanism:
         raise DescriptorError(f"'m' must be a number, got {ratio!r}")
     m = RoiTarget(ratio)
     if "schedule" not in data:
-        return mechanism_for(rule, m, grid_n)
+        return payment_schedule(rule, m, grid_n)
     sched = data["schedule"]
     if not isinstance(sched, dict) or set(sched) != {"grid", "payments"}:
         raise DescriptorError("'schedule' needs exactly 'grid' and 'payments' arrays")
@@ -128,8 +112,7 @@ def _mechanism_from_file(path: str, args, grid_n: int) -> Mechanism:
         raise DescriptorError("schedule grid and payments must be finite numbers")
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0) or grid[-1] > rule.vmax * (1 + 1e-12):
         raise DescriptorError("schedule grid must increase strictly from 0 within [0, vmax]")
-    schedule = schedule_on(rule, m, grid).with_payments(payments)
-    return Mechanism(rule, schedule, m)
+    return schedule_on(rule, m, grid).with_payments(payments)
 
 
 def _cmd_dmr_check(args) -> int:
@@ -150,7 +133,7 @@ def _cmd_dmr_check(args) -> int:
 def _cmd_solve(args) -> int:
     dist = distribution_from_descriptor(_load_json(args.file))
     m = _require_m(args)
-    grid_n = args.grid if args.grid is not None else _default_grid()
+    grid_n = args.grid if args.grid is not None else DEFAULT_GRID_N
     sol = optimal_mechanism(dist, m, grid_n=grid_n, tol=args.tol)
     out = Path(args.out) if args.out is not None else Path("solution.json")
     csv_path = out.with_name(out.stem + "_schedule.csv")
@@ -171,7 +154,7 @@ def _cmd_solve(args) -> int:
 def _cmd_payment_table(args) -> int:
     rule = allocation_from_descriptor(_load_json(args.file))
     m = _require_m(args)
-    grid_n = args.grid if args.grid is not None else _default_grid()
+    grid_n = args.grid if args.grid is not None else DEFAULT_GRID_N
     mono = rule.check_monotone()
     if not mono.passed:
         sys.stderr.write(
@@ -199,7 +182,7 @@ def _cmd_payment_table(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    grid_n = args.grid if args.grid is not None else _default_grid()
+    grid_n = args.grid if args.grid is not None else DEFAULT_GRID_N
     mech = _mechanism_from_file(args.file, args, grid_n)
     report = run_standard_audit(mech)
     if args.format == "json":
@@ -212,7 +195,7 @@ def _cmd_audit(args) -> int:
 def _cmd_compare(args) -> int:
     dist = distribution_from_descriptor(_load_json(args.file))
     m = _require_m(args)
-    grid_n = args.grid if args.grid is not None else _default_grid()
+    grid_n = args.grid if args.grid is not None else DEFAULT_GRID_N
     table = compare_mechanisms(dist, m, mc_samples=args.mc_samples, seed=args.seed, grid_n=grid_n)
     if args.format == "json":
         _emit(_json_text(table.to_dict()), args.out)
@@ -227,12 +210,12 @@ def _cmd_example1(args) -> int:
     from .distributions import UniformDistribution
 
     m = RoiTarget(args.m if args.m is not None else 2.0)
-    grid_n = args.grid if args.grid is not None else _default_grid()
+    grid_n = args.grid if args.grid is not None else DEFAULT_GRID_N
     dist = UniformDistribution(1.0)
     base = myerson_baseline(dist, m, grid_n)
     base_rev = expected_revenue_quadrature(base, dist).mean
     sol = optimal_mechanism(dist, m, grid_n=grid_n, tol=args.tol)
-    audit = run_standard_audit(sol.mechanism())
+    audit = run_standard_audit(sol.schedule)
     verdict = "PASS" if audit.passed else "FAIL"
     line = (
         f"Myerson: {base_rev:.6f}, ROI-optimal: {sol.expected_revenue:.6f}, "

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import AllocationRule, make_power_ramp
-from .audit import AuditCheck, AuditReport, Mechanism
+from .audit import AuditCheck, AuditReport
 from .distributions import ValueDistribution
 from .errors import ConstructionError, DomainError, PreconditionError, QuadratureError
 from .formatting import json_ready
@@ -152,16 +152,13 @@ def solve_threshold(
 
 @dataclass(frozen=True, eq=False)
 class OptimalSolution:
-    """Solved threshold plus the mechanism built from it."""
+    """Solved threshold plus the mechanism built from it, its payment ``schedule``."""
 
     threshold: float
     boundary_case: BoundaryCase
     allocation: AllocationRule
     schedule: PaymentSchedule
     expected_revenue: float
-
-    def mechanism(self) -> Mechanism:
-        return Mechanism(self.allocation, self.schedule, self.schedule.m)
 
     def descriptor(self, schedule_csv_path: str | None = None) -> dict:
         """Output fields: D and revenue at 12 digits, the allocation at full precision.
@@ -191,8 +188,7 @@ def optimal_mechanism(
     threshold, case = solve_threshold(dist, m, tol=tol)
     rule = make_power_ramp(threshold, m.ratio, dist.vmax)
     schedule = payment_schedule(rule, m, grid_n)
-    mech = Mechanism(rule, schedule, m)
-    revenue = expected_revenue_quadrature(mech, dist).mean
+    revenue = expected_revenue_quadrature(schedule, dist).mean
     return OptimalSolution(
         threshold=threshold,
         boundary_case=case,

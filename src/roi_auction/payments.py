@@ -18,6 +18,8 @@ g is its own running max, and never above v x in floating point.
 Ratio limit: g and R grow like ratio * vmax, so for ratios of 100 and more the
 payment error is up to about ratio 2^-52 vmax (tested below twice that); at
 ratio 1e8 on [0, 1] it exceeds the audits' 1e-9 characterization tolerance.
+From ratio 2^51 on that bound is vmax itself, the whole payment range, so
+``RoiTarget`` refuses such ratios.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ FEASIBILITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RoiTarget:
-    """Return multiple demanded by the bidder; must satisfy 1 < ratio < inf."""
+    """Return multiple demanded by the bidder; must satisfy 1 < ratio < 2^51."""
 
     ratio: float
 
@@ -55,6 +57,12 @@ class RoiTarget:
         )
         if not ok:
             raise ConstructionError(f"ROI ratio must satisfy 1 < ratio < inf, got {self.ratio!r}")
+        # from here the payment error bound 2 ratio 2^-52 vmax is vmax itself
+        if self.ratio >= 2.0**51:
+            raise ConstructionError(
+                "ROI ratio must be below 2**51; payments from there keep no correct digit, "
+                f"got {self.ratio!r}"
+            )
         object.__setattr__(self, "ratio", float(self.ratio))
 
 
@@ -85,16 +93,6 @@ def _candidate_grid(rule: AllocationRule, ratio: float, grid_n: int) -> np.ndarr
     return np.unique(np.concatenate([uniform, rule.knots(), rule.stationary_candidates(ratio)]))
 
 
-def rebate(rule: AllocationRule, m: RoiTarget, v: float, grid_n: int = DEFAULT_GRID_N) -> float:
-    """Largest violation at or below v over the candidate set (never negative)."""
-    return payment_schedule(rule, m, grid_n).rebate_at(v)
-
-
-def roi_payment(rule: AllocationRule, m: RoiTarget, v: float, grid_n: int = DEFAULT_GRID_N) -> float:
-    """Truthful payment at v for the given rule and ROI target."""
-    return payment_schedule(rule, m, grid_n).value_at(v)
-
-
 def schedule_on(rule: AllocationRule, m: RoiTarget, grid: np.ndarray) -> PaymentSchedule:
     """Derived payments on an increasing grid from 0, via one running-max sweep."""
     x, pt, g = _envelope(rule, m.ratio, grid)
@@ -120,7 +118,10 @@ def payment_schedule(
 
 @dataclass(frozen=True, eq=False)
 class PaymentSchedule:
-    """Sampled payment curve tied to its allocation rule and ROI target.
+    """A mechanism: an allocation rule, its ROI target and the payments it charges.
+
+    Audits, revenue estimators and the CLI all take this one type. The payments
+    are sampled on ``grid``; a derived schedule holds the truthful ones.
 
     ``derived`` schedules evaluate off-grid payments by exact recomputation
     (the running max is a prefix of the stored sweep, plus the query point);

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import Mechanism, mechanism_for
 from .allocation import make_step
 from .distributions import ValueDistribution
 from .errors import ConstructionError, PreconditionError, RoiAuctionError
 from .numerics import PowerPiece, bisect_root
-from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget
+from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule
 
 _MC_CHUNK = 1 << 16
 
@@ -47,7 +46,7 @@ class RevenueEstimate:
         }
 
 
-def _shared_support(mech: Mechanism, dist: ValueDistribution) -> float:
+def _shared_support(mech: PaymentSchedule, dist: ValueDistribution) -> float:
     """The rule's vmax, once the distribution is known to share it."""
     vmax = mech.allocation.vmax
     if abs(dist.vmax - vmax) > 1e-9 * max(1.0, vmax):
@@ -57,7 +56,7 @@ def _shared_support(mech: Mechanism, dist: ValueDistribution) -> float:
     return vmax
 
 
-def expected_revenue_quadrature(mech: Mechanism, dist: ValueDistribution) -> RevenueEstimate:
+def expected_revenue_quadrature(mech: PaymentSchedule, dist: ValueDistribution) -> RevenueEstimate:
     """Exact integral of the truthful payment against the value density.
 
     The payment and the density are both sums of power terms in t = v / vmax
@@ -66,8 +65,7 @@ def expected_revenue_quadrature(mech: Mechanism, dist: ValueDistribution) -> Rev
     "quadrature" stay as callers know them.
     """
     vmax = _shared_support(mech, dist)
-    sched = mech.schedule
-    pay = _payment_pieces(sched) if sched.derived else _interpolant_pieces(sched, vmax)
+    pay = _payment_pieces(mech) if mech.derived else _interpolant_pieces(mech, vmax)
     # the density's terms, restated in the rule's t = v / vmax
     rescale = vmax / dist.vmax
     dens = [(lo, [(b * rescale**k, k) for b, k in f]) for lo, _, f in dist.pdf_pieces()]
@@ -170,7 +168,7 @@ def _interpolant_pieces(sched: PaymentSchedule, vmax: float) -> list[PowerPiece]
 
 
 def expected_revenue_mc(
-    mech: Mechanism, dist: ValueDistribution, n: int, seed: int = 0
+    mech: PaymentSchedule, dist: ValueDistribution, n: int, seed: int = 0
 ) -> RevenueEstimate:
     """Sample-mean revenue with its standard error.
 
@@ -188,7 +186,7 @@ def expected_revenue_mc(
         stop = min(start + _MC_CHUNK, n)
         gen = np.random.Generator(np.random.Philox(key=seed * 2**64 + k))
         u = gen.random(stop - start)
-        pays[start:stop] = mech.schedule.value_many(dist.quantile(u))
+        pays[start:stop] = mech.value_many(dist.quantile(u))
     mean = float(np.mean(pays))
     stderr = float(np.std(pays, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return RevenueEstimate(mean=mean, stderr=stderr, method="monte_carlo", n_samples=n, seed=seed)
@@ -196,11 +194,11 @@ def expected_revenue_mc(
 
 def myerson_baseline(
     dist: ValueDistribution, m: RoiTarget | None = None, grid_n: int = DEFAULT_GRID_N
-) -> Mechanism:
+) -> PaymentSchedule:
     """Posted price at the root of the density-weighted virtual value.
 
     The step rule's truthful payment equals the price itself for every
-    target ratio, so the bundled ratio (default 2) only labels the schedule.
+    target ratio, so the schedule's ratio (default 2) only labels it.
     """
     report = dist.check_dmr()
     if not report.passed:
@@ -218,7 +216,7 @@ def myerson_baseline(
         dist.marginal_revenue, 0.0, dist.vmax, x_tol=1e-13 * max(1.0, dist.vmax)
     )
     rule = make_step(price, dist.vmax)
-    return mechanism_for(rule, m if m is not None else RoiTarget(2.0), grid_n)
+    return payment_schedule(rule, m if m is not None else RoiTarget(2.0), grid_n)
 
 
 @dataclass(frozen=True)
@@ -286,7 +284,7 @@ def compare(
     rows = []
     for name, mech, threshold in (
         ("posted_price", base, base_threshold),
-        ("roi_optimal", sol.mechanism(), sol.threshold),
+        ("roi_optimal", sol.schedule, sol.threshold),
     ):
         quad = expected_revenue_quadrature(mech, dist)
         if mc_samples > 0:

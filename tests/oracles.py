@@ -265,10 +265,10 @@ def broadcast_audit_grid(mech, grid_n: int):
     from roi_auction.payments import FEASIBILITY_TOL
 
     knots = np.asarray(mech.allocation.knots())
-    if mech.schedule.derived:
+    if mech.derived:
         base = np.linspace(0.0, mech.allocation.vmax, grid_n)
     else:
-        sg = mech.schedule.grid
+        sg = mech.grid
         take = np.unique(np.linspace(0, sg.size - 1, min(grid_n, sg.size)).round().astype(int))
         base = sg[take]
     merge_tol = 10.0 * FEASIBILITY_TOL * max(1.0, mech.allocation.vmax)

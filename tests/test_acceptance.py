@@ -21,7 +21,6 @@ from roi_auction import (
     compare,
     expected_revenue_quadrature,
     make_step,
-    mechanism_for,
     myerson_baseline,
     optimal_mechanism,
     payment_schedule,
@@ -60,9 +59,9 @@ def test_acceptance_1_worked_example(capsys):
     base = myerson_baseline(UNIFORM, m)
     base_rev = expected_revenue_quadrature(base, UNIFORM).mean
     sol = optimal_mechanism(UNIFORM, m)
-    mech = sol.mechanism()
-    slope = (mech.allocation_at(0.6) - mech.allocation_at(0.3)) / 0.3
-    pay_top = mech.payment_at(0.9)
+    mech = sol.schedule
+    slope = (mech.allocation.evaluate(0.6) - mech.allocation.evaluate(0.3)) / 0.3
+    pay_top = mech.value_at(0.9)
     elapsed = time.perf_counter() - start
     checks = {
         "posted-price revenue 0.25": abs(base_rev - 0.25) <= 1e-6,
@@ -99,11 +98,11 @@ def test_acceptance_2_closed_form_thresholds(capsys):
 
 
 def test_acceptance_3_truthfulness_grid_oracle(capsys, solutions):
-    mechs = [sol.mechanism() for _, _, sol in solutions]
+    mechs = [sol.schedule for _, _, sol in solutions]
     for seed in range(50):
         rule = random_monotone_rule(seed)
         for ratio in (1.5, 2.0, 5.0):
-            mechs.append(mechanism_for(rule, RoiTarget(ratio)))
+            mechs.append(payment_schedule(rule, RoiTarget(ratio)))
     worst_gain = max(check_dsic(m, grid_n=201).worst_violation for m in mechs)
     worst_over = max(check_ir(m, grid_n=201).worst_violation for m in mechs)
     ok = worst_gain <= 1e-6 and worst_over <= 1e-9
@@ -128,7 +127,7 @@ def test_acceptance_4_step_price_invariance(capsys):
 def test_acceptance_5_payment_uniqueness_probes(capsys):
     slipped = []
     for seed in range(30):
-        mech = mechanism_for(random_monotone_rule(seed), RoiTarget(2.0))
+        mech = payment_schedule(random_monotone_rule(seed), RoiTarget(2.0))
         if not uniqueness_probe(mech, offsets=(0.01, -0.01)).passed:
             slipped.append(seed)
     _announce(capsys, 5, not slipped, f"probes went uncaught for seeds {slipped}")
@@ -140,10 +139,10 @@ def test_acceptance_6_local_optimality(capsys, solutions):
         best = sol.expected_revenue
         for seed in range(100):
             rule = perturbed_table_copy(sol.allocation, seed)
-            rev = expected_revenue_quadrature(mechanism_for(rule, m), dist).mean
+            rev = expected_revenue_quadrature(payment_schedule(rule, m), dist).mean
             if rev > best + 1e-8:
                 problems.append(f"seed {seed} gained {rev - best:.3e} at ratio {m.ratio}")
-        floored = mechanism_for(sol.allocation.with_floor(0.1), m)
+        floored = payment_schedule(sol.allocation.with_floor(0.1), m)
         if not expected_revenue_quadrature(floored, dist).mean < best - 1e-9:
             problems.append(f"flat start did not lose revenue at ratio {m.ratio}")
     _announce(capsys, 6, not problems, "; ".join(problems[:5]))

@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from roi_auction import (
-    INFEASIBLE,
     AuditReport,
     ConstructionError,
-    Infeasible,
-    Mechanism,
     PaymentSchedule,
     RoiTarget,
     check_characterization,
@@ -19,12 +16,10 @@ from roi_auction import (
     highest_bid_wins,
     make_step,
     make_table,
-    mechanism_for,
     payment_schedule,
     profile_audit,
     run_standard_audit,
     uniqueness_probe,
-    utility,
 )
 from roi_auction import audit
 from roi_auction.audit import _audit_grid
@@ -61,28 +56,12 @@ def _hand_schedule(rule, m, grid, payments):
     )
 
 
-def test_utility_values_and_sentinel():
-    assert utility(0.8, 1.0, 0.5, M2) == pytest.approx(1.1, abs=1e-15)
-    assert utility(0.5, 0.5, 0.25, M2) == pytest.approx(0.25, abs=1e-15)
-    assert utility(0.5, 0.2, 0.3, M2) is INFEASIBLE
-    # payments inside the feasibility slack still count as affordable
-    assert utility(1.0, 0.5, 0.5 + 5e-13, M2) == pytest.approx(0.5, abs=1e-9)
-    assert Infeasible() is INFEASIBLE
-    assert repr(INFEASIBLE) == "INFEASIBLE"
-
-
-def test_mechanism_rejects_mismatched_ratio():
-    sched = payment_schedule(make_step(0.4, 1.0), M2)
-    with pytest.raises(ConstructionError):
-        Mechanism(make_step(0.4, 1.0), sched, M3)
-
-
 def test_mechanism_point_queries():
-    mech = mechanism_for(make_step(0.4, 1.0), M2)
-    assert mech.allocation_at(0.7) == 1.0
-    assert mech.allocation_at(0.2) == 0.0
-    assert mech.payment_at(0.7) == pytest.approx(0.4, abs=1e-12)
-    assert mech.payment_at(0.4, side="left") == pytest.approx(0.0, abs=1e-12)
+    mech = payment_schedule(make_step(0.4, 1.0), M2)
+    assert mech.allocation.evaluate(0.7) == 1.0
+    assert mech.allocation.evaluate(0.2) == 0.0
+    assert mech.value_at(0.7) == pytest.approx(0.4, abs=1e-12)
+    assert mech.value_at(0.4, side="left") == pytest.approx(0.0, abs=1e-12)
 
 
 def test_check_dsic_worst_matches_brute_oracle():
@@ -96,7 +75,7 @@ def test_check_dsic_worst_matches_brute_oracle():
     grid = _clear_grid(rule)
     pays = payment_schedule(rule, M2).value_many(grid)
     breached = np.where(grid >= 0.7, pays - 0.01, pays)
-    mech = Mechanism(rule, _hand_schedule(rule, M2, grid, breached), M2)
+    mech = _hand_schedule(rule, M2, grid, breached)
 
     check = check_dsic(mech, grid_n=grid.size)
     oracle = brute_dsic_gain(grid, rule.evaluate(grid), breached, M2.ratio)
@@ -115,7 +94,7 @@ def test_unrebated_payments_fail_dsic_and_ir():
     grid = _clear_grid(rule)
     x = rule.evaluate(grid)
     naive = M2.ratio * (grid * x - rule.prefix_integral(grid))
-    mech = Mechanism(rule, _hand_schedule(rule, M2, grid, naive), M2)
+    mech = _hand_schedule(rule, M2, grid, naive)
 
     dsic = check_dsic(mech, grid_n=grid.size)
     assert not dsic.passed
@@ -137,7 +116,7 @@ def test_characterization_localizes_payment_gap():
     grid = _clear_grid(rule)
     pays = payment_schedule(rule, M2).value_many(grid)
     breached = np.where(grid >= 0.7, pays - 0.01, pays)
-    mech = Mechanism(rule, _hand_schedule(rule, M2, grid, breached), M2)
+    mech = _hand_schedule(rule, M2, grid, breached)
     check = check_characterization(mech)
     assert not check.passed
     assert check.witness["payment_gap"] == pytest.approx(0.01, abs=1e-12)
@@ -148,7 +127,7 @@ def test_characterization_localizes_payment_gap():
 @pytest.mark.parametrize("ratio", [1.5, 2.0, 5.0])
 @pytest.mark.parametrize("seed", range(10))
 def test_standard_audit_round_trip(seed, ratio):
-    mech = mechanism_for(random_monotone_rule(seed), RoiTarget(ratio))
+    mech = payment_schedule(random_monotone_rule(seed), RoiTarget(ratio))
     report = run_standard_audit(mech)
     assert report.passed, report.summary()
     assert tuple(c.name for c in report.checks) == (
@@ -162,7 +141,7 @@ def test_standard_audit_round_trip(seed, ratio):
 
 @pytest.mark.parametrize("seed", [0, 3, 8])
 def test_nonmonotone_rule_fails_audit(seed):
-    mech = mechanism_for(random_nonmonotone_rule(seed), M2)
+    mech = payment_schedule(random_nonmonotone_rule(seed), M2)
     report = run_standard_audit(mech)
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
@@ -171,14 +150,14 @@ def test_nonmonotone_rule_fails_audit(seed):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_uniqueness_probe_catches_both_directions(seed):
-    mech = mechanism_for(random_monotone_rule(seed), M2)
+    mech = payment_schedule(random_monotone_rule(seed), M2)
     check = uniqueness_probe(mech)
     assert check.passed, check.witness
     assert check.witness["uncaught"] == []
 
 
 def test_uniqueness_probe_rejects_degenerate_offsets():
-    mech = mechanism_for(make_step(0.4, 1.0), M2)
+    mech = payment_schedule(make_step(0.4, 1.0), M2)
     with pytest.raises(ConstructionError):
         uniqueness_probe(mech, offsets=())
     with pytest.raises(ConstructionError):
@@ -297,15 +276,15 @@ def test_highest_bid_wins_induced_curves():
     assert faced.evaluate(0.39) == 0.0
     assert faced.evaluate(0.4) == 1.0
     # step payments are ratio-free, so winning against 0.4 always costs 0.4
-    mech = mechanism_for(faced, M2)
-    assert mech.payment_at(0.7) == pytest.approx(0.4, abs=1e-12)
+    mech = payment_schedule(faced, M2)
+    assert mech.value_at(0.7) == pytest.approx(0.4, abs=1e-12)
     shut_out = factory(1, (1.0, 0.2))
     assert shut_out.evaluate(1.0) == 0.0
 
 
 def test_report_serialization_is_deterministic():
     def fresh():
-        return run_standard_audit(mechanism_for(random_monotone_rule(5), M2))
+        return run_standard_audit(payment_schedule(random_monotone_rule(5), M2))
 
     first, second = fresh(), fresh()
     assert first.to_json_text() == second.to_json_text()
@@ -321,7 +300,7 @@ def test_report_serializes_infinite_violations():
     grid = _clear_grid(rule)
     x = rule.evaluate(grid)
     naive = M2.ratio * (grid * x - rule.prefix_integral(grid))
-    mech = Mechanism(rule, _hand_schedule(rule, M2, grid, naive), M2)
+    mech = _hand_schedule(rule, M2, grid, naive)
     report = AuditReport((check_dsic(mech, grid_n=grid.size),))
     assert '"worst_violation": "inf"' in report.to_json_text()
     assert "FAIL" in report.summary()
@@ -330,12 +309,11 @@ def test_report_serializes_infinite_violations():
 def _dsic_cases():
     for seed in range(4):
         rule = random_monotone_rule(seed)
-        honest = mechanism_for(rule, M3, grid_n=601)
+        honest = payment_schedule(rule, M3, grid_n=601)
         yield honest
-        sched = honest.schedule
-        bump = np.where(sched.grid > 0.5, 0.02 * (seed - 1.5), 0.0)
-        yield Mechanism(rule, sched.with_payments(sched.payments + bump), M3)
-    yield mechanism_for(random_nonmonotone_rule(2), M2, grid_n=601)
+        bump = np.where(honest.grid > 0.5, 0.02 * (seed - 1.5), 0.0)
+        yield honest.with_payments(honest.payments + bump)
+    yield payment_schedule(random_nonmonotone_rule(2), M2, grid_n=601)
 
 
 def _crowded_table(rng, vmax, grid_n, n_random):
@@ -357,8 +335,8 @@ def test_audit_grid_matches_broadcast_nearest_knot(seed):
     vmax = float(rng.choice([1.0, 3.0, 1e3]))
     grid_n = int(rng.integers(20, 400))
     rule = _crowded_table(rng, vmax, grid_n, int(rng.integers(1, 300)))
-    derived = mechanism_for(rule, M2, grid_n=grid_n)
-    hand = Mechanism(rule, derived.schedule.with_payments(derived.schedule.payments), M2)
+    derived = payment_schedule(rule, M2, grid_n=grid_n)
+    hand = derived.with_payments(derived.payments)
     for mech in (derived, hand):
         for n in (grid_n, grid_n // 3 + 2):
             assert np.array_equal(_audit_grid(mech, n), broadcast_audit_grid(mech, n))
@@ -368,7 +346,7 @@ def test_audit_grid_memory_is_linear_in_grid_and_knots():
     # a grid x knots matrix here is 2001 x 2001 float64, 32 MB; the audit grid needs O(n)
     rule = _crowded_table(np.random.default_rng(0), 1.0, 2001, 1000)
     assert len(rule.knots()) > 1900
-    mech = mechanism_for(rule, M2, grid_n=2)
+    mech = payment_schedule(rule, M2, grid_n=2)
     tracemalloc.start()
     try:
         grid = _audit_grid(mech, 2001)
@@ -385,6 +363,6 @@ def test_blocked_dsic_matches_full_matrix_oracle(mech):
     grid = _audit_grid(mech, 601)
     assert grid.size % 256 != 0
     x = mech.allocation.evaluate(grid)
-    want = full_matrix_dsic(grid, x, mech.schedule.value_many(grid), mech.m.ratio, 1e-6)
+    want = full_matrix_dsic(grid, x, mech.value_many(grid), mech.m.ratio, 1e-6)
     got = check_dsic(mech, grid_n=601)
     assert (got.worst_violation, got.passed, got.witness) == want

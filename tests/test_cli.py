@@ -275,8 +275,9 @@ def test_linear_rule_past_float_range_of_v_squared_audits_without_nan(tmp_path, 
     path = _write(tmp_path, "rule.json", TINY_SLOPE_RULE)
     _, out = _run_quietly(["audit", path, "--m", "2"], capsys)
     assert "nan" not in out
-    for name in ("monotone", "characterization", "dsic", "ir"):
+    for name in ("monotone", "characterization", "dsic", "ir", "uniqueness_probe"):
         assert f"\n{name}: pass" in f"\n{out}"
+    assert "overall: PASS" in out
 
 
 @pytest.mark.parametrize(
@@ -299,6 +300,15 @@ def test_file_ratio_at_or_below_one_names_the_range(tmp_path, capsys):
     path = _write(tmp_path, "mech.json", {"allocation": STEP_DESC, "m": 0.5})
     assert main(["audit", path]) == 2
     assert "1 < ratio < inf" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("ratio", ["2251799813685248", "1e300"])
+def test_ratio_past_payment_precision_is_unusable_input(ratio, tmp_path, capsys):
+    # from 2**51 on the payment error bound is vmax; at 1e300 p_roi printed 1 at
+    # v = 1, where the truthful payment is 0.75
+    path = _write(tmp_path, "ramp.json", make_power_ramp(0.75, 2.0).descriptor())
+    assert main(["payment-table", path, "--m", ratio]) == 2
+    assert "2**51" in _single_error_line(capsys)
 
 
 @pytest.mark.parametrize("ratio", ["1e5", "1e6"])
@@ -463,17 +473,6 @@ def test_example1_prints_frozen_line(capsys):
     assert main(["example1"]) == 0
     out = capsys.readouterr().out
     assert out == "Myerson: 0.250000, ROI-optimal: 0.375000, D = 0.750000, audit: PASS\n"
-
-
-def test_env_grid_override(step_file, monkeypatch, capsys):
-    monkeypatch.setenv("ROI_AUCTION_DEFAULT_GRID", "5")
-    assert main(["payment-table", step_file, "--m", "2", "--format", "json"]) == 0
-    assert len(json.loads(capsys.readouterr().out)["v"]) == 6
-    monkeypatch.setenv("ROI_AUCTION_DEFAULT_GRID", "1")
-    assert main(["payment-table", step_file, "--m", "2"]) == 2
-    monkeypatch.setenv("ROI_AUCTION_DEFAULT_GRID", "many")
-    assert main(["payment-table", step_file, "--m", "2"]) == 2
-    assert "ROI_AUCTION_DEFAULT_GRID" in capsys.readouterr().err
 
 
 def test_out_flag_redirects_reports(uniform_file, tmp_path, capsys):

@@ -19,7 +19,6 @@ from roi_auction import (
     make_constant,
     make_power_ramp,
     make_step,
-    mechanism_for,
     optimal_mechanism,
     payment_schedule,
     revenue_derivative,
@@ -269,7 +268,7 @@ def test_revenue_derivative_matches_finite_difference(at):
     """Dual route: differentiate actual quadrature revenue of re-solved ramps."""
 
     def rev(d: float) -> float:
-        mech = mechanism_for(make_power_ramp(d, 2.0, 1.0), M2, grid_n=2001)
+        mech = payment_schedule(make_power_ramp(d, 2.0, 1.0), M2, grid_n=2001)
         return expected_revenue_quadrature(mech, UNIFORM).mean
 
     numeric = central_difference(rev, at, 1e-5)
@@ -347,7 +346,7 @@ def test_domain_guards():
 def test_monotone_perturbations_never_beat_the_optimum(seed):
     sol = optimal_mechanism(UNIFORM, M2)
     nearby = perturbed_table_copy(sol.allocation, seed, n_knots=41, magnitude=0.03)
-    mech = mechanism_for(nearby, M2, grid_n=2001)
+    mech = payment_schedule(nearby, M2, grid_n=2001)
     rev = expected_revenue_quadrature(mech, UNIFORM).mean
     assert rev <= sol.expected_revenue + 1e-8
 
@@ -355,7 +354,7 @@ def test_monotone_perturbations_never_beat_the_optimum(seed):
 def test_flat_start_strictly_hurts():
     sol = optimal_mechanism(UNIFORM, M2)
     flattened = sol.allocation.with_floor(0.1)
-    mech = mechanism_for(flattened, M2, grid_n=2001)
+    mech = payment_schedule(flattened, M2, grid_n=2001)
     rev = expected_revenue_quadrature(mech, UNIFORM).mean
     assert rev < sol.expected_revenue - 1e-6
 

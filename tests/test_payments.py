@@ -11,11 +11,8 @@ from roi_auction import (
     make_step,
     myerson_payment,
     payment_schedule,
-    rebate,
-    roi_payment,
     roi_violation,
     run_standard_audit,
-    mechanism_for,
 )
 from oracles import brute_rebate, brute_roi_payment, exact_payments
 from random_rules import random_monotone_rule
@@ -36,20 +33,18 @@ def test_roi_target_guards():
 @pytest.mark.parametrize("ratio", [1.5, 2.0, 5.0])
 def test_step_payment_equals_its_threshold(r, ratio):
     """The rebate cancels the ratio factor exactly: winners pay r, losers 0."""
-    rule = make_step(r, 1.0)
-    m = RoiTarget(ratio)
+    sched = payment_schedule(make_step(r, 1.0), RoiTarget(ratio))
     for v in (r, (r + 1.0) / 2.0, 1.0):
-        assert abs(roi_payment(rule, m, v) - r) <= 1e-12
+        assert abs(sched.value_at(v) - r) <= 1e-12
     for v in (0.0, r / 2.0, r * (1.0 - 1e-9)):
-        assert roi_payment(rule, m, v) == 0.0
+        assert sched.value_at(v) == 0.0
 
 
 @pytest.mark.parametrize("ratio", [1.5, 2.0, 5.0])
 def test_step_rebate_value(ratio):
-    rule = make_step(0.4, 1.0)
-    m = RoiTarget(ratio)
-    assert rebate(rule, m, 1.0) == pytest.approx((ratio - 1.0) * 0.4, abs=1e-12)
-    assert rebate(rule, m, 0.2) == 0.0
+    sched = payment_schedule(make_step(0.4, 1.0), RoiTarget(ratio))
+    assert sched.rebate_at(1.0) == pytest.approx((ratio - 1.0) * 0.4, abs=1e-12)
+    assert sched.rebate_at(0.2) == 0.0
 
 
 def test_myerson_payment_values():
@@ -92,27 +87,28 @@ def test_roi_violation_peaks_at_step_threshold():
 @pytest.mark.parametrize("ratio", [1.5, 2.0, 5.0])
 def test_payment_matches_brute_force(seed, ratio):
     rule = random_monotone_rule(seed)
-    m = RoiTarget(ratio)
+    sched = payment_schedule(rule, RoiTarget(ratio))
     for v in (0.31, 0.62, 0.94):
         want = brute_roi_payment(rule, ratio, v, n=40_001)
-        assert roi_payment(rule, m, v) == pytest.approx(want, abs=5e-5)
+        assert sched.value_at(v) == pytest.approx(want, abs=5e-5)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_rebate_matches_brute_force(seed):
     rule = random_monotone_rule(seed)
+    sched = payment_schedule(rule, M2)
     for v in (0.5, 1.0):
         want = brute_rebate(rule, 2.0, v, n=40_001)
-        assert rebate(rule, M2, v) == pytest.approx(want, abs=5e-5)
+        assert sched.rebate_at(v) == pytest.approx(want, abs=5e-5)
 
 
 def test_schedule_agrees_with_scalar_route_everywhere():
     sched = payment_schedule(STAIRS, M2)
     on_grid = sched.grid[::97]
     for v in on_grid:
-        assert sched.value_at(float(v)) == roi_payment(STAIRS, M2, float(v))
+        assert sched.value_at(float(v)) == payment_schedule(STAIRS, M2).value_at(float(v))
     for v in (0.123456789, 0.543210987, 0.999999):
-        assert sched.value_at(v) == roi_payment(STAIRS, M2, v)
+        assert sched.value_at(v) == payment_schedule(STAIRS, M2).value_at(v)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -132,7 +128,7 @@ def test_payment_bounded_by_realized_value(seed, ratio, t):
     rule = random_monotone_rule(seed)
     m = RoiTarget(ratio)
     v = t * rule.vmax
-    p = roi_payment(rule, m, v)
+    p = payment_schedule(rule, m).value_at(v)
     assert -1e-12 <= p <= v * rule.evaluate(v) + 1e-12
 
 
@@ -146,8 +142,8 @@ def test_near_unit_ratio_payments_approach_myerson():
 
 def test_rebate_insensitive_to_grid_density():
     rule = random_monotone_rule(3)
-    coarse = rebate(rule, M2, 0.9, grid_n=101)
-    fine = rebate(rule, M2, 0.9, grid_n=100_001)
+    coarse = payment_schedule(rule, M2, grid_n=101).rebate_at(0.9)
+    fine = payment_schedule(rule, M2, grid_n=100_001).rebate_at(0.9)
     assert coarse == pytest.approx(fine, abs=1e-9)
 
 
@@ -159,7 +155,8 @@ def test_interior_rebate_maximum_for_sub_two_ratio():
         1.0, (Segment(0.0, 0.4, Linear(0.0, 0.0)), Segment(0.4, 1.0, Linear(1.0, -0.4)))
     )
     m = RoiTarget(1.5)
-    got = rebate(rule, m, 1.0, grid_n=11)  # coarse grid: the closed form must carry it
+    # coarse grid: the closed form must carry it
+    got = payment_schedule(rule, m, grid_n=11).rebate_at(1.0)
     want = brute_rebate(rule, 1.5, 1.0, n=400_001)
     assert got == pytest.approx(want, abs=1e-7)
     assert got >= float(roi_violation(rule, m, 0.8)) - 1e-15
@@ -191,7 +188,7 @@ def test_hand_schedules_interpolate_and_hide_rebates():
 
 def test_payment_outside_support_fails():
     with pytest.raises(DomainError):
-        roi_payment(RAMP, M2, 1.7)
+        payment_schedule(RAMP, M2).value_at(1.7)
 
 
 @pytest.mark.parametrize("ratio", [5.0, 1e5, 1e6])
@@ -209,7 +206,7 @@ def test_tight_payments_are_exactly_realized_value(ratio):
 @pytest.mark.parametrize("ratio", [1e5, 1e6])
 def test_honest_ramp_passes_audit_at_large_ratio(ratio):
     # M p~ - R on the tight ramp left p above v x by ~ratio ulps: dsic read inf
-    report = run_standard_audit(mechanism_for(RAMP, RoiTarget(ratio)))
+    report = run_standard_audit(payment_schedule(RAMP, RoiTarget(ratio)))
     assert report.passed, report.summary()
 
 

@@ -12,7 +12,6 @@ import roi_auction
 from roi_auction import (
     ConditioningWarning,
     ConstructionError,
-    Mechanism,
     PaymentSchedule,
     PiecewiseLinearDensity,
     PowerCdfDistribution,
@@ -29,7 +28,6 @@ from roi_auction import (
     make_piecewise_constant,
     make_power_ramp,
     make_step,
-    mechanism_for,
     myerson_baseline,
     optimal_mechanism,
     payment_schedule,
@@ -53,22 +51,22 @@ def test_quadrature_matches_closed_forms():
         (POWER2, 2.0, (2.0 / 3.0) * math.sqrt(2.0 / 3.0)),
     ]
     for dist, ratio, want in cases:
-        mech = optimal_mechanism(dist, RoiTarget(ratio), grid_n=2001).mechanism()
+        mech = optimal_mechanism(dist, RoiTarget(ratio), grid_n=2001).schedule
         assert expected_revenue_quadrature(mech, dist).mean == pytest.approx(want, abs=1e-9)
 
 
 def test_quadrature_is_jump_safe():
     # payment jumps at 0.2/0.6 land exactly on integration cuts
     stairs = make_piecewise_constant([0.2, 0.6], [0.0, 0.5, 1.0], 1.0)
-    got = expected_revenue_quadrature(mechanism_for(stairs, M2), UNIFORM).mean
+    got = expected_revenue_quadrature(payment_schedule(stairs, M2), UNIFORM).mean
     assert got == pytest.approx(0.1 * 0.4 + 0.6 * 0.4, abs=1e-9)
     # triangular density: rev = 0.4 * (1 - F(0.4)) with F(v) = 2v - v^2
-    got = expected_revenue_quadrature(mechanism_for(make_step(0.4, 1.0), M2), TRIANGULAR).mean
+    got = expected_revenue_quadrature(payment_schedule(make_step(0.4, 1.0), M2), TRIANGULAR).mean
     assert got == pytest.approx(0.4 * (1.0 - 0.64), abs=1e-9)
 
 
 def test_support_mismatch_is_rejected():
-    mech = mechanism_for(make_step(0.4, 1.0), M2)
+    mech = payment_schedule(make_step(0.4, 1.0), M2)
     wide = UniformDistribution(2.0)
     with pytest.raises(ConstructionError):
         expected_revenue_quadrature(mech, wide)
@@ -93,7 +91,7 @@ def test_mc_single_sample_has_zero_stderr():
 
 
 def test_mc_agrees_with_quadrature_within_four_stderr():
-    mech = optimal_mechanism(UNIFORM, M2, grid_n=2001).mechanism()
+    mech = optimal_mechanism(UNIFORM, M2, grid_n=2001).schedule
     quad = expected_revenue_quadrature(mech, UNIFORM)
     mc = expected_revenue_mc(mech, UNIFORM, 20_000, seed=0)
     assert mc.stderr > 0.0
@@ -117,7 +115,7 @@ def test_baseline_posted_prices():
         2.0 / (3.0 * math.sqrt(3.0)), abs=1e-9
     )
     # the bundled ratio never changes what a step rule charges
-    assert myerson_baseline(UNIFORM, RoiTarget(5.0)).payment_at(0.8) == pytest.approx(
+    assert myerson_baseline(UNIFORM, RoiTarget(5.0)).value_at(0.8) == pytest.approx(
         0.5, abs=1e-9
     )
 
@@ -175,9 +173,7 @@ def test_compare_output_is_deterministic():
 
 class _StubSolution:
     threshold = 0.0
-
-    def mechanism(self):
-        return mechanism_for(make_constant(0.0, 1.0), M2)
+    schedule = payment_schedule(make_constant(0.0, 1.0), M2)
 
 
 def test_compare_flags_solver_dominance_defect(monkeypatch):
@@ -220,7 +216,7 @@ def test_table_revenue_matches_dense_oracle(dist, ratio):
         ramp = make_power_ramp(0.7 * dist.vmax, ratio, dist.vmax)
         table = perturbed_table_copy(ramp, seed, n_knots=101, magnitude=0.03)
         points = table.segments[0].shape.points
-        got = expected_revenue_quadrature(mechanism_for(table, RoiTarget(ratio)), dist).mean
+        got = expected_revenue_quadrature(payment_schedule(table, RoiTarget(ratio)), dist).mean
         assert got == pytest.approx(table_revenue(points, ratio, dist.pdf, kinks), abs=1e-12)
 
 
@@ -249,7 +245,7 @@ def test_ramp_revenue_matches_closed_forms(dist, closed_form, c):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
         ramp = make_power_ramp(d, ratio, dist.vmax)
-    got = expected_revenue_quadrature(mechanism_for(ramp, RoiTarget(ratio), grid_n=2001), dist).mean
+    got = expected_revenue_quadrature(payment_schedule(ramp, RoiTarget(ratio), grid_n=2001), dist).mean
     assert got == pytest.approx(closed_form(d, c, dist.vmax), abs=1e-12)
 
 
@@ -267,10 +263,9 @@ def test_hand_schedule_revenue_is_its_interpolant_integral():
         m=m,
         derived=False,
     )
-    mech = Mechanism(rule, hand, m)
     # uniform density: trapezoids, then the flat extension at 0.7 past v = 0.8
     want = 0.5 * (0.1 * 0.3 + 0.5 * 0.15 + 1.1 * 0.35) + 0.7 * 0.2
-    assert expected_revenue_quadrature(mech, UNIFORM).mean == pytest.approx(want, abs=1e-15)
+    assert expected_revenue_quadrature(hand, UNIFORM).mean == pytest.approx(want, abs=1e-15)
     # density 2v: p = a + b v on [l, u] gives a (u^2 - l^2) + 2 b (u^3 - l^3) / 3
     cells = [
         (0.0, 0.3, 0.0, 1.0 / 3.0),
@@ -279,11 +274,11 @@ def test_hand_schedule_revenue_is_its_interpolant_integral():
     ]
     want = sum(a * (u * u - l * l) + 2.0 * b * (u**3 - l**3) / 3.0 for l, u, a, b in cells)
     want += 0.7 * (1.0 - 0.8**2)
-    assert expected_revenue_quadrature(mech, POWER2).mean == pytest.approx(want, abs=1e-15)
+    assert expected_revenue_quadrature(hand, POWER2).mean == pytest.approx(want, abs=1e-15)
     # with_payments halves the step's price to 0.25, reached linearly from the
     # grid point 0.4 below the jump
     derived = payment_schedule(rule, m, grid_n=11)
-    halved = Mechanism(rule, derived.with_payments(0.5 * derived.payments), m)
+    halved = derived.with_payments(0.5 * derived.payments)
     want = 0.5 * 0.25 * 0.1 + 0.25 * 0.5
     assert expected_revenue_quadrature(halved, UNIFORM).mean == pytest.approx(want, abs=1e-15)
 
