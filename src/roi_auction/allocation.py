@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -28,6 +28,9 @@ _RANGE_TOL = 1e-12
 _JOIN_TOL = 1e-12
 #: |ln x| below which x and 1 / x are both normal floats (ln of 2^-1022 is -708.4)
 _LOG_NORMAL_RANGE = 708.0
+
+#: Largest drop in the allocation that check_monotone still passes.
+MONOTONE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -349,7 +352,7 @@ class AllocationRule:
             out.extend(seg.shape.stationary(seg.lo, seg.hi, ratio))
         return tuple(sorted(out))
 
-    def check_monotone(self, grid_n: int = 2001, tol: float = 1e-12) -> MonotonicityReport:
+    def check_monotone(self, grid_n: int = 2001) -> MonotonicityReport:
         """Grid-plus-endpoints test that the rule never decreases."""
         grid = np.unique(np.concatenate([np.linspace(0.0, self.vmax, grid_n), self.knots()]))
         x = self.evaluate(grid)
@@ -360,67 +363,13 @@ class AllocationRule:
             if left - right > worst:
                 worst = left - right
                 at = v0
-        passed = worst <= tol
         return MonotonicityReport(
-            passed=passed,
+            passed=worst <= MONOTONE_TOL,
             worst_violation=max(worst, 0.0),
             at_v=at if worst > 0.0 else None,
             grid_n=grid_n,
-            tol=tol,
+            tol=MONOTONE_TOL,
         )
-
-    def with_floor(self, level: float) -> AllocationRule:
-        """Copy of the rule clamped below at ``level``: x'(v) = max(x(v), level).
-
-        For a monotone rule this prepends a flat run at ``level`` and keeps the
-        tail; the crossing point is solved per shape, not sampled.
-        """
-        if not 0.0 < level <= 1.0:
-            raise ConstructionError(f"floor level must lie in (0, 1], got {level!r}")
-        if float(self.evaluate(0.0)) >= level:
-            return self
-        cross = self._first_reach(level)
-        if cross is None or cross >= self.vmax:
-            return AllocationRule(self.vmax, (Segment(0.0, self.vmax, Constant(level)),))
-        head = Segment(0.0, cross, Constant(level))
-        tail: list[Segment] = []
-        for seg in self.segments:
-            if seg.hi <= cross:
-                continue
-            lo = max(seg.lo, cross)
-            shape = seg.shape
-            if isinstance(shape, TableShape) and lo > seg.lo:
-                keep = [(v, x) for v, x in shape.points if v > lo]
-                entry = (lo, float(shape.value(np.asarray(lo))))
-                shape = TableShape(points=(entry, *keep))
-            tail.append(Segment(lo, seg.hi, shape))
-        return AllocationRule(self.vmax, (head, *tail))
-
-    def _first_reach(self, level: float) -> float | None:
-        """Smallest v with x(v) >= level, assuming a monotone rule."""
-        for seg in self.segments:
-            start = float(seg.shape.value(np.asarray(seg.lo)))
-            if start >= level:
-                return seg.lo
-            end = float(seg.shape.value(np.asarray(seg.hi)))
-            if end < level:
-                continue
-            sh = seg.shape
-            if isinstance(sh, Linear) and sh.slope > 0.0:
-                return min(max((level - sh.intercept) / sh.slope, seg.lo), seg.hi)
-            if isinstance(sh, PowerRamp) and sh.scale > 0.0:
-                return min(max((level / sh.scale) ** (1.0 / sh.exponent), seg.lo), seg.hi)
-            if isinstance(sh, TableShape):
-                vs, xs = sh._vs, sh._xs
-                for va, vb, xa, xb in zip(vs[:-1], vs[1:], xs[:-1], xs[1:]):
-                    if xb >= level:
-                        if xb == xa:
-                            return float(va)
-                        t = float(va + (level - xa) * (vb - va) / (xb - xa))
-                        return min(max(t, float(va)), float(vb))
-            if isinstance(sh, Constant):
-                continue
-        return None
 
     def descriptor(self) -> dict:
         return {
@@ -440,13 +389,7 @@ class MonotonicityReport:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_violation": self.worst_violation,
-            "at_v": self.at_v,
-            "grid_n": self.grid_n,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 def make_constant(level: float, vmax: float = 1.0) -> AllocationRule:

@@ -20,6 +20,16 @@ from .errors import ConstructionError
 from .formatting import json_ready
 from .payments import FEASIBILITY_TOL, PaymentSchedule, RoiTarget, payment_schedule
 
+#: The fixed audit policy: the own-value grid, each check's pass tolerance, the
+#: uniqueness probe's payment shifts (in units of max(1, vmax)), and the grid of
+#: the payment schedule derived for each induced rule of a profile audit.
+AUDIT_GRID_N = 201
+DSIC_TOL = 1e-6
+IR_TOL = 1e-9
+CHARACTERIZATION_TOL = 1e-9
+PROBE_OFFSETS = (0.01, -0.01)
+PROFILE_SCHEDULE_GRID_N = 2001
+
 #: rows of the misreport matrices that check_dsic holds at once
 _DSIC_BLOCK = 256
 
@@ -94,15 +104,19 @@ def _audit_grid(mech: PaymentSchedule, grid_n: int) -> np.ndarray:
     return np.unique(np.concatenate([base, knots]))
 
 
-def check_dsic(mech: PaymentSchedule, grid_n: int = 201, tol: float = 1e-6) -> AuditCheck:
+def _truthful_outcomes(mech: PaymentSchedule, grid_n: int):
+    """The audit grid with each point's truthful allocation and payment."""
+    grid = _audit_grid(mech, grid_n)
+    return grid, mech.allocation.evaluate(grid), mech.value_many(grid)
+
+
+def check_dsic(mech: PaymentSchedule, grid_n: int = AUDIT_GRID_N) -> AuditCheck:
     """Worst utility gain from any misreport over all ordered grid pairs.
 
     The value-by-report matrices are built _DSIC_BLOCK rows at a time, so
     memory stays linear in the grid size.
     """
-    grid = _audit_grid(mech, grid_n)
-    x = mech.allocation.evaluate(grid)
-    p = mech.value_many(grid)
+    grid, x, p = _truthful_outcomes(mech, grid_n)
     ratio = mech.m.ratio
     p_floor = p - FEASIBILITY_TOL
     best = np.empty_like(grid)
@@ -128,32 +142,28 @@ def check_dsic(mech: PaymentSchedule, grid_n: int = 201, tol: float = 1e-6) -> A
     witness = None
     if worst > 0.0:
         witness = {"v": float(grid[worst_i]), "b": float(grid[int(best_at[worst_i])])}
-    return AuditCheck("dsic", worst <= tol, worst, witness)
+    return AuditCheck("dsic", worst <= DSIC_TOL, worst, witness)
 
 
-def check_ir(mech: PaymentSchedule, grid_n: int = 201, tol: float = 1e-9) -> AuditCheck:
+def check_ir(mech: PaymentSchedule) -> AuditCheck:
     """Truthful payments never exceed realized value v * x(v) (the hard constraint)."""
-    grid = _audit_grid(mech, grid_n)
-    x = mech.allocation.evaluate(grid)
-    p = mech.value_many(grid)
+    grid, x, p = _truthful_outcomes(mech, AUDIT_GRID_N)
     viol = p - grid * x
     worst_i = int(np.argmax(viol))
     worst = max(float(viol[worst_i]), 0.0)
     witness = {"v": float(grid[worst_i])} if worst > 0.0 else None
-    return AuditCheck("ir", worst <= tol, worst, witness)
+    return AuditCheck("ir", worst <= IR_TOL, worst, witness)
 
 
-def check_characterization(
-    mech: PaymentSchedule, grid_n: int = 201, tol: float = 1e-9
-) -> AuditCheck:
+def check_characterization(mech: PaymentSchedule) -> AuditCheck:
     """Payments must match the rebate formula for the rule, and the rule be monotone."""
-    ref = payment_schedule(mech.allocation, mech.m, grid_n=max(grid_n, 201))
+    ref = payment_schedule(mech.allocation, mech.m, grid_n=AUDIT_GRID_N)
     recomputed = ref.value_many(mech.grid)
     gaps = np.abs(mech.payments - recomputed)
     gap_i = int(np.argmax(gaps))
     gap = float(gaps[gap_i])
-    mono = mech.allocation.check_monotone(grid_n=max(grid_n, 201))
-    passed = gap <= tol and mono.passed
+    mono = mech.allocation.check_monotone(grid_n=AUDIT_GRID_N)
+    passed = gap <= CHARACTERIZATION_TOL and mono.passed
     worst = max(gap, mono.worst_violation)
     witness = None
     if not passed:
@@ -166,44 +176,32 @@ def check_characterization(
     return AuditCheck("characterization", passed, worst, witness)
 
 
-def uniqueness_probe(
-    mech: PaymentSchedule, offsets: Sequence[float] = (0.01, -0.01), grid_n: int = 201
-) -> AuditCheck:
+def uniqueness_probe(mech: PaymentSchedule) -> AuditCheck:
     """Shifting payments on the top half of the grid must break DSIC or the constraint.
 
-    Offsets are in units of max(1, vmax). Payments reach up to v x <= vmax, so
-    an absolute shift would vanish in their rounding at large vmax; below 1 the
-    unit stays 1, so the shift stays above the audits' absolute tolerances.
-    The witness lists the offsets as given.
+    ``PROBE_OFFSETS`` are in units of max(1, vmax). Payments reach up to v x <= vmax,
+    so an absolute shift would vanish in their rounding at large vmax; below 1
+    the unit stays 1, so the shift stays above the audits' absolute tolerances.
+    The witness lists the offsets in those units.
     """
-    if not offsets or any(off == 0.0 for off in offsets):
-        raise ConstructionError("probe offsets must be non-zero")
     vmax = mech.allocation.vmax
     mask = mech.grid >= vmax / 2.0
     uncaught: list[float] = []
-    for off in offsets:
+    for off in PROBE_OFFSETS:
         perturbed = mech.payments.copy()
         perturbed[mask] += off * max(1.0, vmax)
         probe = mech.with_payments(perturbed)
-        dsic = check_dsic(probe, grid_n=grid_n)
-        ir = check_ir(probe, grid_n=grid_n)
+        dsic = check_dsic(probe)
+        ir = check_ir(probe)
         if dsic.passed and ir.passed:
-            uncaught.append(float(off))
-    witness = {"offsets": [float(o) for o in offsets], "uncaught": uncaught}
+            uncaught.append(off)
+    witness = {"offsets": list(PROBE_OFFSETS), "uncaught": uncaught}
     return AuditCheck("uniqueness_probe", not uncaught, float(len(uncaught)), witness)
 
 
-def run_standard_audit(
-    mech: PaymentSchedule,
-    *,
-    grid_n: int = 201,
-    dsic_tol: float = 1e-6,
-    ir_tol: float = 1e-9,
-    characterization_tol: float = 1e-9,
-    probe_offsets: Sequence[float] = (0.01, -0.01),
-) -> AuditReport:
+def run_standard_audit(mech: PaymentSchedule) -> AuditReport:
     """The audit battery used by the command-line front end."""
-    mono = mech.allocation.check_monotone(grid_n=max(grid_n, 201))
+    mono = mech.allocation.check_monotone(grid_n=AUDIT_GRID_N)
     checks = (
         AuditCheck(
             "monotone",
@@ -211,10 +209,10 @@ def run_standard_audit(
             mono.worst_violation,
             None if mono.passed else {"at_v": mono.at_v},
         ),
-        check_characterization(mech, grid_n=grid_n, tol=characterization_tol),
-        check_dsic(mech, grid_n=grid_n, tol=dsic_tol),
-        check_ir(mech, grid_n=grid_n, tol=ir_tol),
-        uniqueness_probe(mech, offsets=probe_offsets, grid_n=grid_n),
+        check_characterization(mech),
+        check_dsic(mech),
+        check_ir(mech),
+        uniqueness_probe(mech),
     )
     return AuditReport(checks)
 
@@ -228,18 +226,16 @@ def profile_audit(
     vmax: float = 1.0,
     *,
     opponent_grid_n: int = 21,
-    own_grid_n: int = 201,
-    tol: float = 1e-6,
-    ir_tol: float = 1e-9,
-    schedule_grid_n: int = 2001,
 ) -> AuditReport:
     """Audit a multi-bidder rule bidder-by-bidder across opponent bid profiles.
 
     ``factory(i, opponent_bids)`` must return the allocation curve bidder i
-    faces as a function of its own bid when the others bid as given. Each
-    induced single-bidder mechanism (with bidder i's target) is checked for
-    truthfulness and feasibility; non-monotone induced curves are reported
-    without deriving payments for them.
+    faces as a function of its own bid when the others bid as given, each on
+    an ``opponent_grid_n``-point grid over [0, vmax]. Each induced
+    single-bidder mechanism (bidder i's target, payments on a
+    ``PROFILE_SCHEDULE_GRID_N``-point schedule) gets ``check_dsic`` and
+    ``check_ir``; non-monotone induced curves are reported without deriving
+    payments for them.
 
     The factory is called for every profile, but each distinct induced
     (rule, target) pair is audited once per call: rules and targets are
@@ -263,12 +259,12 @@ def profile_audit(
             rule = factory(i, bids)
             key = (rule, ms[i])
             if key not in audited:
-                mono = rule.check_monotone(grid_n=own_grid_n)
+                mono = rule.check_monotone(grid_n=AUDIT_GRID_N)
                 dsic = ir = None
                 if mono.passed:
-                    mech = payment_schedule(rule, ms[i], grid_n=schedule_grid_n)
-                    dsic = check_dsic(mech, grid_n=own_grid_n, tol=tol)
-                    ir = check_ir(mech, grid_n=own_grid_n, tol=ir_tol)
+                    mech = payment_schedule(rule, ms[i], grid_n=PROFILE_SCHEDULE_GRID_N)
+                    dsic = check_dsic(mech)
+                    ir = check_ir(mech)
                 audited[key] = (mono, dsic, ir)
             mono, dsic, ir = audited[key]
             if not mono.passed:
@@ -290,10 +286,10 @@ def profile_audit(
             witness["profile_monotone"],
         ),
         AuditCheck(
-            "profile_dsic", worst["profile_dsic"] <= tol, worst["profile_dsic"], witness["profile_dsic"]
+            "profile_dsic", worst["profile_dsic"] <= DSIC_TOL, worst["profile_dsic"], witness["profile_dsic"]
         ),
         AuditCheck(
-            "profile_ir", worst["profile_ir"] <= ir_tol, worst["profile_ir"], witness["profile_ir"]
+            "profile_ir", worst["profile_ir"] <= IR_TOL, worst["profile_ir"], witness["profile_ir"]
         ),
     )
     return AuditReport(checks)

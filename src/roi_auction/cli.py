@@ -112,6 +112,11 @@ def _mechanism_from_file(path: str, args, grid_n: int) -> PaymentSchedule:
         raise DescriptorError("schedule grid and payments must be finite numbers")
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0) or grid[-1] > rule.vmax * (1 + 1e-12):
         raise DescriptorError("schedule grid must increase strictly from 0 within [0, vmax]")
+    with np.errstate(over="ignore"):
+        slopes = np.diff(payments) / np.diff(grid)
+    if not np.all(np.isfinite(slopes)):
+        # the schedule is interpolated between its points, so each slope must be a float
+        raise DescriptorError("schedule payments change too fast between grid points to interpolate")
     return schedule_on(rule, m, grid).with_payments(payments)
 
 

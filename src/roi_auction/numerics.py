@@ -18,6 +18,9 @@ from .errors import QuadratureError
 #: densities, allocation rules and payments are lowered to tuples of these
 PowerPiece = tuple[float, float, tuple[tuple[float, float], ...]]
 
+#: Bisection steps bisect_root takes at most before returning its bracket midpoint.
+BISECT_MAX_ITER = 200
+
 
 def _simpson(fa: float, fm: float, fb: float, a: float, b: float) -> float:
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -98,11 +101,11 @@ def bisect_root(
     hi: float,
     *,
     x_tol: float,
-    max_iter: int = 200,
 ) -> float:
     """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must not share a sign.
 
-    Stops when the bracket is narrower than ``x_tol`` and returns its midpoint.
+    Stops when the bracket is narrower than ``x_tol``, or after
+    ``BISECT_MAX_ITER`` steps, and returns its midpoint.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -112,7 +115,7 @@ def bisect_root(
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         if hi - lo <= x_tol:
             break
         mid = 0.5 * (lo + hi)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import AllocationRule, make_power_ramp
+from .allocation import make_power_ramp
 from .audit import AuditCheck, AuditReport
 from .distributions import ValueDistribution
 from .errors import ConstructionError, DomainError, PreconditionError, QuadratureError
@@ -42,6 +42,10 @@ from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, _envelope, pay
 from .revenue import expected_revenue_quadrature
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+#: Grid and pass tolerance of structural_audit's shape checks.
+STRUCTURAL_GRID_N = 2001
+STRUCTURAL_TOL = 1e-7
 
 
 class BoundaryCase(enum.Enum):
@@ -92,7 +96,7 @@ def revenue_derivative(dist: ValueDistribution, m: RoiTarget, threshold: float) 
 
 
 def solve_threshold(
-    dist: ValueDistribution, m: RoiTarget, tol: float = 1e-9, dmr_grid_n: int = 1001
+    dist: ValueDistribution, m: RoiTarget, tol: float = 1e-9
 ) -> tuple[float, BoundaryCase]:
     """Threshold where the weighted marginal-revenue integral vanishes.
 
@@ -106,7 +110,7 @@ def solve_threshold(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConstructionError(f"solver tolerance must be positive and finite, got {tol!r}")
-    report = dist.check_dmr(dmr_grid_n)
+    report = dist.check_dmr()
     if not report.passed:
         raise PreconditionError(
             "threshold solver needs non-decreasing marginal revenue; " + report.summary(),
@@ -156,7 +160,6 @@ class OptimalSolution:
 
     threshold: float
     boundary_case: BoundaryCase
-    allocation: AllocationRule
     schedule: PaymentSchedule
     expected_revenue: float
 
@@ -174,7 +177,7 @@ class OptimalSolution:
                 "schedule_csv_path": schedule_csv_path,
             }
         )
-        out["allocation"] = self.allocation.descriptor()
+        out["allocation"] = self.schedule.allocation.descriptor()
         return out
 
 
@@ -192,31 +195,27 @@ def optimal_mechanism(
     return OptimalSolution(
         threshold=threshold,
         boundary_case=case,
-        allocation=rule,
         schedule=schedule,
         expected_revenue=revenue,
     )
 
 
-def structural_audit(
-    sol: OptimalSolution,
-    dist: ValueDistribution,
-    grid_n: int = 2001,
-    tol: float = 1e-7,
-) -> AuditReport:
+def structural_audit(sol: OptimalSolution, dist: ValueDistribution) -> AuditReport:
     """Shape checks any optimizer must satisfy, applied to a candidate solution.
 
-    Flat detection works on forward-difference slopes, so a ramp steeper than
-    tol per cell everywhere (true for ratio >= 1.5 on these grids) is never
-    mistaken for a plateau.
+    Each check passes within ``STRUCTURAL_TOL`` on a ``STRUCTURAL_GRID_N``-point
+    grid plus the rule's knots. Flat detection works on forward-difference
+    slopes, so a ramp steeper than the tolerance per cell everywhere (true for
+    ratio >= 1.5 on these grids) is never mistaken for a plateau.
     """
-    rule = sol.allocation
+    tol = STRUCTURAL_TOL
     sched = sol.schedule
+    rule = sched.allocation
     ratio = sched.m.ratio
     vmax = rule.vmax
     threshold = min(sol.threshold, vmax)
     grid = np.unique(
-        np.concatenate([np.linspace(0.0, vmax, grid_n), np.asarray(rule.knots()), [threshold]])
+        np.concatenate([np.linspace(0.0, vmax, STRUCTURAL_GRID_N), np.asarray(rule.knots()), [threshold]])
     )
     x, _, cap = _envelope(rule, ratio, grid)
     p = sched.value_many(grid)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,13 +37,7 @@ class RevenueEstimate:
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "method": self.method,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _shared_support(mech: PaymentSchedule, dist: ValueDistribution) -> float:
@@ -233,18 +227,7 @@ class ComparisonTable:
     rows: tuple[ComparisonRow, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "name": r.name,
-                    "threshold": r.threshold,
-                    "rev_quad": r.rev_quad,
-                    "rev_mc": r.rev_mc,
-                    "stderr": r.stderr,
-                }
-                for r in self.rows
-            ]
-        }
+        return {"rows": [asdict(r) for r in self.rows]}
 
     def csv_text(self) -> str:
         from .formatting import fmt

@@ -205,15 +205,21 @@ def per_profile_audit(
     vmax: float = 1.0,
     *,
     opponent_grid_n: int = 21,
-    own_grid_n: int = 201,
-    tol: float = 1e-6,
-    ir_tol: float = 1e-9,
-    schedule_grid_n: int = 2001,
 ):
     """profile_audit with every profile's induced mechanism derived and audited afresh."""
     import itertools
 
-    from roi_auction.audit import AuditCheck, AuditReport, check_dsic, check_ir, mechanism_for
+    from roi_auction.audit import (
+        AUDIT_GRID_N,
+        DSIC_TOL,
+        IR_TOL,
+        PROFILE_SCHEDULE_GRID_N,
+        AuditCheck,
+        AuditReport,
+        check_dsic,
+        check_ir,
+        mechanism_for,
+    )
     from roi_auction.errors import ConstructionError
 
     n = len(ms)
@@ -228,18 +234,18 @@ def per_profile_audit(
         for profile in itertools.product(opponents, repeat=n - 1):
             bids = tuple(float(b) for b in profile)
             rule = factory(i, bids)
-            mono = rule.check_monotone(grid_n=own_grid_n)
+            mono = rule.check_monotone(grid_n=AUDIT_GRID_N)
             if not mono.passed:
                 if mono.worst_violation > worst["profile_monotone"]:
                     worst["profile_monotone"] = mono.worst_violation
                     witness["profile_monotone"] = {"bidder": i, "opponents": list(bids)}
                 continue
-            mech = mechanism_for(rule, ms[i], grid_n=schedule_grid_n)
-            dsic = check_dsic(mech, grid_n=own_grid_n, tol=tol)
+            mech = mechanism_for(rule, ms[i], grid_n=PROFILE_SCHEDULE_GRID_N)
+            dsic = check_dsic(mech)
             if dsic.worst_violation > worst["profile_dsic"]:
                 worst["profile_dsic"] = dsic.worst_violation
                 witness["profile_dsic"] = {"bidder": i, "opponents": list(bids), **(dsic.witness or {})}
-            ir = check_ir(mech, grid_n=own_grid_n, tol=ir_tol)
+            ir = check_ir(mech)
             if ir.worst_violation > worst["profile_ir"]:
                 worst["profile_ir"] = ir.worst_violation
                 witness["profile_ir"] = {"bidder": i, "opponents": list(bids), **(ir.witness or {})}
@@ -251,10 +257,10 @@ def per_profile_audit(
             witness["profile_monotone"],
         ),
         AuditCheck(
-            "profile_dsic", worst["profile_dsic"] <= tol, worst["profile_dsic"], witness["profile_dsic"]
+            "profile_dsic", worst["profile_dsic"] <= DSIC_TOL, worst["profile_dsic"], witness["profile_dsic"]
         ),
         AuditCheck(
-            "profile_ir", worst["profile_ir"] <= ir_tol, worst["profile_ir"], witness["profile_ir"]
+            "profile_ir", worst["profile_ir"] <= IR_TOL, worst["profile_ir"], witness["profile_ir"]
         ),
     )
     return AuditReport(checks)

@@ -60,3 +60,16 @@ def perturbed_table_copy(
     values = rule.evaluate(knots) + rng.uniform(-magnitude, magnitude, n_knots)
     values = np.clip(np.maximum.accumulate(values), 0.0, 1.0)
     return make_table(list(zip(knots.tolist(), values.tolist())), vmax=rule.vmax)
+
+
+def flat_start_copy(ramp: AllocationRule, level: float) -> AllocationRule:
+    """A power ramp held at ``level`` until it reaches it: x'(v) = max(x(v), level).
+
+    The ramp scale * v^exponent crosses ``level`` at (level / scale)^(1 / exponent),
+    which for the optimal ramp (v / D)^(1 / (M - 1)) is D level^(M - 1).
+    """
+    head, *tail = ramp.segments
+    shape = head.shape
+    cross = (level / shape.scale) ** (1.0 / shape.exponent)
+    flat = Segment(0.0, cross, Constant(level))
+    return AllocationRule(ramp.vmax, (flat, Segment(cross, head.hi, shape), *tail))

@@ -90,32 +90,6 @@ def test_evaluate_never_decreases(seed, a, b):
     assert rule.evaluate(lo) <= rule.evaluate(hi) + 1e-12
 
 
-def test_with_floor_prepends_flat_run():
-    floored = RAMP.with_floor(0.1)
-    # the ramp reaches 0.1 at v = 0.075
-    assert floored.evaluate(0.0) == pytest.approx(0.1)
-    assert floored.evaluate(0.05) == pytest.approx(0.1)
-    assert floored.evaluate(0.075) == pytest.approx(0.1)
-    assert floored.evaluate(0.2) == pytest.approx(RAMP.evaluate(0.2))
-    assert floored.check_monotone().passed
-    # integral gains exactly the area between floor and ramp head
-    area = 0.1 * 0.075 - (4 / 3) * 0.075**2 / 2
-    assert floored.prefix_integral(1.0) == pytest.approx(RAMP.prefix_integral(1.0) + area)
-
-
-def test_with_floor_on_table_rule():
-    floored = TABLE.with_floor(0.2)
-    assert floored.evaluate(0.0) == pytest.approx(0.2)
-    assert floored.evaluate(0.45) == pytest.approx(0.2)
-    assert floored.evaluate(0.8) == pytest.approx(TABLE.evaluate(0.8))
-    assert floored.check_monotone().passed
-
-
-def test_with_floor_above_everything_gives_constant():
-    flat = STEP.with_floor(1.0)
-    assert flat.evaluate(0.1) == 1.0
-
-
 def test_constructor_guards():
     with pytest.raises(ConstructionError):
         make_step(1.0, 1.0)  # threshold must sit strictly below vmax

@@ -206,6 +206,18 @@ def _linear_density(breakpoints: list, densities: list) -> dict:
 # the grid, but the t^2 coefficient of psi on the first piece, vmax^2 y / w, overflows
 STEEP_Y = 1.0 / (0.5e-300 + (1e10 - 1e-300))
 
+# a hand schedule whose one cell has slope -1.8e308 / 1e-300: its interpolant overflows to -inf
+TINY_CELL_SCHEDULE = {
+    "allocation": {
+        "vmax": 1e-300,
+        "segments": [
+            {"lo": 0.0, "hi": 5e-301, "shape": {"type": "constant", "level": 0.0}},
+            {"lo": 5e-301, "hi": 1e-300, "shape": {"type": "constant", "level": 0.0}},
+        ],
+    },
+    "schedule": {"grid": [0.0, 1e-300], "payments": [0.0, -179769314.0]},
+}
+
 
 @pytest.mark.parametrize(
     "command,desc",
@@ -221,6 +233,7 @@ STEEP_Y = 1.0 / (0.5e-300 + (1e10 - 1e-300))
         ("payment-table", _one_segment_rule({"type": "power", "scale": 0, "exponent": 2}, 1e300)),
         ("dmr-check", {"kind": [], "vmax": 1.0}),
         ("payment-table", _one_segment_rule({"type": ["constant"], "level": 1.0})),
+        ("audit", TINY_CELL_SCHEDULE),
     ],
     ids=[
         "big_uniform_vmax",
@@ -232,6 +245,7 @@ STEEP_Y = 1.0 / (0.5e-300 + (1e10 - 1e-300))
         "power_integral_overflow",
         "list_kind",
         "list_shape_type",
+        "schedule_slope_overflow",
     ],
 )
 def test_out_of_range_or_mistyped_descriptors_are_unusable_input(

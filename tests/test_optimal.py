@@ -27,7 +27,7 @@ from roi_auction import (
     threshold_integral,
 )
 from oracles import central_difference, simpson_integral
-from random_rules import perturbed_table_copy
+from random_rules import flat_start_copy, perturbed_table_copy
 
 UNIFORM = UniformDistribution(1.0)
 POWER2 = PowerCdfDistribution(2.0)
@@ -248,7 +248,7 @@ def test_optimal_mechanism_revenue(dist, m, want_d, want_rev):
     sol = optimal_mechanism(dist, m)
     assert sol.threshold == pytest.approx(want_d, abs=1e-9)
     assert sol.expected_revenue == pytest.approx(want_rev, abs=1e-9)
-    assert sol.allocation.evaluate(sol.threshold) == 1.0
+    assert sol.schedule.allocation.evaluate(sol.threshold) == 1.0
 
 
 def test_uniform_revenue_increases_with_ratio():
@@ -299,7 +299,6 @@ def test_structural_audit_rejects_capped_myerson_step():
     fake = OptimalSolution(
         threshold=0.5,
         boundary_case=BoundaryCase.INTERIOR_ROOT,
-        allocation=step,
         schedule=sched.with_payments(2.0 * sched.myerson),
         expected_revenue=0.0,
     )
@@ -317,7 +316,6 @@ def test_structural_audit_on_null_rule_fails_only_threshold_allocation():
     fake = OptimalSolution(
         threshold=1.0,
         boundary_case=BoundaryCase.FULL_SUPPORT,
-        allocation=null,
         schedule=payment_schedule(null, M2, grid_n=501),
         expected_revenue=0.0,
     )
@@ -345,7 +343,7 @@ def test_domain_guards():
 @pytest.mark.parametrize("seed", range(10))
 def test_monotone_perturbations_never_beat_the_optimum(seed):
     sol = optimal_mechanism(UNIFORM, M2)
-    nearby = perturbed_table_copy(sol.allocation, seed, n_knots=41, magnitude=0.03)
+    nearby = perturbed_table_copy(sol.schedule.allocation, seed, n_knots=41, magnitude=0.03)
     mech = payment_schedule(nearby, M2, grid_n=2001)
     rev = expected_revenue_quadrature(mech, UNIFORM).mean
     assert rev <= sol.expected_revenue + 1e-8
@@ -353,7 +351,7 @@ def test_monotone_perturbations_never_beat_the_optimum(seed):
 
 def test_flat_start_strictly_hurts():
     sol = optimal_mechanism(UNIFORM, M2)
-    flattened = sol.allocation.with_floor(0.1)
+    flattened = flat_start_copy(sol.schedule.allocation, 0.1)
     mech = payment_schedule(flattened, M2, grid_n=2001)
     rev = expected_revenue_quadrature(mech, UNIFORM).mean
     assert rev < sol.expected_revenue - 1e-6
