@@ -12,6 +12,7 @@ rerunning a command reproduces its bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -122,7 +123,7 @@ def _mechanism_from_file(path: str, args, grid_n: int) -> PaymentSchedule:
 
 def _cmd_dmr_check(args) -> int:
     dist = distribution_from_descriptor(_load_json(args.file))
-    report = dist.check_dmr(grid_n=args.grid if args.grid is not None else 1001)
+    report = dist.check_dmr() if args.grid is None else dist.check_dmr(grid_n=args.grid)
     if args.format == "json":
         _emit(_json_text(report.to_dict()), args.out)
     elif args.format == "csv":
@@ -238,7 +239,9 @@ def _cmd_example1(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on the first main call and reused; parse_args keeps no state between calls
     shared = _Parser(add_help=False)
     shared.add_argument("--m", type=float, default=None, help="target return ratio (> 1)")
     shared.add_argument("--grid", type=int, default=None, help="payment grid size")

@@ -7,7 +7,11 @@ from typing import Any
 
 
 def fmt(x: float) -> str:
-    """Fixed 12-significant-digit rendering, the package-wide float format."""
+    """Fixed 12-significant-digit rendering, the package-wide float format.
+
+    ``PaymentSchedule.write_csv`` renders the same ``.12g`` spec through
+    %-formatting, a block of rows at a time; the two give the same text.
+    """
     return format(float(x), ".12g")
 
 

@@ -19,13 +19,16 @@ Ratio limit: g and R grow like ratio * vmax, so for ratios of 100 and more the
 payment error is up to about ratio 2^-52 vmax (tested below twice that); at
 ratio 1e8 on [0, 1] it exceeds the audits' 1e-9 characterization tolerance.
 From ratio 2^51 on that bound is vmax itself, the whole payment range, so
-``RoiTarget`` refuses such ratios.
+``RoiTarget`` refuses such ratios. Payments stay within (ratio + 1) vmax in
+magnitude, so ``schedule_on`` refuses a rule and ratio where that passes half
+the float range.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import IO
@@ -34,9 +37,13 @@ import numpy as np
 
 from .allocation import AllocationRule
 from .errors import ConstructionError
-from .formatting import fmt
 
 DEFAULT_GRID_N = 10_001
+
+# rows per write in ``write_csv``: one %-format call each, so the text of a
+# whole schedule is never held at once
+_CSV_BLOCK_ROWS = 1024
+_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g\n"
 
 #: Feasibility slack for the hard constraint v * x >= p, fixed package-wide.
 FEASIBILITY_TOL = 1e-12
@@ -95,6 +102,13 @@ def _candidate_grid(rule: AllocationRule, ratio: float, grid_n: int) -> np.ndarr
 
 def schedule_on(rule: AllocationRule, m: RoiTarget, grid: np.ndarray) -> PaymentSchedule:
     """Derived payments on an increasing grid from 0, via one running-max sweep."""
+    # with x in [0, 1], g, R - g and p = v x - (R - g) stay within (ratio + 1) vmax;
+    # keep that a factor 2 inside the float range, for the revenue sums built on it
+    if not (m.ratio + 1.0) * rule.vmax <= sys.float_info.max / 2.0:
+        raise ConstructionError(
+            f"ROI ratio {m.ratio!r} times vmax {rule.vmax!r} leaves the float range; "
+            "payments would overflow"
+        )
     x, pt, g = _envelope(rule, m.ratio, grid)
     reb = np.maximum.accumulate(g)
     return PaymentSchedule(
@@ -173,8 +187,12 @@ class PaymentSchedule:
         return buf.getvalue()
 
     def write_csv(self, fp: IO[str]) -> None:
+        """Columns v, x, p_myerson, p_roi, rebate at 12 significant digits
+        (``formatting.fmt``'s spec), one %-formatted block of rows per write."""
         fp.write("v,x,p_myerson,p_roi,rebate\n")
-        for v, x, pm, pr, rb in zip(
-            self.grid, self.allocations, self.myerson, self.payments, self.rebates
-        ):
-            fp.write(f"{fmt(v)},{fmt(x)},{fmt(pm)},{fmt(pr)},{fmt(rb)}\n")
+        rows = np.column_stack(
+            (self.grid, self.allocations, self.myerson, self.payments, self.rebates)
+        )
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            fp.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))

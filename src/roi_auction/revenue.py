@@ -174,15 +174,20 @@ def expected_revenue_mc(
         raise ConstructionError(f"need at least one sample, got {n}")
     if seed < 0:
         raise ConstructionError(f"seed must be non-negative, got {seed}")
-    _shared_support(mech, dist)
+    vmax = _shared_support(mech, dist)
     pays = np.empty(n)
     for k, start in enumerate(range(0, n, _MC_CHUNK)):
         stop = min(start + _MC_CHUNK, n)
         gen = np.random.Generator(np.random.Philox(key=seed * 2**64 + k))
         u = gen.random(stop - start)
         pays[start:stop] = mech.value_many(dist.quantile(u))
-    mean = float(np.mean(pays))
-    stderr = float(np.std(pays, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    # moments of pays / 2^e with 2^e near vmax, so squares cannot overflow; scaling
+    # by a power of two is exact, so mean and stderr are those of pays itself.
+    # Scaled in place: a second n-float array would raise peak memory.
+    e = math.frexp(vmax)[1]
+    np.ldexp(pays, -e, out=pays)
+    mean = math.ldexp(float(np.mean(pays)), e)
+    stderr = math.ldexp(float(np.std(pays, ddof=1) / math.sqrt(n)), e) if n > 1 else 0.0
     return RevenueEstimate(mean=mean, stderr=stderr, method="monte_carlo", n_samples=n, seed=seed)
 
 

@@ -280,3 +280,11 @@ def broadcast_audit_grid(mech, grid_n: int):
     merge_tol = 10.0 * FEASIBILITY_TOL * max(1.0, mech.allocation.vmax)
     gap = np.min(np.abs(base[:, None] - knots[None, :]), axis=1)
     return np.unique(np.concatenate([base[gap > merge_tol], knots]))
+
+
+def per_row_csv(sched) -> str:
+    """A schedule's CSV text, one row and one ``format(x, ".12g")`` per cell at a time."""
+    lines = ["v,x,p_myerson,p_roi,rebate\n"]
+    for row in zip(sched.grid, sched.allocations, sched.myerson, sched.payments, sched.rebates):
+        lines.append(",".join(format(float(c), ".12g") for c in row) + "\n")
+    return "".join(lines)

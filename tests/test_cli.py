@@ -294,6 +294,74 @@ def test_linear_rule_past_float_range_of_v_squared_audits_without_nan(tmp_path, 
     assert "overall: PASS" in out
 
 
+def test_ratio_times_vmax_past_float_range_is_unusable_input(tmp_path, capsys):
+    # g = ratio p~ - v x overflowed in payments._envelope: rev(quad) printed nan and inf
+    desc = {"kind": "power_cdf", "vmax": 1e300, "exponent": 88.17}
+    path = _write(tmp_path, "huge.json", desc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["compare", path, "--m", "1e15"]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert "leaves the float range" in _single_error_line(capsys)
+
+
+def test_monte_carlo_stderr_stays_finite_at_large_payments(tmp_path, capsys):
+    # np.std squared payments near 1e160 and printed "+/- inf" with an overflow warning
+    path = _write(tmp_path, "wide.json", {"kind": "uniform", "vmax": 1e160})
+    code, out = _run_quietly(["compare", path, "--m", "1e15"], capsys)
+    assert code == 0
+    stderrs = [float(line.rsplit("+/- ", 1)[1]) for line in out.splitlines()]
+    assert len(stderrs) == 2
+    assert all(math.isfinite(se) and se > 0.0 for se in stderrs)
+
+
+def _fresh_interpreter_stdout(argv: list[str]) -> str:
+    src = str(Path(roi_auction.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "roi_auction.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    return done.stdout
+
+
+def test_parser_reuse_keeps_no_options_between_calls(uniform_file, tmp_path, capsys, monkeypatch):
+    import roi_auction.cli as cli
+
+    seen = []
+    for name, command in cli._COMMANDS.items():
+        def record(args, command=command):
+            seen.append(vars(args).copy())
+            return command(args)
+
+        monkeypatch.setitem(cli._COMMANDS, name, record)
+    out = str(tmp_path / "sol.json")
+    runs = [
+        (["solve", uniform_file, "--m", "2", "--grid", "51", "--format", "json", "--out", out], 0),
+        (["compare", uniform_file, "--m", "3", "--tol", "1e-3", "--seed", "5", "--bogus"], 2),
+        (["compare", uniform_file, "--m", "2"], 0),
+        (["example1"], 0),
+    ]
+    stdouts = []
+    for argv, code in runs:
+        assert main(argv) == code
+        stdouts.append(capsys.readouterr().out)
+    # grid None resolves to payments.DEFAULT_GRID_N (10,001) in each command
+    defaults = {"grid": None, "format": "text", "tol": 1e-9, "seed": 0, "mc_samples": 100_000}
+    # the usage error never reaches a command
+    assert seen == [
+        {**defaults, "command": "solve", "file": uniform_file, "m": 2.0, "grid": 51,
+         "format": "json", "out": out},
+        {**defaults, "command": "compare", "file": uniform_file, "m": 2.0, "out": None},
+        {**defaults, "command": "example1", "m": None, "out": None},
+    ]
+    for (argv, _), stdout in zip(runs, stdouts):
+        assert stdout == _fresh_interpreter_stdout(argv)
+
+
 @pytest.mark.parametrize(
     "raw",
     [
@@ -634,9 +702,14 @@ def test_exit_code_contract_holds_on_generated_inputs(command, m, tol, fmt, grid
         argv += ["--out", os.path.join(tmp, "out.json")] + ([] if m is None else [f"--m={m}"])
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if code == 0:
+        # stderr holds only error lines, and warnings would have printed there
+        assert err.getvalue() == "" and [str(w.message) for w in caught] == []
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,20 +1,26 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from roi_auction import (
+    ConditioningWarning,
     ConstructionError,
     DomainError,
     RoiTarget,
+    distribution_from_descriptor,
     make_piecewise_constant,
     make_power_ramp,
     make_step,
     myerson_payment,
+    optimal_mechanism,
     payment_schedule,
     roi_violation,
     run_standard_audit,
 )
-from oracles import brute_rebate, brute_roi_payment, exact_payments
+from oracles import brute_rebate, brute_roi_payment, exact_payments, per_row_csv
 from random_rules import random_monotone_rule
 
 M2 = RoiTarget(2.0)
@@ -173,6 +179,60 @@ def test_schedule_csv_golden():
         "0.75,1,0.4,0.4,0.4\n"
         "1,1,0.4,0.4,0.4\n"
     )
+
+
+# every value whose %-format and format() renderings could plausibly differ
+CSV_SPECIALS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e21,
+    float("inf"), float("-inf"), float("nan"), 1.0 / 3.0, 0.1, 123456789012.5,
+]
+
+
+def _hand_schedule(columns: np.ndarray):
+    """A hand schedule whose five CSV columns are the rows of ``columns``."""
+    base = payment_schedule(make_step(0.4, 1.0), M2, grid_n=5)
+    grid, allocations, myerson, payments, rebates = columns
+    sched = replace(base, grid=grid, allocations=allocations, myerson=myerson, rebates=rebates)
+    return sched.with_payments(payments)
+
+
+def test_schedule_csv_matches_per_row_writer_on_special_values():
+    specials = np.asarray(CSV_SPECIALS)
+    # each column holds every special value, in a different order
+    columns = np.stack([np.roll(specials, k) for k in range(5)])
+    sched = _hand_schedule(columns)
+    assert sched.csv_text() == per_row_csv(sched)
+    assert "\n0.333333333333,nan,-inf,inf,1e+21\n" in sched.csv_text()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 2049])
+def test_schedule_csv_matches_per_row_writer_across_block_boundaries(rows):
+    rng = np.random.default_rng(rows)
+    columns = rng.standard_normal((5, rows)) * 10.0 ** rng.integers(-300, 300, (5, rows))
+    columns.flat[rng.integers(0, columns.size, 8)] = rng.choice(CSV_SPECIALS, 8)
+    sched = _hand_schedule(columns)
+    text = sched.csv_text()
+    assert text == per_row_csv(sched)
+    assert text.count("\n") == rows + 1
+
+
+@pytest.mark.parametrize("ratio", [1.01, 2.0, 20.0])
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"kind": "uniform", "vmax": 1.0},
+        {"kind": "power_cdf", "vmax": 3.0, "exponent": 2.0},
+        {"kind": "piecewise_linear_density", "vmax": 1.0, "breakpoints": [0.0, 1.0],
+         "densities": [0.5, 1.5]},
+        {"kind": "tabulated_cdf", "vmax": 1.0, "points": [[0.0, 0.0], [0.5, 0.3], [1.0, 1.0]]},
+    ],
+    ids=lambda d: d["kind"],
+)
+def test_schedule_csv_matches_per_row_writer_on_optimal_ramps(desc, ratio):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        sol = optimal_mechanism(distribution_from_descriptor(desc), RoiTarget(ratio))
+    assert sol.schedule.csv_text() == per_row_csv(sol.schedule)
 
 
 def test_hand_schedules_interpolate_and_hide_rebates():
