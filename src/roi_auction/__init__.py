@@ -46,13 +46,11 @@ from .errors import (
     PreconditionError,
     QuadratureError,
     RoiAuctionError,
-    SingularityError,
 )
 from .optimal import (
     BoundaryCase,
     OptimalSolution,
     optimal_mechanism,
-    revenue_derivative,
     solve_threshold,
     structural_audit,
     threshold_integral,
@@ -61,9 +59,7 @@ from .payments import (
     DEFAULT_GRID_N,
     PaymentSchedule,
     RoiTarget,
-    myerson_payment,
     payment_schedule,
-    roi_violation,
 )
 from .revenue import (
     ComparisonRow,
@@ -101,7 +97,6 @@ __all__ = [
     "RoiAuctionError",
     "RoiTarget",
     "Segment",
-    "SingularityError",
     "TabulatedCdf",
     "UniformDistribution",
     "ValueDistribution",
@@ -120,12 +115,9 @@ __all__ = [
     "make_step",
     "make_table",
     "myerson_baseline",
-    "myerson_payment",
     "optimal_mechanism",
     "payment_schedule",
     "profile_audit",
-    "revenue_derivative",
-    "roi_violation",
     "run_standard_audit",
     "solve_threshold",
     "structural_audit",

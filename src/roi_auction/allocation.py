@@ -217,17 +217,21 @@ class TableShape:
         xt = np.interp(t, self._vs, self._xs)
         return self._cum[i] + 0.5 * (xa + xt) * (t - va)
 
-    def stationary(self, lo: float, hi: float, ratio: float) -> tuple[float, ...]:
+    @cached_property
+    def _cells(self) -> tuple[Linear, ...]:
+        """The line through each pair of neighbouring points."""
+        vs, xs = self._vs.tolist(), self._xs.tolist()
         out = []
-        vs, xs = self._vs, self._xs
         for va, vb, xa, xb in zip(vs[:-1], vs[1:], xs[:-1], xs[1:]):
             slope = (xb - xa) / (vb - va)
-            denom = slope * (ratio - 2.0)
-            if denom == 0.0:
-                continue
-            z = (xa - slope * va) / denom
-            if va < z < vb:
-                out.append(float(z))
+            out.append(Linear(slope, xa - slope * va))
+        return tuple(out)
+
+    def stationary(self, lo: float, hi: float, ratio: float) -> tuple[float, ...]:
+        vs = self._vs.tolist()
+        out: list[float] = []
+        for va, vb, cell in zip(vs[:-1], vs[1:], self._cells):
+            out.extend(cell.stationary(va, vb, ratio))
         return tuple(out)
 
     def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
@@ -236,10 +240,9 @@ class TableShape:
     def pieces(self, lo: float, hi: float, vmax: float) -> tuple[PowerPiece, ...]:
         # one linear piece per cell; the outer cell ends are the segment's own
         edges = (lo, *self.interior_knots(lo, hi), hi)
-        out = []
-        for i, ((va, xa), (vb, xb)) in enumerate(zip(self.points[:-1], self.points[1:])):
-            slope = (xb - xa) / (vb - va)
-            out.append((edges[i], edges[i + 1], ((xa - slope * va, 0.0), (slope * vmax, 1.0))))
+        out: list[PowerPiece] = []
+        for a, b, cell in zip(edges[:-1], edges[1:], self._cells):
+            out.extend(cell.pieces(a, b, vmax))
         return tuple(out)
 
     def descriptor(self) -> dict:
@@ -287,7 +290,7 @@ class AllocationRule:
         parts = [float(s.shape.integral(s.lo, s.hi)) for s in self.segments]
         return np.concatenate([[0.0], np.cumsum(parts)])
 
-    def _per_segment(self, v, side: str, fn):
+    def _per_segment(self, v, fn):
         """fn(i, segment, points) on the points in each segment, which must lie in
         [0, vmax] up to the join tolerance; a float for a scalar v."""
         arr = np.asarray(v, dtype=float)
@@ -297,7 +300,7 @@ class AllocationRule:
             if float(np.min(a)) < -slack or float(np.max(a)) > self.vmax + slack:
                 raise DomainError(f"evaluation point outside [0, {self.vmax}]")
         a = np.clip(a, 0.0, self.vmax)
-        idx = np.clip(np.searchsorted(self._los, a, side=side) - 1, 0, len(self.segments) - 1)
+        idx = np.clip(np.searchsorted(self._los, a, side="right") - 1, 0, len(self.segments) - 1)
         out = np.empty_like(a)
         for i, seg in enumerate(self.segments):
             mask = idx == i
@@ -307,17 +310,11 @@ class AllocationRule:
 
     def evaluate(self, v):
         """Allocation at v; the right limit at every jump."""
-        return self._per_segment(v, "right", lambda i, seg, a: seg.shape.value(a))
-
-    def left_value(self, v):
-        """Limit of the allocation from below; equals evaluate away from joins."""
-        return self._per_segment(v, "left", lambda i, seg, a: seg.shape.value(a))
+        return self._per_segment(v, lambda i, seg, a: seg.shape.value(a))
 
     def prefix_integral(self, v):
         """Exact integral of the allocation from 0 to v."""
-        return self._per_segment(
-            v, "right", lambda i, seg, a: self._cum[i] + seg.shape.integral(seg.lo, a)
-        )
+        return self._per_segment(v, lambda i, seg, a: self._cum[i] + seg.shape.integral(seg.lo, a))
 
     def knots(self) -> tuple[float, ...]:
         """Segment endpoints plus interior table vertices, sorted."""
@@ -363,6 +360,14 @@ class AllocationRule:
             if left - right > worst:
                 worst = left - right
                 at = v0
+        # a fall spread over a segment or table cell can stay below tol per grid step
+        for seg in self.segments:
+            ends = np.asarray((seg.lo, *seg.shape.interior_knots(seg.lo, seg.hi), seg.hi))
+            falls = seg.shape.value(ends[:-1]) - seg.shape.value(ends[1:])
+            i = int(np.argmax(falls))
+            if falls[i] > worst:
+                worst = float(falls[i])
+                at = float(ends[i])
         return MonotonicityReport(
             passed=worst <= MONOTONE_TOL,
             worst_violation=max(worst, 0.0),
@@ -454,14 +459,12 @@ def make_power_ramp(threshold: float, roi_ratio: float, vmax: float = 1.0) -> Al
     return AllocationRule(vmax, (ramp, Segment(threshold, vmax, Constant(1.0))))
 
 
-def make_table(points: Sequence[Sequence[float]], vmax: float | None = None) -> AllocationRule:
-    """Monotone piecewise-linear rule through the given (v, x) samples."""
+def make_table(points: Sequence[Sequence[float]]) -> AllocationRule:
+    """Monotone piecewise-linear rule through (v, x) samples from v = 0 to vmax."""
     pts = tuple((float(v), float(x)) for v, x in points)
     if len(pts) < 2 or pts[0][0] != 0.0:
         raise ConstructionError("table rules need points starting at v=0")
-    top = pts[-1][0] if vmax is None else float(vmax)
-    if pts[-1][0] != top:
-        raise ConstructionError("last table point must sit at vmax")
+    top = pts[-1][0]
     xs = [x for _, x in pts]
     if any(b < a - _RANGE_TOL for a, b in zip(xs[:-1], xs[1:])):
         raise ConstructionError("table values must be non-decreasing")

@@ -21,13 +21,15 @@ from .formatting import json_ready
 from .payments import FEASIBILITY_TOL, PaymentSchedule, RoiTarget, payment_schedule
 
 #: The fixed audit policy: the own-value grid, each check's pass tolerance, the
-#: uniqueness probe's payment shifts (in units of max(1, vmax)), and the grid of
-#: the payment schedule derived for each induced rule of a profile audit.
+#: uniqueness probe's payment shifts (in units of max(1, vmax)), and, for a
+#: profile audit, the grid of opponent bids and the grid of the payment schedule
+#: derived for each induced rule.
 AUDIT_GRID_N = 201
 DSIC_TOL = 1e-6
 IR_TOL = 1e-9
 CHARACTERIZATION_TOL = 1e-9
 PROBE_OFFSETS = (0.01, -0.01)
+PROFILE_OPPONENT_GRID_N = 21
 PROFILE_SCHEDULE_GRID_N = 2001
 
 #: rows of the misreport matrices that check_dsic holds at once
@@ -224,14 +226,12 @@ def profile_audit(
     factory: ProfileFactory,
     ms: Sequence[RoiTarget],
     vmax: float = 1.0,
-    *,
-    opponent_grid_n: int = 21,
 ) -> AuditReport:
     """Audit a multi-bidder rule bidder-by-bidder across opponent bid profiles.
 
     ``factory(i, opponent_bids)`` must return the allocation curve bidder i
     faces as a function of its own bid when the others bid as given, each on
-    an ``opponent_grid_n``-point grid over [0, vmax]. Each induced
+    a ``PROFILE_OPPONENT_GRID_N``-point grid over [0, vmax]. Each induced
     single-bidder mechanism (bidder i's target, payments on a
     ``PROFILE_SCHEDULE_GRID_N``-point schedule) gets ``check_dsic`` and
     ``check_ir``; non-monotone induced curves are reported without deriving
@@ -249,7 +249,7 @@ def profile_audit(
         raise ConstructionError("profile audits need at least two bidders")
     if n > 3:
         raise ConstructionError("profile audits support at most three bidders")
-    opponents = np.linspace(0.0, vmax, opponent_grid_n)
+    opponents = np.linspace(0.0, vmax, PROFILE_OPPONENT_GRID_N)
     worst = {"profile_monotone": 0.0, "profile_dsic": 0.0, "profile_ir": 0.0}
     witness: dict[str, dict | None] = {k: None for k in worst}
     audited: dict[tuple[AllocationRule, RoiTarget], tuple] = {}

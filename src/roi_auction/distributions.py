@@ -1,9 +1,8 @@
 """Value distributions on [0, vmax] and their revenue-theory curves.
 
-Every distribution exposes the CDF F, a density f, the virtual value
-v - (1 - F(v)) / f(v), and the density-weighted virtual value
-v f(v) + F(v) - 1 whose monotonicity (the DMR property) gates the
-threshold solver. Tabulated and piecewise kinds store the density and
+Every distribution exposes the CDF F, a density f, and the density-weighted
+virtual value v f(v) + F(v) - 1 whose monotonicity (the DMR property) gates
+the threshold solver. Tabulated and piecewise kinds store the density and
 integrate it exactly; no numerical differentiation happens at runtime.
 
 Each kind lowers only its density, to pieces of power terms in the
@@ -22,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConstructionError, DescriptorError, DomainError, SingularityError
+from .errors import ConstructionError, DescriptorError, DomainError
 from .numerics import PowerPiece
 
 _SUPPORT_SLACK = 1e-12
@@ -103,17 +102,6 @@ class ValueDistribution(abc.ABC):
         a, scalar = _prepare(v, self.vmax)
         return _ret(self._pdf(a), scalar)
 
-    def virtual_value(self, v):
-        """v - (1 - F(v)) / f(v). Raises SingularityError where f vanishes."""
-        a, scalar = _prepare(v, self.vmax)
-        f = self._pdf(a)
-        if np.any(f <= 0.0):
-            where = float(a[int(np.argmax(f <= 0.0))])
-            raise SingularityError(
-                f"density vanishes at v={where:.6g}; virtual value is undefined there"
-            )
-        return _ret(a - (1.0 - self._cdf(a)) / f, scalar)
-
     def _psi(self, v: np.ndarray) -> np.ndarray:
         return v * self._pdf(v) + self._cdf(v) - 1.0
 
@@ -154,7 +142,8 @@ class ValueDistribution(abc.ABC):
         return _ret(self._quantile(a), scalar)
 
     def check_dmr(self, grid_n: int = 1001) -> DmrReport:
-        """Grid test that the density-weighted virtual value never decreases."""
+        """Test that the density-weighted virtual value never decreases: on a
+        grid, and across every interior breakpoint of ``pdf_pieces``."""
         if grid_n < 2:
             raise ConstructionError("check_dmr needs at least two grid points")
         grid = np.linspace(0.0, self.vmax, grid_n)
@@ -167,13 +156,25 @@ class ValueDistribution(abc.ABC):
         drops = psi[:-1] - psi[1:]
         worst_idx = int(np.argmax(drops))
         worst = float(drops[worst_idx])
+        worst_at = float(grid[worst_idx]) if worst > 0.0 else None
         violating = drops > tol
-        passed = not bool(np.any(violating))
+        first = float(grid[int(np.argmax(violating))]) if np.any(violating) else None
+        # F is continuous, so psi falls by b (f(b-) - f(b+)) where the density falls at
+        # a breakpoint b, which a rising grid cell across b can hide; f(b-) is the
+        # density one float below b, on the left piece
+        knots = np.asarray([lo for lo, _, _ in self.pdf_pieces()[1:]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            jumps = knots * (self._pdf(np.nextafter(knots, 0.0)) - self._pdf(knots))
+        for b, drop in zip(knots.tolist(), jumps.tolist()):
+            if drop > tol:
+                if drop > worst:
+                    worst, worst_at = drop, b
+                first = b if first is None else min(first, b)
         return DmrReport(
-            passed=passed,
+            passed=first is None,
             worst_drop=max(worst, 0.0),
-            worst_at=float(grid[worst_idx]) if worst > 0.0 else None,
-            first_violation_at=None if passed else float(grid[int(np.argmax(violating))]),
+            worst_at=worst_at,
+            first_violation_at=first,
             grid_n=grid_n,
             tol=tol,
         )

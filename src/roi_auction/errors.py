@@ -19,10 +19,6 @@ class DescriptorError(RoiAuctionError, ValueError):
     """A JSON descriptor is malformed: wrong kind, missing or unknown fields."""
 
 
-class SingularityError(RoiAuctionError, ArithmeticError):
-    """An operation required dividing by a vanishing density."""
-
-
 class PreconditionError(RoiAuctionError, ValueError):
     """A documented precondition of an operation does not hold.
 

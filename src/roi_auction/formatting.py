@@ -15,11 +15,6 @@ def fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def round12(x: float) -> float:
-    """Round to the 12-significant-digit grid used for serialized output."""
-    return float(fmt(x))
-
-
 def json_ready(obj: Any) -> Any:
     """Deep-copy with floats rounded for output; non-finite floats become strings."""
     if isinstance(obj, bool) or obj is None:
@@ -27,7 +22,7 @@ def json_ready(obj: Any) -> Any:
     if isinstance(obj, float):
         if not math.isfinite(obj):
             return "inf" if obj > 0 else ("-inf" if obj < 0 else "nan")
-        return round12(obj)
+        return float(fmt(obj))
     if isinstance(obj, int):
         return obj
     if isinstance(obj, str):

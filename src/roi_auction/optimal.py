@@ -56,8 +56,6 @@ class BoundaryCase(enum.Enum):
 def _scaled_integral(dist: ValueDistribution, m: RoiTarget, threshold: float) -> float:
     """G(threshold) = integral_0^1 psi(threshold * s) s^c ds, from exact piece moments."""
     c = 1.0 / (m.ratio - 1.0)
-    if threshold <= 0.0:
-        return dist.marginal_revenue(0.0) / (c + 1.0)
     top = threshold / dist.vmax
     total = 0.0
     for lo, hi, terms in dist.psi_pieces():
@@ -79,20 +77,6 @@ def threshold_integral(dist: ValueDistribution, m: RoiTarget, upper: float) -> f
         return 0.0
     c = 1.0 / (m.ratio - 1.0)
     return upper ** (c + 1.0) * _scaled_integral(dist, m, upper)
-
-
-def revenue_derivative(dist: ValueDistribution, m: RoiTarget, threshold: float) -> float:
-    """Sensitivity of expected revenue to the threshold: -(c + 1) G(threshold).
-
-    Differentiating the ramp revenue in D and integrating by parts collapses
-    the distribution terms to R'(D) = -(c + 1) H(D) / D^(c+1) with
-    c = 1 / (ratio - 1); stated through G the prefactor never divides by a
-    threshold power, so the value stays well-scaled for every ratio.
-    """
-    if not 0.0 < threshold <= dist.vmax * (1.0 + 1e-12):
-        raise DomainError(f"threshold {threshold!r} outside (0, {dist.vmax}]")
-    c = 1.0 / (m.ratio - 1.0)
-    return -(c + 1.0) * _scaled_integral(dist, m, threshold)
 
 
 def solve_threshold(

@@ -73,23 +73,13 @@ class RoiTarget:
         object.__setattr__(self, "ratio", float(self.ratio))
 
 
-def _envelope(rule: AllocationRule, ratio: float, v, side: str = "right"):
+def _envelope(rule: AllocationRule, ratio: float, v):
     """(x, p~, g) at v: the allocation, the envelope payment v x - integral_0^v x,
-    and the violation g = ratio * p~ - v x; ``side="left"`` takes x's left limits."""
-    x = rule.left_value(v) if side == "left" else rule.evaluate(v)
+    and the violation g = ratio * p~ - v x."""
+    x = rule.evaluate(v)
     vx = v * x
     pt = vx - rule.prefix_integral(v)
     return x, pt, ratio * pt - vx
-
-
-def myerson_payment(rule: AllocationRule, v):
-    """Envelope payment v x(v) - integral_0^v x, exact via prefix integrals."""
-    return _envelope(rule, 1.0, v)[1]
-
-
-def roi_violation(rule: AllocationRule, m: RoiTarget, z):
-    """ratio * p~(z) - z x(z); positive where scaled envelope payments break even."""
-    return _envelope(rule, m.ratio, z)[2]
 
 
 @lru_cache(maxsize=128)
@@ -151,23 +141,22 @@ class PaymentSchedule:
     m: RoiTarget
     derived: bool = True
 
-    def _sweep(self, a: np.ndarray, side: str = "right"):
-        """(x, g, R) at a: R joins g with the stored sweep's running max below a
-        (up to and including a when side is "right")."""
-        x, _, g = _envelope(self.allocation, self.m.ratio, a, side)
-        idx = np.searchsorted(self.grid, a, side=side) - 1
+    def _sweep(self, a: np.ndarray):
+        """(x, g, R) at a: R joins g with the stored sweep's running max up to a."""
+        x, _, g = _envelope(self.allocation, self.m.ratio, a)
+        idx = np.searchsorted(self.grid, a, side="right") - 1
         prev = np.where(idx >= 0, self.rebates[np.maximum(idx, 0)], 0.0)
         return x, g, np.maximum(np.maximum(prev, g), 0.0)
 
-    def value_many(self, vs, side: str = "right") -> np.ndarray:
+    def value_many(self, vs) -> np.ndarray:
         a = np.atleast_1d(np.asarray(vs, dtype=float))
         if not self.derived:
             return np.interp(a, self.grid, self.payments)
-        x, g, reb = self._sweep(a, side)
+        x, g, reb = self._sweep(a)
         return a * x - (reb - g)
 
-    def value_at(self, v: float, side: str = "right") -> float:
-        return float(self.value_many(np.asarray([v]), side=side)[0])
+    def value_at(self, v: float) -> float:
+        return float(self.value_many(np.asarray([v]))[0])
 
     def rebate_at(self, v: float) -> float:
         if not self.derived:

@@ -59,7 +59,7 @@ def perturbed_table_copy(
     knots = np.linspace(0.0, rule.vmax, n_knots)
     values = rule.evaluate(knots) + rng.uniform(-magnitude, magnitude, n_knots)
     values = np.clip(np.maximum.accumulate(values), 0.0, 1.0)
-    return make_table(list(zip(knots.tolist(), values.tolist())), vmax=rule.vmax)
+    return make_table(list(zip(knots.tolist(), values.tolist())))
 
 
 def flat_start_copy(ramp: AllocationRule, level: float) -> AllocationRule:

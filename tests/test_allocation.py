@@ -29,7 +29,6 @@ TABLE = make_table([(0.0, 0.0), (0.3, 0.2), (0.6, 0.2), (1.0, 1.0)])
 
 def test_step_is_right_continuous():
     assert STEP.evaluate(0.4) == 1.0
-    assert STEP.left_value(0.4) == 0.0
     assert STEP.evaluate(0.4 - 1e-9) == 0.0
     assert STEP.jump_points() == ((0.4, 0.0, 1.0),)
 
@@ -55,8 +54,8 @@ def test_ramp_slope_value():
 def test_prefix_integral_matches_simpson_per_segment(seed):
     rule = random_monotone_rule(seed)
     for seg in rule.segments:
-        def f(t, hi=seg.hi):
-            return rule.left_value(t) if t == hi else float(rule.evaluate(t))
+        def f(t, shape=seg.shape):
+            return float(shape.value(t))
 
         want = simpson_integral(f, seg.lo, seg.hi, 801)
         got = float(rule.prefix_integral(seg.hi) - rule.prefix_integral(seg.lo))
@@ -80,6 +79,25 @@ def test_nonmonotone_rules_are_flagged_with_witness(seed):
     assert not report.passed
     assert report.worst_violation > 0.0
     assert 0.0 <= report.at_v <= rule.vmax
+
+
+@pytest.mark.parametrize(
+    "shape,at_v",
+    [
+        ({"type": "linear", "slope": -1e-10, "intercept": 0.5}, 0.0),
+        ({"type": "table", "points": [[0.0, 0.2], [0.5, 0.6], [1.0, 0.6 - 1e-10]]}, 0.5),
+    ],
+    ids=["linear", "table_cell"],
+)
+def test_fall_spread_over_a_piece_fails_check_monotone(shape, at_v):
+    # 1e-10 in all, 100 times MONOTONE_TOL, but at most 5e-14 per grid step
+    rule = allocation_from_descriptor(
+        {"vmax": 1.0, "segments": [{"lo": 0.0, "hi": 1.0, "shape": shape}]}
+    )
+    report = rule.check_monotone()
+    assert not report.passed
+    assert report.worst_violation == pytest.approx(1e-10, rel=1e-6)
+    assert report.at_v == at_v
 
 
 @given(st.integers(0, 10_000), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -109,7 +127,7 @@ def test_power_ramp_scale_must_stay_a_normal_float():
     # exponent 1000 keeps 0.5^-1000 ~ 1e301 finite; exponent 1e7 would overflow
     with pytest.warns(ConditioningWarning):
         steep = make_power_ramp(0.5, 1.001)
-    assert steep.left_value(0.5) == pytest.approx(1.0, abs=1e-12)
+    assert float(steep.segments[0].shape.value(0.5)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ConstructionError, match="too close to 1"):
         make_power_ramp(0.5, 1.0000001)
     with pytest.raises(ConstructionError, match="too close to 1"):

@@ -61,7 +61,6 @@ def test_mechanism_point_queries():
     assert mech.allocation.evaluate(0.7) == 1.0
     assert mech.allocation.evaluate(0.2) == 0.0
     assert mech.value_at(0.7) == pytest.approx(0.4, abs=1e-12)
-    assert mech.value_at(0.4, side="left") == pytest.approx(0.0, abs=1e-12)
 
 
 def test_check_dsic_worst_matches_brute_oracle():
@@ -169,10 +168,9 @@ def test_profile_audit_two_bidders_passes():
     )
 
 
-def test_profile_audit_three_bidders_mixed_targets():
-    report = profile_audit(
-        highest_bid_wins(), [M2, M3, RoiTarget(1.5)], opponent_grid_n=5
-    )
+def test_profile_audit_three_bidders_mixed_targets(monkeypatch):
+    monkeypatch.setattr(audit, "PROFILE_OPPONENT_GRID_N", 5)
+    report = profile_audit(highest_bid_wins(), [M2, M3, RoiTarget(1.5)])
     assert report.passed, report.summary()
 
 
@@ -223,8 +221,9 @@ def _mixed_factory(vmax):
         "mixed_factory_three_vmax3",
     ],
 )
-def test_profile_audit_matches_per_profile_oracle(factory, ms, vmax, opponent_grid_n):
-    got = profile_audit(factory, ms, vmax, opponent_grid_n=opponent_grid_n)
+def test_profile_audit_matches_per_profile_oracle(factory, ms, vmax, opponent_grid_n, monkeypatch):
+    monkeypatch.setattr(audit, "PROFILE_OPPONENT_GRID_N", opponent_grid_n)
+    got = profile_audit(factory, ms, vmax)
     want = per_profile_audit(factory, ms, vmax, opponent_grid_n=opponent_grid_n)
     assert got.to_json_text() == want.to_json_text()
 

@@ -461,6 +461,37 @@ def test_payment_table_rejects_decreasing_rule(tmp_path, capsys):
     assert "payments are undefined" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {"type": "linear", "slope": -1e-10, "intercept": 0.5},
+        {"type": "table", "points": [[0.0, 0.2], [0.5, 0.6], [1.0, 0.6 - 1e-10]]},
+    ],
+    ids=["linear", "table_cell"],
+)
+def test_fall_spread_over_a_piece_is_a_failed_check(shape, tmp_path, capsys):
+    path = _write(tmp_path, "falling.json", _one_segment_rule(shape))
+    assert main(["payment-table", path, "--m", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "payments are undefined" in err
+    assert main(["audit", path, "--m", "2"]) == 1
+    assert "monotone: FAIL" in capsys.readouterr().out
+
+
+def test_density_drop_at_a_knot_is_a_failed_check(tmp_path, monkeypatch, capsys):
+    # psi falls by about 1.0e-3 at 0.5005, inside a rising cell of the 1001-point grid
+    knot = {"kind": "tabulated_cdf", "vmax": 1, "points": [[0, 0], [0.5005, 0.5010005], [1, 1]]}
+    path = _write(tmp_path, "knot.json", knot)
+    monkeypatch.chdir(tmp_path)
+    assert main(["dmr-check", path]) == 1
+    out, err = capsys.readouterr()
+    assert out.count("FAIL") == 1 and "at v=0.5005" in out and err == ""
+    assert main(["solve", path, "--m", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("check failed:")
+    assert not (tmp_path / "solution.json").exists()
+
+
 def test_audit_accepts_derived_mechanisms(step_file, tmp_path, capsys):
     assert main(["audit", step_file, "--m", "2"]) == 0
     assert "overall: PASS" in capsys.readouterr().out

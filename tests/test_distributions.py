@@ -9,7 +9,6 @@ from roi_auction import (
     DomainError,
     PiecewiseLinearDensity,
     PowerCdfDistribution,
-    SingularityError,
     TabulatedCdf,
     UniformDistribution,
     distribution_from_descriptor,
@@ -44,11 +43,11 @@ def test_pdf_is_cdf_derivative_off_knots(dist):
 def test_marginal_revenue_is_density_weighted_virtual_value(dist):
     for t in (0.2, 0.5, 0.77):
         v = t * dist.vmax
-        try:
-            phi = dist.virtual_value(v)
-        except SingularityError:
+        f = dist.pdf(v)
+        if f <= 0.0:
             continue
-        assert dist.marginal_revenue(v) == pytest.approx(phi * dist.pdf(v), abs=1e-12)
+        phi = v - (1.0 - dist.cdf(v)) / f
+        assert dist.marginal_revenue(v) == pytest.approx(phi * f, abs=1e-12)
 
 
 SCALED = [
@@ -90,11 +89,6 @@ def test_power_cdf_density_survives_huge_vmax():
     assert dist.check_dmr().passed
 
 
-def test_virtual_value_rejects_vanishing_density():
-    with pytest.raises(SingularityError):
-        TENT.virtual_value(0.0)
-
-
 @pytest.mark.parametrize("dist", ALL, ids=lambda d: type(d).__name__)
 @given(u=st.floats(0.0, 1.0))
 @settings(max_examples=40, deadline=None)
@@ -125,7 +119,6 @@ def test_uniform_closed_forms():
     u = UniformDistribution(2.0)
     assert u.pdf(1.3) == 0.5
     assert u.cdf(0.5) == 0.25
-    assert u.virtual_value(1.0) == pytest.approx(1.0 - (1.0 - 0.5) / 0.5)
     # psi(v) = 2v/vmax - 1
     assert u.marginal_revenue(1.5) == pytest.approx(0.5)
 
@@ -147,6 +140,17 @@ def test_dmr_verdicts():
     assert not report.passed
     assert report.first_violation_at > 2.0 / 3.0 - 0.01
     assert report.worst_drop > 0.0
+
+
+def test_dmr_catches_a_density_drop_at_a_knot():
+    # f falls from 1.001 to 0.998998 at 0.5005, so psi falls by 0.5005 * 0.002002 there;
+    # the 1001-point grid cell across the knot rises by more than that
+    dist = TabulatedCdf(((0.0, 0.0), (0.5005, 0.5010005), (1.0, 1.0)))
+    report = dist.check_dmr()
+    assert not report.passed
+    assert report.worst_drop == pytest.approx(0.5005 * (1.001 - 0.4989995 / 0.4995), rel=1e-9)
+    assert report.worst_at == report.first_violation_at == 0.5005
+    assert report.grid_n == 1001
 
 
 def test_dmr_report_shape():

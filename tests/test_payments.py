@@ -14,12 +14,11 @@ from roi_auction import (
     make_piecewise_constant,
     make_power_ramp,
     make_step,
-    myerson_payment,
     optimal_mechanism,
     payment_schedule,
-    roi_violation,
     run_standard_audit,
 )
+from roi_auction.payments import schedule_on
 from oracles import brute_rebate, brute_roi_payment, exact_payments, per_row_csv
 from random_rules import random_monotone_rule
 
@@ -53,11 +52,15 @@ def test_step_rebate_value(ratio):
     assert sched.rebate_at(0.2) == 0.0
 
 
+def _on(rule, m, vs):
+    """The schedule of ``rule`` on the grid 0, *vs."""
+    return schedule_on(rule, m, np.asarray([0.0, *vs]))
+
+
 def test_myerson_payment_values():
-    assert myerson_payment(make_step(0.4, 1.0), 0.7) == pytest.approx(0.4, abs=1e-15)
-    assert myerson_payment(RAMP, 0.6) == pytest.approx((2 / 3) * 0.36, abs=1e-15)
-    vs = np.asarray([0.2, 0.75, 1.0])
-    got = myerson_payment(RAMP, vs)
+    assert _on(make_step(0.4, 1.0), M2, [0.7]).myerson[-1] == pytest.approx(0.4, abs=1e-15)
+    assert _on(RAMP, M2, [0.6]).myerson[-1] == pytest.approx((2 / 3) * 0.36, abs=1e-15)
+    got = _on(RAMP, M2, [0.2, 0.75, 1.0]).myerson[1:]
     assert got == pytest.approx([(2 / 3) * 0.04, 0.375, 0.375], abs=1e-15)
 
 
@@ -78,14 +81,11 @@ def test_two_level_staircase_payments():
     for v in (0.6, 0.8, 1.0):
         assert sched.value_at(v) == pytest.approx(0.6, abs=1e-12)
     assert sched.value_at(0.1) == 0.0
-    # left limit at the jump keeps the lower price
-    assert sched.value_at(0.6, side="left") == pytest.approx(0.1, abs=1e-12)
 
 
 def test_roi_violation_peaks_at_step_threshold():
-    rule = make_step(0.4, 1.0)
-    zs = np.asarray([0.4, 0.6, 1.0])
-    got = roi_violation(rule, M2, zs)
+    s = _on(make_step(0.4, 1.0), M2, [0.4, 0.6, 1.0])
+    got = (s.m.ratio * s.myerson - s.grid * s.allocations)[1:]
     assert got == pytest.approx([0.4, 0.2, -0.2], abs=1e-12)
 
 
@@ -165,7 +165,8 @@ def test_interior_rebate_maximum_for_sub_two_ratio():
     got = payment_schedule(rule, m, grid_n=11).rebate_at(1.0)
     want = brute_rebate(rule, 1.5, 1.0, n=400_001)
     assert got == pytest.approx(want, abs=1e-7)
-    assert got >= float(roi_violation(rule, m, 0.8)) - 1e-15
+    at = _on(rule, m, [0.8])
+    assert got >= float(m.ratio * at.myerson[-1] - 0.8 * at.allocations[-1]) - 1e-15
 
 
 def test_schedule_csv_golden():
