@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import abc
 import math
+import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Any
@@ -254,6 +255,17 @@ class PiecewiseLinearDensity(ValueDistribution):
             raise ConstructionError("breakpoints must be strictly increasing")
         if np.any(d < 0.0) or not np.all(np.isfinite(d)):
             raise ConstructionError("densities must be finite and non-negative")
+        # the density and CDF divide each step by its piece width first; below the
+        # smallest normal float that slope has lost digits, or the whole step
+        with np.errstate(over="ignore"):
+            slopes = np.diff(d) / np.diff(b)
+        lost = (np.diff(d) != 0.0) & (np.abs(slopes) < sys.float_info.min)
+        if np.any(lost):
+            i = int(np.argmax(lost))
+            raise ConstructionError(
+                f"density slope {float(slopes[i])!r} on [{float(b[i])!r}, {float(b[i + 1])!r}] "
+                "is below the smallest normal float; the density cannot be represented"
+            )
         mass = float(np.sum(0.5 * (d[:-1] + d[1:]) * np.diff(b)))
         if abs(mass - 1.0) > 1e-9:
             raise ConstructionError(f"density integrates to {mass!r}, expected 1")

@@ -8,7 +8,10 @@ switches between tight (p = v x) and flat (p = ratio p~ - R); hand-supplied
 schedules are their linear interpolant. Jumps sit on cuts, so no left limits
 are needed. Monte Carlo draws values by quantile transform from
 counter-based substreams, so results are byte-identical for a given seed
-regardless of chunking order.
+regardless of chunking order. Each chunk of draws is evaluated in sorted
+order, which turns the table lookups into sequential scans, and scattered
+back; quantile and payment are elementwise, so every draw gets the same float
+and the sums still run in draw order.
 """
 
 from __future__ import annotations
@@ -168,19 +171,27 @@ def expected_revenue_mc(
 
     Each 65536-draw chunk runs on its own Philox key derived from (seed,
     chunk index), so the stream for chunk k never depends on how many draws
-    preceded it.
+    preceded it; seeds run from 0 to 2^64 - 1. A chunk's uniforms are
+    evaluated in sorted order, so every lookup into a grid or table scans
+    forward, and the payments are scattered back to draw order. Each draw
+    gets the float it would get alone, and the mean and standard error sum
+    the same array in the same order.
     """
     if n < 1:
         raise ConstructionError(f"need at least one sample, got {n}")
-    if seed < 0:
-        raise ConstructionError(f"seed must be non-negative, got {seed}")
+    if not 0 <= seed < 2**64:
+        raise ConstructionError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
     vmax = _shared_support(mech, dist)
-    pays = np.empty(n)
+    try:
+        pays = np.empty(n)
+    except (ValueError, MemoryError):
+        raise ConstructionError(f"cannot hold {n} Monte Carlo payments in memory") from None
     for k, start in enumerate(range(0, n, _MC_CHUNK)):
         stop = min(start + _MC_CHUNK, n)
         gen = np.random.Generator(np.random.Philox(key=seed * 2**64 + k))
         u = gen.random(stop - start)
-        pays[start:stop] = mech.value_many(dist.quantile(u))
+        order = np.argsort(u)
+        pays[start:stop][order] = mech.value_many(dist.quantile(u[order]))
     # moments of pays / 2^e with 2^e near vmax, so squares cannot overflow; scaling
     # by a power of two is exact, so mean and stderr are those of pays itself.
     # Scaled in place: a second n-float array would raise peak memory.

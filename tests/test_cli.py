@@ -315,6 +315,37 @@ def test_monte_carlo_stderr_stays_finite_at_large_payments(tmp_path, capsys):
     assert all(math.isfinite(se) and se > 0.0 for se in stderrs)
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--seed", str(2**64)], "2**64"),
+        (["--mc-samples", str(2**62)], "in memory"),
+    ],
+    ids=["seed_2_to_64", "samples_2_to_62"],
+)
+def test_monte_carlo_seed_or_sample_count_past_its_range_is_unusable_input(
+    flags, message, uniform_file, capsys
+):
+    # both ended in a ValueError traceback: Philox keys hold 128 bits, and numpy
+    # refuses 2^62 floats before it allocates anything
+    argv = ["compare", uniform_file, "--m", "2", "--mc-samples", "10", *flags]
+    assert main(argv) == 2
+    assert message in _single_error_line(capsys)
+
+
+def test_largest_monte_carlo_seed_runs(uniform_file, capsys):
+    argv = ["compare", uniform_file, "--m", "2", "--mc-samples", "10", "--seed", str(2**64 - 1)]
+    code, out = _run_quietly(argv, capsys)
+    assert code == 0
+    assert out.count("rev(mc)=") == 2
+
+
+def test_density_slope_below_normal_floats_is_unusable_input(tmp_path, capsys):
+    path = _write(tmp_path, "tri.json", _linear_density([0.0, 1e200], [2e-200, 0.0]))
+    assert main(["dmr-check", path]) == 2
+    assert "smallest normal float" in _single_error_line(capsys)
+
+
 def _fresh_interpreter_stdout(argv: list[str]) -> str:
     src = str(Path(roi_auction.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -210,3 +210,23 @@ def test_construction_guards():
         TabulatedCdf(((0.0, 0.1), (1.0, 1.0)))  # F(0) != 0
     with pytest.raises(ConstructionError):
         TabulatedCdf(((0.0, 0.0), (0.5, 0.6), (1.0, 0.4)))  # decreasing
+
+
+@pytest.mark.parametrize("vmax", [1e160, 1e200])
+def test_density_slope_below_normal_floats_is_refused(vmax):
+    # the triangular slope -2 / vmax^2 goes subnormal (1e160) or to -0.0 (1e200);
+    # cdf(0.5 vmax) then read 0.7500028 and 1.0 where 0.75 is right
+    from roi_auction import ConstructionError
+
+    with pytest.raises(ConstructionError, match="smallest normal float"):
+        PiecewiseLinearDensity((0.0, vmax), (2.0 / vmax, 0.0))
+
+
+def test_density_slope_above_normal_floats_keeps_the_cdf():
+    vmax = 1e150
+    dist = PiecewiseLinearDensity((0.0, vmax), (2.0 / vmax, 0.0))
+    assert dist.pdf_pieces()[0][2][1][0] == pytest.approx(-2.0 / vmax, rel=1e-12)
+    assert dist.cdf(0.5 * vmax) == pytest.approx(0.75, rel=1e-12)
+    # equal densities have slope zero and stay accepted at any scale
+    flat = PiecewiseLinearDensity((0.0, 1e200), (1e-200, 1e-200))
+    assert flat.cdf(0.5e200) == pytest.approx(0.5, rel=1e-12)

@@ -106,6 +106,46 @@ def test_mc_input_guards():
         expected_revenue_mc(mech, UNIFORM, 10, seed=-1)
 
 
+def _draw_order_mc(mech, dist, n, seed):
+    """(mean, stderr) with every chunk evaluated in draw order, unsorted."""
+    chunk = 1 << 16
+    pays = np.empty(n)
+    for k, start in enumerate(range(0, n, chunk)):
+        stop = min(start + chunk, n)
+        u = np.random.Generator(np.random.Philox(key=seed * 2**64 + k)).random(stop - start)
+        pays[start:stop] = mech.value_many(dist.quantile(u))
+    e = math.frexp(dist.vmax)[1]
+    np.ldexp(pays, -e, out=pays)
+    mean = math.ldexp(float(np.mean(pays)), e)
+    stderr = math.ldexp(float(np.std(pays, ddof=1) / math.sqrt(n)), e) if n > 1 else 0.0
+    return mean, stderr
+
+
+# rising, flat, then falling; the heights enclose area 0.90375
+HUMP = PiecewiseLinearDensity(
+    (0.0, 0.325, 0.675, 1.0), tuple(h / 0.90375 for h in (0.35, 1.05, 1.05, 0.85))
+)
+CONVEX_TABLE = TabulatedCdf(((0.0, 0.0), (0.25, 0.05), (0.5, 0.2), (0.75, 0.45), (1.0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [UniformDistribution(0.97), PowerCdfDistribution(2.3, 0.99), HUMP, CONVEX_TABLE],
+    ids=lambda d: type(d).__name__,
+)
+def test_mc_sorted_evaluation_is_bitwise_draw_order(dist):
+    sched = optimal_mechanism(dist, M2).schedule
+    mechs = {
+        "optimal": sched,
+        "posted_price": myerson_baseline(dist, M2),
+        "hand": sched.with_payments(0.9 * sched.payments),
+    }
+    for name, mech in mechs.items():
+        for n, seed in ((2 * 65_536 + 123, 11), (1, 2**64 - 1)):
+            est = expected_revenue_mc(mech, dist, n, seed)
+            assert (est.mean, est.stderr) == _draw_order_mc(mech, dist, n, seed), (name, n)
+
+
 def test_baseline_posted_prices():
     base = myerson_baseline(UNIFORM)
     assert base.allocation.jump_points()[0][0] == pytest.approx(0.5, abs=1e-9)
