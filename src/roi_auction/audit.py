@@ -9,7 +9,6 @@ observed violation with a witness.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -17,7 +16,6 @@ import numpy as np
 
 from .allocation import AllocationRule, make_constant, make_step
 from .errors import ConstructionError
-from .formatting import json_ready
 from .payments import FEASIBILITY_TOL, PaymentSchedule, RoiTarget, payment_schedule
 
 #: The fixed audit policy: the own-value grid, each check's pass tolerance, the
@@ -66,9 +64,6 @@ class AuditReport:
     def to_dict(self) -> dict:
         return {"checks": [c.to_dict() for c in self.checks]}
 
-    def to_json_text(self) -> str:
-        return json.dumps(json_ready(self.to_dict()), indent=2, sort_keys=True) + "\n"
-
     def summary(self) -> str:
         lines = []
         for c in self.checks:
@@ -77,6 +72,14 @@ class AuditReport:
         overall = "PASS" if self.passed else "FAIL"
         lines.append(f"overall: {overall}")
         return "\n".join(lines)
+
+
+def _verdict(name: str, violations, tol: float, witness_at: Callable[[int], dict]) -> AuditCheck:
+    """The first largest violation, floored at 0, passes at or below tol; its
+    witness, ``witness_at`` of its index, is named only above 0."""
+    i = int(np.argmax(violations))
+    worst = max(float(violations[i]), 0.0)
+    return AuditCheck(name, worst <= tol, worst, witness_at(i) if worst > 0.0 else None)
 
 
 def _audit_grid(mech: PaymentSchedule, grid_n: int) -> np.ndarray:
@@ -139,22 +142,15 @@ def check_dsic(mech: PaymentSchedule, grid_n: int = AUDIT_GRID_N) -> AuditCheck:
     gains = np.where(truth_feas, best - u_truth, np.inf)
     stuck = ~truth_feas & ~any_feas
     gains = np.where(stuck, 0.0, gains)
-    worst_i = int(np.argmax(gains))
-    worst = max(float(gains[worst_i]), 0.0)
-    witness = None
-    if worst > 0.0:
-        witness = {"v": float(grid[worst_i]), "b": float(grid[int(best_at[worst_i])])}
-    return AuditCheck("dsic", worst <= DSIC_TOL, worst, witness)
+    return _verdict(
+        "dsic", gains, DSIC_TOL, lambda i: {"v": float(grid[i]), "b": float(grid[int(best_at[i])])}
+    )
 
 
 def check_ir(mech: PaymentSchedule) -> AuditCheck:
     """Truthful payments never exceed realized value v * x(v) (the hard constraint)."""
     grid, x, p = _truthful_outcomes(mech, AUDIT_GRID_N)
-    viol = p - grid * x
-    worst_i = int(np.argmax(viol))
-    worst = max(float(viol[worst_i]), 0.0)
-    witness = {"v": float(grid[worst_i])} if worst > 0.0 else None
-    return AuditCheck("ir", worst <= IR_TOL, worst, witness)
+    return _verdict("ir", p - grid * x, IR_TOL, lambda i: {"v": float(grid[i])})
 
 
 def check_characterization(mech: PaymentSchedule) -> AuditCheck:
@@ -250,8 +246,11 @@ def profile_audit(
     if n > 3:
         raise ConstructionError("profile audits support at most three bidders")
     opponents = np.linspace(0.0, vmax, PROFILE_OPPONENT_GRID_N)
-    worst = {"profile_monotone": 0.0, "profile_dsic": 0.0, "profile_ir": 0.0}
-    witness: dict[str, dict | None] = {k: None for k in worst}
+    tols = {"profile_monotone": 0.0, "profile_dsic": DSIC_TOL, "profile_ir": IR_TOL}
+    # each check's violation per profile, in profile order, and what names it:
+    # the bidder, the opponent bids and the induced audit's own witness
+    violations: dict[str, list] = {name: [] for name in tols}
+    witnesses: dict[str, list] = {name: [] for name in tols}
     audited: dict[tuple[AllocationRule, RoiTarget], tuple] = {}
     for i in range(n):
         for profile in itertools.product(opponents, repeat=n - 1):
@@ -260,39 +259,27 @@ def profile_audit(
             key = (rule, ms[i])
             if key not in audited:
                 mono = rule.check_monotone(grid_n=AUDIT_GRID_N)
-                dsic = ir = None
+                # a non-monotone curve has no payments to check
+                dsic = ir = AuditCheck("not_run", True, 0.0, None)
                 if mono.passed:
                     mech = payment_schedule(rule, ms[i], grid_n=PROFILE_SCHEDULE_GRID_N)
                     dsic = check_dsic(mech)
                     ir = check_ir(mech)
                 audited[key] = (mono, dsic, ir)
             mono, dsic, ir = audited[key]
-            if not mono.passed:
-                if mono.worst_violation > worst["profile_monotone"]:
-                    worst["profile_monotone"] = mono.worst_violation
-                    witness["profile_monotone"] = {"bidder": i, "opponents": list(bids)}
-                continue
-            if dsic.worst_violation > worst["profile_dsic"]:
-                worst["profile_dsic"] = dsic.worst_violation
-                witness["profile_dsic"] = {"bidder": i, "opponents": list(bids), **(dsic.witness or {})}
-            if ir.worst_violation > worst["profile_ir"]:
-                worst["profile_ir"] = ir.worst_violation
-                witness["profile_ir"] = {"bidder": i, "opponents": list(bids), **(ir.witness or {})}
-    checks = (
-        AuditCheck(
-            "profile_monotone",
-            worst["profile_monotone"] == 0.0,
-            worst["profile_monotone"],
-            witness["profile_monotone"],
-        ),
-        AuditCheck(
-            "profile_dsic", worst["profile_dsic"] <= DSIC_TOL, worst["profile_dsic"], witness["profile_dsic"]
-        ),
-        AuditCheck(
-            "profile_ir", worst["profile_ir"] <= IR_TOL, worst["profile_ir"], witness["profile_ir"]
-        ),
-    )
-    return AuditReport(checks)
+            for name, violation, witness in (
+                ("profile_monotone", 0.0 if mono.passed else mono.worst_violation, None),
+                ("profile_dsic", dsic.worst_violation, dsic.witness),
+                ("profile_ir", ir.worst_violation, ir.witness),
+            ):
+                violations[name].append(violation)
+                witnesses[name].append((i, bids, witness))
+
+    def named(found: list) -> Callable[[int], dict]:
+        return lambda j: {"bidder": found[j][0], "opponents": list(found[j][1]), **(found[j][2] or {})}
+
+    checks = (_verdict(n, violations[n], tol, named(witnesses[n])) for n, tol in tols.items())
+    return AuditReport(tuple(checks))
 
 
 def highest_bid_wins(vmax: float = 1.0) -> ProfileFactory:

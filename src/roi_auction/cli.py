@@ -14,15 +14,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
+from typing import Any, Sequence
 
 import numpy as np
 
 from .allocation import allocation_from_descriptor
 from .audit import run_standard_audit
-from .distributions import distribution_from_descriptor
+from .distributions import UniformDistribution, distribution_from_descriptor
 from .errors import (
     ConditioningWarning,
     ConstructionError,
@@ -30,11 +32,45 @@ from .errors import (
     DomainError,
     RoiAuctionError,
 )
-from .formatting import fmt, json_ready
 from .optimal import optimal_mechanism
 from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule, schedule_on
 from .revenue import compare as compare_mechanisms
 from .revenue import expected_revenue_quadrature, myerson_baseline
+
+
+def fmt(x: float) -> str:
+    """Fixed 12-significant-digit rendering, the package-wide float format.
+
+    ``PaymentSchedule.write_csv`` renders the same ``.12g`` spec through
+    %-formatting, a block of rows at a time; the two give the same text.
+    """
+    return format(float(x), ".12g")
+
+
+def json_ready(obj: Any) -> Any:
+    """Deep-copy with floats rounded for output; non-finite floats become strings."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            return "inf" if obj > 0 else ("-inf" if obj < 0 else "nan")
+        return float(fmt(obj))
+    if isinstance(obj, dict):
+        return {k: json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_ready(v) for v in obj]
+    return obj
+
+
+def json_text(data: Any) -> str:
+    """Sorted, indented JSON of ``data`` with every float at 12 digits."""
+    return json.dumps(json_ready(data), indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(records: Sequence[dict]) -> str:
+    """CSV headed by the first record's keys: None is empty, a float ``fmt``, the rest ``str``."""
+    cols = list(records[0])
+    cells = [[rec[c] for c in cols] for rec in records]
+    rows = [["" if v is None else fmt(v) if isinstance(v, float) else str(v) for v in r] for r in cells]
+    return "".join(",".join(row) + "\n" for row in [cols, *rows])
 
 
 class _UsageError(Exception):
@@ -64,10 +100,6 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fp:
             fp.write(text)
-
-
-def _json_text(data) -> str:
-    return json.dumps(json_ready(data), indent=2, sort_keys=True) + "\n"
 
 
 def _require_m(args) -> RoiTarget:
@@ -125,12 +157,9 @@ def _cmd_dmr_check(args) -> int:
     dist = distribution_from_descriptor(_load_json(args.file))
     report = dist.check_dmr() if args.grid is None else dist.check_dmr(grid_n=args.grid)
     if args.format == "json":
-        _emit(_json_text(report.to_dict()), args.out)
+        _emit(json_text(report.to_dict()), args.out)
     elif args.format == "csv":
-        d = report.to_dict()
-        cols = ["passed", "worst_drop", "worst_at", "first_violation_at", "grid_n", "tol"]
-        vals = [("" if d[c] is None else fmt(d[c]) if isinstance(d[c], float) else str(d[c])) for c in cols]
-        _emit(",".join(cols) + "\n" + ",".join(vals) + "\n", args.out)
+        _emit(csv_text([report.to_dict()]), args.out)
     else:
         _emit(report.summary() + "\n", args.out)
     return 0 if report.passed else 1
@@ -145,9 +174,15 @@ def _cmd_solve(args) -> int:
     csv_path = out.with_name(out.stem + "_schedule.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fp:
         sol.schedule.write_csv(fp)
-    with open(out, "w", encoding="utf-8", newline="\n") as fp:
-        # not _json_text: that would cut the allocation back to 12 digits
-        fp.write(json.dumps(sol.descriptor(str(csv_path)), indent=2, sort_keys=True) + "\n")
+    fields = {
+        **json_ready({"D": sol.threshold, "revenue": sol.expected_revenue}),
+        "boundary_case": sol.boundary_case.value,
+        "schedule_csv_path": str(csv_path),
+        # full precision: a ramp scale cut to 12 digits overshoots 1 at D by up to
+        # ~1e-11, so the rule read back would fail its monotonicity check
+        "allocation": sol.schedule.allocation.descriptor(),
+    }
+    _emit(json.dumps(fields, indent=2, sort_keys=True) + "\n", str(out))
     sys.stdout.write(
         f"D = {fmt(sol.threshold)}\n"
         f"boundary_case = {sol.boundary_case.value}\n"
@@ -170,18 +205,7 @@ def _cmd_payment_table(args) -> int:
         return 1
     schedule = payment_schedule(rule, m, grid_n)
     if args.format == "json":
-        _emit(
-            _json_text(
-                {
-                    "v": schedule.grid.tolist(),
-                    "x": schedule.allocations.tolist(),
-                    "p_myerson": schedule.myerson.tolist(),
-                    "p_roi": schedule.payments.tolist(),
-                    "rebate": schedule.rebates.tolist(),
-                }
-            ),
-            args.out,
-        )
+        _emit(json_text({k: col.tolist() for k, col in schedule.columns().items()}), args.out)
     else:
         _emit(schedule.csv_text(), args.out)
     return 0
@@ -192,7 +216,7 @@ def _cmd_audit(args) -> int:
     mech = _mechanism_from_file(args.file, args, grid_n)
     report = run_standard_audit(mech)
     if args.format == "json":
-        _emit(report.to_json_text(), args.out)
+        _emit(json_text(report.to_dict()), args.out)
     else:
         _emit(report.summary() + "\n", args.out)
     return 0 if report.passed else 1
@@ -204,17 +228,15 @@ def _cmd_compare(args) -> int:
     grid_n = args.grid if args.grid is not None else DEFAULT_GRID_N
     table = compare_mechanisms(dist, m, mc_samples=args.mc_samples, seed=args.seed, grid_n=grid_n)
     if args.format == "json":
-        _emit(_json_text(table.to_dict()), args.out)
+        _emit(json_text(table.to_dict()), args.out)
     elif args.format == "csv":
-        _emit(table.csv_text(), args.out)
+        _emit(csv_text(table.to_dict()["rows"]), args.out)
     else:
         _emit(table.text(), args.out)
     return 0
 
 
 def _cmd_example1(args) -> int:
-    from .distributions import UniformDistribution
-
     m = RoiTarget(args.m if args.m is not None else 2.0)
     grid_n = args.grid if args.grid is not None else DEFAULT_GRID_N
     dist = UniformDistribution(1.0)
@@ -227,7 +249,7 @@ def _cmd_example1(args) -> int:
         f"Myerson: {base_rev:.6f}, ROI-optimal: {sol.expected_revenue:.6f}, "
         f"D = {sol.threshold:.6f}, audit: {verdict}"
     )
-    sys.stdout.write(line + "\n")
+    _emit(line + "\n", args.out)
     ok = (
         abs(base_rev - 0.25) <= 1e-6
         and abs(sol.expected_revenue - 0.375) <= 1e-6
@@ -244,7 +266,8 @@ def _build_parser() -> _Parser:
     # built on the first main call and reused; parse_args keeps no state between calls
     shared = _Parser(add_help=False)
     shared.add_argument("--m", type=float, default=None, help="target return ratio (> 1)")
-    shared.add_argument("--grid", type=int, default=None, help="payment grid size")
+    grid_help = f"payment grid size (default {DEFAULT_GRID_N}); dmr-check: DMR grid (default 1001)"
+    shared.add_argument("--grid", type=int, default=None, help=grid_help)
     shared.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
     shared.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     shared.add_argument("--mc-samples", type=int, default=100_000, help="Monte Carlo draws")
@@ -253,12 +276,10 @@ def _build_parser() -> _Parser:
 
     parser = _Parser(prog="roi-auction", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("dmr-check", parents=[shared]).add_argument("file")
-    sub.add_parser("solve", parents=[shared]).add_argument("file")
-    sub.add_parser("payment-table", parents=[shared]).add_argument("file")
-    sub.add_parser("audit", parents=[shared]).add_argument("file")
-    sub.add_parser("compare", parents=[shared]).add_argument("file")
-    sub.add_parser("example1", parents=[shared])
+    for name in _COMMANDS:
+        cmd = sub.add_parser(name, parents=[shared])
+        if name != "example1":
+            cmd.add_argument("file")
     return parser
 
 

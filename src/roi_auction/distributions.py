@@ -255,10 +255,11 @@ class PiecewiseLinearDensity(ValueDistribution):
             raise ConstructionError("breakpoints must be strictly increasing")
         if np.any(d < 0.0) or not np.all(np.isfinite(d)):
             raise ConstructionError("densities must be finite and non-negative")
+        object.__setattr__(self, "breakpoints", tuple(float(x) for x in b))
+        object.__setattr__(self, "densities", tuple(float(x) for x in d))
         # the density and CDF divide each step by its piece width first; below the
         # smallest normal float that slope has lost digits, or the whole step
-        with np.errstate(over="ignore"):
-            slopes = np.diff(d) / np.diff(b)
+        slopes = self._slopes
         lost = (np.diff(d) != 0.0) & (np.abs(slopes) < sys.float_info.min)
         if np.any(lost):
             i = int(np.argmax(lost))
@@ -269,39 +270,42 @@ class PiecewiseLinearDensity(ValueDistribution):
         mass = float(np.sum(0.5 * (d[:-1] + d[1:]) * np.diff(b)))
         if abs(mass - 1.0) > 1e-9:
             raise ConstructionError(f"density integrates to {mass!r}, expected 1")
-        object.__setattr__(self, "breakpoints", tuple(float(x) for x in b))
-        object.__setattr__(self, "densities", tuple(float(x) for x in d))
 
     @property
     def vmax(self) -> float:
         return self.breakpoints[-1]
 
     @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.asarray(self.breakpoints), np.asarray(self.densities)
+
+    @cached_property
+    def _slopes(self) -> np.ndarray:
+        """Each piece's density slope (d[i+1] - d[i]) / (b[i+1] - b[i])."""
+        b, d = self._arrays
+        with np.errstate(over="ignore"):
+            return np.diff(d) / np.diff(b)
+
+    @cached_property
     def _cum(self) -> np.ndarray:
-        b = np.asarray(self.breakpoints)
-        d = np.asarray(self.densities)
-        areas = 0.5 * (d[:-1] + d[1:]) * np.diff(b)
-        return np.concatenate([[0.0], np.cumsum(areas)])
+        b, d = self._arrays
+        return np.concatenate([[0.0], np.cumsum(0.5 * (d[:-1] + d[1:]) * np.diff(b))])
 
     def _pdf(self, v):
-        return np.interp(v, self.breakpoints, self.densities)
+        return np.interp(v, *self._arrays)
 
     def _cdf(self, v):
-        b = np.asarray(self.breakpoints)
-        d = np.asarray(self.densities)
+        b, d = self._arrays
         i = np.clip(np.searchsorted(b, v, side="right") - 1, 0, b.size - 2)
-        width = b[i + 1] - b[i]
-        slope = (d[i + 1] - d[i]) / width
+        slope = self._slopes[i]
         t = v - b[i]
         return np.minimum(self._cum[i] + d[i] * t + 0.5 * slope * t * t, 1.0)
 
     def _quantile(self, u):
-        b = np.asarray(self.breakpoints)
-        d = np.asarray(self.densities)
-        cum = self._cum
+        (b, d), cum = self._arrays, self._cum
         i = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, b.size - 2)
         width = b[i + 1] - b[i]
-        slope = (d[i + 1] - d[i]) / width
+        slope = self._slopes[i]
         du = u - cum[i]
         # root of 0.5 s t^2 + f t - du in its stable form, valid for every slope sign
         disc = np.maximum(d[i] ** 2 + 2.0 * slope * du, 0.0)
@@ -311,14 +315,12 @@ class PiecewiseLinearDensity(ValueDistribution):
 
     def pdf_pieces(self) -> tuple[PowerPiece, ...]:
         # f = d_i + slope (v - b_i), with slope per unit t = v / vmax
-        vmax = self.vmax
-        b = self.breakpoints
-        d = self.densities
-        out = []
-        for i in range(len(b) - 1):
-            slope = (d[i + 1] - d[i]) / (b[i + 1] - b[i]) * vmax
-            out.append((b[i], b[i + 1], ((d[i] - slope * b[i] / vmax, 0.0), (slope, 1.0))))
-        return tuple(out)
+        vmax, b = self.vmax, self.breakpoints
+        scaled = [s * vmax for s in self._slopes.tolist()]
+        return tuple(
+            (lo, hi, ((d_lo - s * lo / vmax, 0.0), (s, 1.0)))
+            for lo, hi, d_lo, s in zip(b[:-1], b[1:], self.densities, scaled)
+        )
 
     def descriptor(self) -> dict:
         return {

@@ -33,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import make_power_ramp
-from .audit import AuditCheck, AuditReport
+from .audit import AuditCheck, AuditReport, _verdict
 from .distributions import ValueDistribution
 from .errors import ConstructionError, DomainError, PreconditionError, QuadratureError
-from .formatting import json_ready
 from .numerics import bisect_root
 from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, _envelope, payment_schedule
 from .revenue import expected_revenue_quadrature
@@ -88,9 +87,11 @@ def solve_threshold(
     no longer brackets a unique root and the ramp is not optimal. Stops when
     the bracket is below tol * max(1, vmax) and the residual
     |G(mid)| (mid / max(1, vmax))^(c+1) is at most tol: that is |H(mid)| for
-    vmax <= 1, and scale-free above it. A vmax whose power c + 1 overflows,
-    so that H itself cannot be reported, is a DomainError; a tol that is not
-    positive and finite is a ConstructionError.
+    vmax <= 1, and scale-free above it. Once no float lies strictly inside the
+    bracket (a tol below float resolution), the midpoint there is returned if
+    its residual is at most tol, and a QuadratureError raised if not. A vmax
+    whose power c + 1 overflows, so that H itself cannot be reported, is a
+    DomainError; a tol that is not positive and finite is a ConstructionError.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConstructionError(f"solver tolerance must be positive and finite, got {tol!r}")
@@ -125,13 +126,17 @@ def solve_threshold(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         g_mid = _scaled_integral(dist, m, mid)
+        residual = g_mid * (mid / max(1.0, vmax)) ** (c + 1.0)
+        # with no float strictly inside the bracket, this midpoint is the last
+        last = not lo < mid < hi
         if g_mid > 0.0:
             hi = mid
         else:
             lo = mid
-        residual = g_mid * (mid / max(1.0, vmax)) ** (c + 1.0)
-        if hi - lo <= 0.5 * tol * max(1.0, vmax) and abs(residual) <= tol:
+        if (last or hi - lo <= 0.5 * tol * max(1.0, vmax)) and abs(residual) <= tol:
             return mid, BoundaryCase.INTERIOR_ROOT
+        if last:
+            break
     raise QuadratureError(
         f"threshold residual stalled at {residual:.3e} (target {tol:.3e})",
         achieved_tol=abs(residual),
@@ -146,23 +151,6 @@ class OptimalSolution:
     boundary_case: BoundaryCase
     schedule: PaymentSchedule
     expected_revenue: float
-
-    def descriptor(self, schedule_csv_path: str | None = None) -> dict:
-        """Output fields: D and revenue at 12 digits, the allocation at full precision.
-
-        A ramp scale cut to 12 digits overshoots 1 at D by up to ~1e-11, so the
-        rule read back would fail its monotonicity check; repr floats round-trip.
-        """
-        out = json_ready(
-            {
-                "D": self.threshold,
-                "boundary_case": self.boundary_case.value,
-                "revenue": self.expected_revenue,
-                "schedule_csv_path": schedule_csv_path,
-            }
-        )
-        out["allocation"] = self.schedule.allocation.descriptor()
-        return out
 
 
 def optimal_mechanism(
@@ -203,15 +191,7 @@ def structural_audit(sol: OptimalSolution, dist: ValueDistribution) -> AuditRepo
     )
     x, _, cap = _envelope(rule, ratio, grid)
     p = sched.value_many(grid)
-    checks: list[AuditCheck] = []
-
-    i = int(np.argmax(cap))
-    worst = max(float(cap[i]), 0.0)
-    checks.append(
-        AuditCheck(
-            "payment_cap", worst <= tol, worst, {"v": float(grid[i])} if worst > 0.0 else None
-        )
-    )
+    checks = [_verdict("payment_cap", cap, tol, lambda i: {"v": float(grid[i])})]
 
     slopes = np.abs(np.diff(x)) / np.diff(grid)
     slope_at = np.append(slopes, slopes[-1])

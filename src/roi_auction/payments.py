@@ -43,7 +43,6 @@ DEFAULT_GRID_N = 10_001
 # rows per write in ``write_csv``: one %-format call each, so the text of a
 # whole schedule is never held at once
 _CSV_BLOCK_ROWS = 1024
-_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g\n"
 
 #: Feasibility slack for the hard constraint v * x >= p, fixed package-wide.
 FEASIBILITY_TOL = 1e-12
@@ -170,18 +169,28 @@ class PaymentSchedule:
             raise ConstructionError("replacement payments must match the grid length")
         return replace(self, payments=new, derived=False)
 
+    def columns(self) -> dict[str, np.ndarray]:
+        """The output columns by name, in CSV order."""
+        return {
+            "v": self.grid,
+            "x": self.allocations,
+            "p_myerson": self.myerson,
+            "p_roi": self.payments,
+            "rebate": self.rebates,
+        }
+
     def csv_text(self) -> str:
         buf = io.StringIO()
         self.write_csv(buf)
         return buf.getvalue()
 
     def write_csv(self, fp: IO[str]) -> None:
-        """Columns v, x, p_myerson, p_roi, rebate at 12 significant digits
-        (``formatting.fmt``'s spec), one %-formatted block of rows per write."""
-        fp.write("v,x,p_myerson,p_roi,rebate\n")
-        rows = np.column_stack(
-            (self.grid, self.allocations, self.myerson, self.payments, self.rebates)
-        )
+        """The ``columns`` at 12 significant digits (``cli.fmt``'s spec), one
+        %-formatted block of rows per write."""
+        cols = self.columns()
+        fp.write(",".join(cols) + "\n")
+        row = ",".join(["%.12g"] * len(cols)) + "\n"
+        rows = np.column_stack(tuple(cols.values()))
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
             block = rows[start:start + _CSV_BLOCK_ROWS]
-            fp.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))
+            fp.write(row * len(block) % tuple(block.ravel().tolist()))

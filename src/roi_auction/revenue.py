@@ -245,16 +245,6 @@ class ComparisonTable:
     def to_dict(self) -> dict:
         return {"rows": [asdict(r) for r in self.rows]}
 
-    def csv_text(self) -> str:
-        from .formatting import fmt
-
-        lines = ["name,threshold,rev_quad,rev_mc,stderr"]
-        for r in self.rows:
-            mc = fmt(r.rev_mc) if r.rev_mc is not None else ""
-            se = fmt(r.stderr) if r.stderr is not None else ""
-            lines.append(f"{r.name},{fmt(r.threshold)},{fmt(r.rev_quad)},{mc},{se}")
-        return "\n".join(lines) + "\n"
-
     def text(self) -> str:
         lines = []
         for r in self.rows:

@@ -27,7 +27,7 @@ from roi_auction import (
     structural_audit,
     uniqueness_probe,
 )
-from roi_auction.cli import main as cli_main
+from roi_auction.cli import csv_text, main as cli_main
 from oracles import simpson_integral
 from random_rules import flat_start_copy, perturbed_table_copy, random_monotone_rule
 
@@ -184,6 +184,6 @@ def test_acceptance_9_mc_quadrature_agreement(capsys):
             if abs(row.rev_mc - row.rev_quad) > 4.0 * row.stderr:
                 problems.append(f"seed {seed}, {row.name}: off by > 4 stderr")
         again = compare(UNIFORM, RoiTarget(2.0), mc_samples=100_000, seed=seed)
-        if again.csv_text() != table.csv_text():
+        if csv_text(again.to_dict()["rows"]) != csv_text(table.to_dict()["rows"]):
             problems.append(f"seed {seed}: rerun not byte-identical")
     _announce(capsys, 9, not problems, "; ".join(problems))

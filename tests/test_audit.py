@@ -23,6 +23,7 @@ from roi_auction import (
 )
 from roi_auction import audit
 from roi_auction.audit import _audit_grid
+from roi_auction.cli import json_text
 from roi_auction.payments import FEASIBILITY_TOL
 from oracles import broadcast_audit_grid, brute_dsic_gain, full_matrix_dsic, per_profile_audit
 from random_rules import random_monotone_rule, random_nonmonotone_rule
@@ -225,7 +226,7 @@ def test_profile_audit_matches_per_profile_oracle(factory, ms, vmax, opponent_gr
     monkeypatch.setattr(audit, "PROFILE_OPPONENT_GRID_N", opponent_grid_n)
     got = profile_audit(factory, ms, vmax)
     want = per_profile_audit(factory, ms, vmax, opponent_grid_n=opponent_grid_n)
-    assert got.to_json_text() == want.to_json_text()
+    assert json_text(got.to_dict()) == json_text(want.to_dict())
 
 
 @pytest.mark.parametrize(
@@ -278,7 +279,7 @@ def test_report_serialization_is_deterministic():
         return run_standard_audit(payment_schedule(random_monotone_rule(5), M2))
 
     first, second = fresh(), fresh()
-    assert first.to_json_text() == second.to_json_text()
+    assert json_text(first.to_dict()) == json_text(second.to_dict())
     data = first.to_dict()
     assert [c["name"] for c in data["checks"]][:2] == ["monotone", "characterization"]
     assert all("pass" in c and "worst_violation" in c for c in data["checks"])
@@ -293,7 +294,7 @@ def test_report_serializes_infinite_violations():
     naive = M2.ratio * (grid * x - rule.prefix_integral(grid))
     mech = _hand_schedule(rule, M2, grid, naive)
     report = AuditReport((check_dsic(mech, grid_n=grid.size),))
-    assert '"worst_violation": "inf"' in report.to_json_text()
+    assert '"worst_violation": "inf"' in json_text(report.to_dict())
     assert "FAIL" in report.summary()
 
 

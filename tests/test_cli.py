@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import roi_auction
 from roi_auction import RoiTarget, make_power_ramp, make_step, payment_schedule
-from roi_auction.cli import main
+from roi_auction.cli import csv_text, fmt, json_text, main
 
 UNIFORM_DESC = {"kind": "uniform", "vmax": 1.0}
 TRIANGULAR_DESC = {
@@ -90,6 +90,7 @@ def test_solve_writes_solution_and_schedule(uniform_file, tmp_path, capsys):
     data = json.loads(out.read_text(encoding="utf-8"))
     assert set(data) == {"D", "boundary_case", "revenue", "allocation", "schedule_csv_path"}
     assert data["D"] == pytest.approx(0.75, abs=1e-9)
+    assert data["boundary_case"] == "interior_root"
     csv_path = tmp_path / "sol_schedule.csv"
     assert str(csv_path) == data["schedule_csv_path"]
     first_line = csv_path.read_text(encoding="utf-8").splitlines()[0]
@@ -617,6 +618,44 @@ def test_example1_prints_frozen_line(capsys):
     assert main(["example1"]) == 0
     out = capsys.readouterr().out
     assert out == "Myerson: 0.250000, ROI-optimal: 0.375000, D = 0.750000, audit: PASS\n"
+
+
+def test_example1_out_writes_the_frozen_line_to_the_file(tmp_path, capsys):
+    out = tmp_path / "example1.txt"
+    assert main(["example1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == (
+        "Myerson: 0.250000, ROI-optimal: 0.375000, D = 0.750000, audit: PASS\n"
+    )
+
+
+def test_csv_text_cells():
+    records = [
+        {"name": "a", "x": 1.0 / 3.0, "n": 7, "ok": True, "gap": None},
+        {"name": "b", "x": math.inf, "n": 0, "ok": False, "gap": 1e21},
+    ]
+    assert csv_text(records) == (
+        "name,x,n,ok,gap\na,0.333333333333,7,True,\nb,inf,0,False,1e+21\n"
+    )
+
+
+def test_json_text_rounds_floats_and_names_non_finite_ones():
+    data = {"b": [1.0 / 3.0, -math.inf, math.nan], "a": {"n": 2, "ok": None}}
+    assert json.loads(json_text(data)) == {
+        "a": {"n": 2, "ok": None},
+        "b": [0.333333333333, "-inf", "nan"],
+    }
+    assert json_text(data).startswith('{\n  "a"')
+
+
+def test_payment_table_json_holds_the_schedule_columns(step_file, tmp_path, capsys):
+    out = tmp_path / "table.json"
+    assert main(["payment-table", step_file, "--m", "2", "--grid", "11", "--format", "json",
+                 "--out", str(out)]) == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+    sched = payment_schedule(make_step(0.4, 1.0), RoiTarget(2.0), 11)
+    assert list(sched.columns()) == ["v", "x", "p_myerson", "p_roi", "rebate"]
+    assert data == {k: [float(fmt(v)) for v in col] for k, col in sched.columns().items()}
 
 
 def test_out_flag_redirects_reports(uniform_file, tmp_path, capsys):

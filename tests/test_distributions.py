@@ -230,3 +230,25 @@ def test_density_slope_above_normal_floats_keeps_the_cdf():
     # equal densities have slope zero and stay accepted at any scale
     flat = PiecewiseLinearDensity((0.0, 1e200), (1e-200, 1e-200))
     assert flat.cdf(0.5e200) == pytest.approx(0.5, rel=1e-12)
+
+
+FIVE_PIECES = PiecewiseLinearDensity((0.0, 0.3, 1.1, 1.7, 2.5), (0.1, 0.5, 0.4, 0.3, 0.55))
+
+
+@pytest.mark.parametrize("dist", [TRIANGULAR, TENT, FIVE_PIECES], ids=["triangular", "tent", "five"])
+def test_piecewise_density_per_piece_slope_formulas_keep_their_bits(dist):
+    # the cached slopes give the bits of (d[i+1] - d[i]) / (b[i+1] - b[i]) worked out per piece
+    b, d, vmax = dist.breakpoints, dist.densities, dist.vmax
+    want_pieces = []
+    for i in range(len(b) - 1):
+        slope = (d[i + 1] - d[i]) / (b[i + 1] - b[i]) * vmax
+        want_pieces.append((b[i], b[i + 1], ((d[i] - slope * b[i] / vmax, 0.0), (slope, 1.0))))
+    assert dist.pdf_pieces() == tuple(want_pieces)
+    v = np.linspace(0.0, vmax, 97)
+    i = np.clip(np.searchsorted(b, v, side="right") - 1, 0, len(b) - 2)
+    ba, da = np.asarray(b), np.asarray(d)
+    slope = (da[i + 1] - da[i]) / (ba[i + 1] - ba[i])
+    t = v - ba[i]
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (da[:-1] + da[1:]) * np.diff(ba))])
+    want_cdf = np.minimum(cum[i] + da[i] * t + 0.5 * slope * t * t, 1.0)
+    assert np.array_equal(dist.cdf(v), want_cdf)

@@ -12,6 +12,7 @@ from roi_auction import (
     PowerCdfDistribution,
     PreconditionError,
     PiecewiseLinearDensity,
+    QuadratureError,
     RoiTarget,
     TabulatedCdf,
     UniformDistribution,
@@ -329,15 +330,6 @@ def test_structural_audit_on_null_rule_fails_only_threshold_allocation():
     assert failing == ["full_allocation_at_threshold"]
 
 
-def test_solution_descriptor_fields():
-    sol = optimal_mechanism(UNIFORM, M2, grid_n=501)
-    d = sol.descriptor(schedule_csv_path="ramp.csv")
-    assert set(d) == {"D", "boundary_case", "revenue", "allocation", "schedule_csv_path"}
-    assert d["boundary_case"] == "interior_root"
-    assert d["schedule_csv_path"] == "ramp.csv"
-    assert d["D"] == pytest.approx(0.75, abs=1e-9)
-
-
 def test_domain_guards():
     with pytest.raises(DomainError):
         threshold_integral(UNIFORM, M2, 1.5)
@@ -367,3 +359,36 @@ def test_solver_rejects_unusable_tolerance(tol):
     # inf stopped at the first midpoint; 0, -1 and nan reported a stalled residual
     with pytest.raises(ConstructionError, match="tolerance"):
         solve_threshold(POWER2, M2, tol=tol)
+
+
+def _counting_scaled_integral(monkeypatch):
+    import roi_auction.optimal as optimal_module
+
+    calls = []
+    inner = optimal_module._scaled_integral
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(optimal_module, "_scaled_integral", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "tol,want,evaluations", [(1e-16, 0.75, 54), (1e-30, 0.75, 54), (1e-9, 0.7500000004656613, 31)]
+)
+def test_solver_evaluations_down_to_float_resolution(tol, want, evaluations, monkeypatch):
+    # below float resolution the bracket stops narrowing at one float spacing;
+    # 147 more evaluations of the same midpoint then ended in "stalled at 0.000e+00".
+    # A reachable tol still stops on the bracket width first.
+    calls = _counting_scaled_integral(monkeypatch)
+    assert solve_threshold(UNIFORM, M2, tol=tol) == (want, BoundaryCase.INTERIOR_ROOT)
+    assert len(calls) == evaluations
+
+
+def test_solver_below_float_resolution_raises_on_residual_above_tol(monkeypatch):
+    calls = _counting_scaled_integral(monkeypatch)
+    with pytest.raises(QuadratureError, match="stalled"):
+        solve_threshold(PowerCdfDistribution(2.0, vmax=3.0), M2, tol=1e-17)
+    assert len(calls) == 53

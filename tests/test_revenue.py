@@ -32,6 +32,7 @@ from roi_auction import (
     optimal_mechanism,
     payment_schedule,
 )
+from roi_auction.cli import csv_text
 from oracles import table_revenue
 from random_rules import perturbed_table_copy
 
@@ -190,7 +191,7 @@ def test_compare_table_contents():
 
     data = table.to_dict()
     assert [r["name"] for r in data["rows"]] == ["posted_price", "roi_optimal"]
-    csv = table.csv_text()
+    csv = csv_text(data["rows"])
     assert csv.startswith("name,threshold,rev_quad,rev_mc,stderr\n")
     assert len(csv.splitlines()) == 3
     text = table.text()
@@ -200,7 +201,7 @@ def test_compare_table_contents():
 def test_compare_without_sampling_leaves_mc_columns_empty():
     table = compare(UNIFORM, M2, mc_samples=0, grid_n=2001)
     assert all(r.rev_mc is None and r.stderr is None for r in table.rows)
-    for line in table.csv_text().splitlines()[1:]:
+    for line in csv_text(table.to_dict()["rows"]).splitlines()[1:]:
         assert line.endswith(",,")
     assert "+/-" not in table.text()
 
@@ -208,7 +209,7 @@ def test_compare_without_sampling_leaves_mc_columns_empty():
 def test_compare_output_is_deterministic():
     one = compare(UNIFORM, M2, mc_samples=2_000, seed=7, grid_n=2001)
     two = compare(UNIFORM, M2, mc_samples=2_000, seed=7, grid_n=2001)
-    assert one.csv_text() == two.csv_text()
+    assert csv_text(one.to_dict()["rows"]) == csv_text(two.to_dict()["rows"])
 
 
 class _StubSolution:
