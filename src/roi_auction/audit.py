@@ -30,8 +30,10 @@ PROBE_OFFSETS = (0.01, -0.01)
 PROFILE_OPPONENT_GRID_N = 21
 PROFILE_SCHEDULE_GRID_N = 2001
 
-#: rows of the misreport matrices that check_dsic holds at once
-_DSIC_BLOCK = 256
+#: report columns per block of check_dsic's misreport search; a block is
+#: evaluated only for the value rows its bounds leave open, so memory is
+#: O(_DSIC_BLOCK * n) on an n-point grid
+_DSIC_BLOCK = 64
 
 #: a rule's truthful mechanism, under the name audit callers use
 mechanism_for = payment_schedule
@@ -116,32 +118,55 @@ def _truthful_outcomes(mech: PaymentSchedule, grid_n: int):
 
 
 def check_dsic(mech: PaymentSchedule, grid_n: int = AUDIT_GRID_N) -> AuditCheck:
-    """Worst utility gain from any misreport over all ordered grid pairs.
+    """Worst utility gain from any feasible misreport over all ordered grid pairs.
 
-    The value-by-report matrices are built _DSIC_BLOCK rows at a time, so
-    memory stays linear in the grid size.
+    For true value v and report b the utility is ratio * (v x(b)) - p(b), and
+    the report is feasible where v x(b) >= p(b) - FEASIBILITY_TOL. Reports are
+    searched _DSIC_BLOCK columns at a time in ascending b. Per block, the grid
+    times the block's largest x and the block's smallest payment bound every
+    cell in the cells' own floating-point order (the grid is >= 0, and each
+    rounding is monotone), so a value row skips a block that holds no feasible
+    report, cannot reach the truthful utility, or cannot beat the row's best
+    so far. Live rows are evaluated exactly, and a later block takes a row
+    only with a strictly larger maximum, so ties stay at the lowest b: the
+    result is bitwise that of the full value-by-report matrices.
     """
     grid, x, p = _truthful_outcomes(mech, grid_n)
     ratio = mech.m.ratio
     p_floor = p - FEASIBILITY_TOL
-    best = np.empty_like(grid)
-    best_at = np.empty(grid.size, dtype=np.intp)
-    any_feas = np.empty(grid.size, dtype=bool)
-    for start in range(0, grid.size, _DSIC_BLOCK):
-        rows = slice(start, start + _DSIC_BLOCK)
-        vx = grid[rows, None] * x[None, :]
-        feas = vx >= p_floor
-        util_feas = np.where(feas, ratio * vx - p[None, :], -np.inf)
-        best[rows] = util_feas.max(axis=1)
-        best_at[rows] = util_feas.argmax(axis=1)
-        any_feas[rows] = feas.any(axis=1)
-    # the diagonal of the matrices above, in the same floating-point order
     vx_truth = grid * x
     truth_feas = vx_truth >= p_floor
     u_truth = ratio * vx_truth - p
+    # the best report's utility is at least the truthful one, where truth is feasible
+    lower = np.where(truth_feas, u_truth, -np.inf)
+    best = np.full_like(grid, -np.inf)
+    best_at = np.zeros(grid.size, dtype=np.intp)
+    starts = np.arange(0, grid.size, _DSIC_BLOCK)
+    x_top = np.maximum.reduceat(x, starts)
+    p_low = np.minimum.reduceat(p, starts)
+    floor_low = np.minimum.reduceat(p_floor, starts)
+    for start, xt, pl, fl in zip(starts.tolist(), x_top, p_low, floor_low):
+        hi = grid * xt
+        ub = ratio * hi - pl
+        # written as a negation, so a NaN bound keeps its row live
+        live = np.flatnonzero(~((hi < fl) | (ub < lower) | (ub <= best)))
+        if not live.size:
+            continue
+        cols = slice(start, start + _DSIC_BLOCK)
+        util = np.multiply.outer(grid[live], x[cols])
+        feas = util >= p_floor[cols]
+        util *= ratio
+        util -= p[cols]
+        np.copyto(util, -np.inf, where=~feas)
+        at = util.argmax(axis=1)
+        top = util[np.arange(live.size), at]
+        gain = top > best[live]
+        rows = live[gain]
+        best[rows] = top[gain]
+        best_at[rows] = start + at[gain]
     gains = np.where(truth_feas, best - u_truth, np.inf)
-    stuck = ~truth_feas & ~any_feas
-    gains = np.where(stuck, 0.0, gains)
+    # no feasible report at all, truthful or not: nothing to gain
+    gains = np.where(~truth_feas & ~(best > -np.inf), 0.0, gains)
     return _verdict(
         "dsic", gains, DSIC_TOL, lambda i: {"v": float(grid[i]), "b": float(grid[int(best_at[i])])}
     )

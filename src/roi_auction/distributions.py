@@ -142,17 +142,41 @@ class ValueDistribution(abc.ABC):
         a = np.clip(a, 0.0, 1.0)
         return _ret(self._quantile(a), scalar)
 
+    def _piece_probes(self) -> tuple[list[float], list[float]]:
+        """Pairs (start, end) of points inside each ``psi_pieces`` piece between
+        which psi is monotone: the piece's start, a quadratic piece's vertex
+        strictly inside it, and one float below its end. Every kind's psi piece
+        is monotone or a quadratic, so psi falls inside a piece only across a pair.
+        """
+        starts: list[float] = []
+        ends: list[float] = []
+        for lo, hi, terms in self.psi_pieces():
+            points = [lo]
+            a2 = sum(a for a, e in terms if e == 2.0)
+            if a2 != 0.0:
+                vertex = -sum(a for a, e in terms if e == 1.0) / (2.0 * a2) * self.vmax
+                if lo < vertex < hi:
+                    points.append(vertex)
+            points.append(math.nextafter(hi, 0.0))
+            starts += points[:-1]
+            ends += points[1:]
+        return starts, ends
+
     def check_dmr(self, grid_n: int = 1001) -> DmrReport:
         """Test that the density-weighted virtual value never decreases: on a
-        grid, and across every interior breakpoint of ``pdf_pieces``."""
+        grid, across every interior breakpoint of ``pdf_pieces``, and, where
+        those find no violation, inside each piece (``_piece_probes``)."""
         if grid_n < 2:
             raise ConstructionError("check_dmr needs at least two grid points")
         grid = np.linspace(0.0, self.vmax, grid_n)
         with np.errstate(over="ignore", invalid="ignore"):
-            psi = self._psi(grid)
-        if not np.all(np.isfinite(psi)):
-            where = float(grid[int(np.argmin(np.isfinite(psi)))])
+            starts, ends = self._piece_probes()
+            points = np.concatenate([grid, starts, ends])
+            psi_all = self._psi(points)
+        if not np.all(np.isfinite(psi_all)):
+            where = float(points[int(np.argmin(np.isfinite(psi_all)))])
             raise DomainError(f"v f(v) + F(v) - 1 is not a finite float at v={where:.6g}")
+        psi, psi_starts, psi_ends = np.split(psi_all, [grid_n, grid_n + len(starts)])
         tol = 1e-9 * max(1.0, abs(float(psi[-1])))
         drops = psi[:-1] - psi[1:]
         worst_idx = int(np.argmax(drops))
@@ -171,6 +195,12 @@ class ValueDistribution(abc.ABC):
                 if drop > worst:
                     worst, worst_at = drop, b
                 first = b if first is None else min(first, b)
+        falls = psi_starts - psi_ends
+        inside = falls > tol
+        if first is None and np.any(inside):
+            i = int(np.argmax(falls))
+            worst, worst_at = float(falls[i]), starts[i]
+            first = starts[int(np.argmax(inside))]
         return DmrReport(
             passed=first is None,
             worst_drop=max(worst, 0.0),

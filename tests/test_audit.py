@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roi_auction import (
     AuditReport,
@@ -14,6 +15,7 @@ from roi_auction import (
     check_dsic,
     check_ir,
     highest_bid_wins,
+    make_power_ramp,
     make_step,
     make_table,
     payment_schedule,
@@ -22,7 +24,8 @@ from roi_auction import (
     uniqueness_probe,
 )
 from roi_auction import audit
-from roi_auction.audit import _audit_grid
+from roi_auction.allocation import AllocationRule, Segment, TableShape
+from roi_auction.audit import DSIC_TOL, _audit_grid
 from roi_auction.cli import json_text
 from roi_auction.payments import FEASIBILITY_TOL
 from oracles import broadcast_audit_grid, brute_dsic_gain, full_matrix_dsic, per_profile_audit
@@ -351,10 +354,74 @@ def test_audit_grid_memory_is_linear_in_grid_and_knots():
 
 @pytest.mark.parametrize("mech", list(_dsic_cases()))
 def test_blocked_dsic_matches_full_matrix_oracle(mech):
-    # 601 requested points (plus knots) span three row blocks, the last one partial
+    # 601 requested points (plus knots) span ten report-column blocks, the last one partial
     grid = _audit_grid(mech, 601)
-    assert grid.size % 256 != 0
+    assert grid.size > 9 * audit._DSIC_BLOCK and grid.size % audit._DSIC_BLOCK != 0
     x = mech.allocation.evaluate(grid)
     want = full_matrix_dsic(grid, x, mech.value_many(grid), mech.m.ratio, 1e-6)
     got = check_dsic(mech, grid_n=601)
     assert (got.worst_violation, got.passed, got.witness) == want
+
+
+@st.composite
+def _dsic_inputs(draw):
+    """A table rule and payments on a uniform grid that is exactly the audit grid."""
+    width = audit._DSIC_BLOCK
+    blocks = draw(st.integers(1, 12))
+    grid_n = max(2, (blocks - 1) * width + draw(st.integers(1, width)))
+    vmax = 10.0 ** draw(st.floats(-6.0, 150.0))
+    grid = np.linspace(0.0, vmax, grid_n)
+    # table knots sit on grid points, so they add no audit grid point
+    inner = draw(st.lists(st.integers(1, grid_n - 2), max_size=6)) if grid_n > 2 else []
+    at = np.unique([0, grid_n - 1, *inner])
+    xs = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=at.size, max_size=at.size)))
+    shape = draw(st.sampled_from(["rising", "tied", "dipping"]))
+    if shape != "dipping":
+        xs = np.sort(xs)
+    if shape == "tied":
+        xs = np.round(xs * 3.0) / 3.0
+    points = tuple(zip(grid[at].tolist(), xs.tolist()))
+    rule = AllocationRule(vmax, (Segment(0.0, vmax, TableShape(points)),))
+    m = RoiTarget(draw(st.sampled_from([1.01, 1.5, 2.0, 3.0, 20.0, 1e4])))
+    derived = payment_schedule(rule, m, grid_n=grid_n)
+    tamper = draw(st.sampled_from(["derived", "honest", "raised", "lowered", "unaffordable"]))
+    if tamper == "derived":
+        return derived, grid_n
+    pays = derived.value_many(grid)
+    lo = draw(st.integers(0, grid_n - 1))
+    stretch = slice(lo, draw(st.integers(lo + 1, grid_n)))
+    shift = draw(st.floats(1e-9, 0.1)) * vmax
+    if tamper == "raised":
+        pays[stretch] += shift
+    elif tamper == "lowered":
+        pays[stretch] -= shift
+    elif tamper == "unaffordable":
+        pays[stretch] = grid[stretch] * rule.evaluate(grid[stretch]) + shift
+    return _hand_schedule(rule, m, grid, pays), grid_n
+
+
+@given(_dsic_inputs())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_dsic_equals_full_matrix_oracle_on_generated_schedules(case):
+    mech, grid_n = case
+    grid = _audit_grid(mech, grid_n)
+    assert grid.size == grid_n
+    x = mech.allocation.evaluate(grid)
+    want = full_matrix_dsic(grid, x, mech.value_many(grid), mech.m.ratio, DSIC_TOL)
+    got = check_dsic(mech, grid_n=grid_n)
+    assert (got.worst_violation, got.passed, got.witness) == want
+
+
+def test_dsic_memory_is_linear_in_the_grid():
+    # the value-by-report matrices at grid 4001 are 4001 x 4001 float64, 128 MB each
+    ramp = make_power_ramp(0.8, 5.0)
+    mech = payment_schedule(ramp, RoiTarget(5.0))
+    tracemalloc.start()
+    try:
+        result = check_dsic(mech, grid_n=4001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert _audit_grid(mech, 4001).size >= 4001
+    assert peak < 8_000_000

@@ -524,6 +524,20 @@ def test_density_drop_at_a_knot_is_a_failed_check(tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "solution.json").exists()
 
 
+def test_psi_fall_inside_one_piece_is_a_failed_check(tmp_path, monkeypatch, capsys):
+    # psi falls from 4.996 to 4.0e-4 inside the piece [0.5001, 0.5002]
+    dens = [d / 1.001 for d in (1.0, 1.0, 11.0, 1.0, 1.0)]
+    path = _write(tmp_path, "narrow.json", _linear_density([0.0, 0.5, 0.5001, 0.5002, 1.0], dens))
+    monkeypatch.chdir(tmp_path)
+    assert main(["dmr-check", path]) == 1
+    out, err = capsys.readouterr()
+    assert out.count("FAIL") == 1 and "at v=0.5001" in out and err == ""
+    assert main(["solve", path, "--m", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("check failed:")
+    assert not (tmp_path / "solution.json").exists()
+
+
 def test_audit_accepts_derived_mechanisms(step_file, tmp_path, capsys):
     assert main(["audit", step_file, "--m", "2"]) == 0
     assert "overall: PASS" in capsys.readouterr().out

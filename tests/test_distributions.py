@@ -153,6 +153,33 @@ def test_dmr_catches_a_density_drop_at_a_knot():
     assert report.grid_n == 1001
 
 
+# psi is 4.996 at 0.5001 and 4.0e-4 one float below 0.5002: it falls inside one piece
+# narrower than a grid cell, and the density has no downward jump at a breakpoint
+NARROW_FALL = PiecewiseLinearDensity(
+    (0.0, 0.5, 0.5001, 0.5002, 1.0), tuple(d / 1.001 for d in (1.0, 1.0, 11.0, 1.0, 1.0))
+)
+
+
+def test_dmr_catches_a_fall_inside_one_piece():
+    report = NARROW_FALL.check_dmr()
+    assert not report.passed
+    assert report.worst_at == report.first_violation_at == 0.5001
+    end = math.nextafter(0.5002, 0.0)
+    fall = NARROW_FALL.marginal_revenue(0.5001) - NARROW_FALL.marginal_revenue(end)
+    assert report.worst_drop == fall
+    assert fall == pytest.approx(4.996, abs=1e-3)
+    assert report.grid_n == 1001
+
+
+def test_dmr_compares_psi_at_a_vertex_inside_the_piece():
+    # psi = 4v - 3v^2 - 1 rises from -1 to 0 across [0, 1], so a 2-point grid sees no
+    # fall; its vertex at 2/3, where psi is 1/3, does
+    report = TRIANGULAR.check_dmr(grid_n=2)
+    assert not report.passed
+    assert report.worst_at == report.first_violation_at == pytest.approx(2.0 / 3.0)
+    assert report.worst_drop == pytest.approx(1.0 / 3.0)
+
+
 def test_dmr_report_shape():
     rep = TRIANGULAR.check_dmr(grid_n=501)
     d = rep.to_dict()
