@@ -3,10 +3,10 @@
 Exit codes: 0 when the requested computation or check passes, 1 when a
 well-formed input fails a check (non-DMR distribution, failing audit,
 mismatched worked example), 2 for unusable input (bad JSON, unknown fields,
-ratio at or below 1 or at 2**51 and above, bad flag values). Output is
-deterministic: floats render at 12 significant digits (the allocation that
-``solve`` writes keeps full precision, so it reads back as the same rule) and
-rerunning a command reproduces its bytes.
+ratio at or below 1 or at 2**51 and above, bad flag values, a flag the command
+does not take). Output is deterministic: floats render at 12 significant
+digits (the allocation that ``solve`` writes keeps full precision, so it reads
+back as the same rule) and rerunning a command reproduces its bytes.
 """
 
 from __future__ import annotations
@@ -108,13 +108,13 @@ def _require_m(args) -> RoiTarget:
     return RoiTarget(args.m)
 
 
-def _mechanism_from_file(path: str, args, grid_n: int) -> PaymentSchedule:
-    data = _load_json(path)
+def _mechanism_from_file(args) -> PaymentSchedule:
+    data = _load_json(args.file)
     if not isinstance(data, dict):
         raise DescriptorError("mechanism file must hold a JSON object")
     if "segments" in data:
         rule = allocation_from_descriptor(data)
-        return payment_schedule(rule, _require_m(args), grid_n)
+        return payment_schedule(rule, _require_m(args), args.grid)
     allowed = {"allocation", "m", "schedule"}
     if "allocation" not in data or not set(data) <= allowed:
         raise DescriptorError(
@@ -130,7 +130,7 @@ def _mechanism_from_file(path: str, args, grid_n: int) -> PaymentSchedule:
         raise DescriptorError(f"'m' must be a number, got {ratio!r}")
     m = RoiTarget(ratio)
     if "schedule" not in data:
-        return payment_schedule(rule, m, grid_n)
+        return payment_schedule(rule, m, args.grid)
     sched = data["schedule"]
     if not isinstance(sched, dict) or set(sched) != {"grid", "payments"}:
         raise DescriptorError("'schedule' needs exactly 'grid' and 'payments' arrays")
@@ -168,8 +168,7 @@ def _cmd_dmr_check(args) -> int:
 def _cmd_solve(args) -> int:
     dist = distribution_from_descriptor(_load_json(args.file))
     m = _require_m(args)
-    grid_n = args.grid if args.grid is not None else DEFAULT_GRID_N
-    sol = optimal_mechanism(dist, m, grid_n=grid_n, tol=args.tol)
+    sol = optimal_mechanism(dist, m, grid_n=args.grid, tol=args.tol)
     out = Path(args.out) if args.out is not None else Path("solution.json")
     csv_path = out.with_name(out.stem + "_schedule.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fp:
@@ -195,7 +194,6 @@ def _cmd_solve(args) -> int:
 def _cmd_payment_table(args) -> int:
     rule = allocation_from_descriptor(_load_json(args.file))
     m = _require_m(args)
-    grid_n = args.grid if args.grid is not None else DEFAULT_GRID_N
     mono = rule.check_monotone()
     if not mono.passed:
         sys.stderr.write(
@@ -203,7 +201,7 @@ def _cmd_payment_table(args) -> int:
             f"(drop {fmt(mono.worst_violation)}); payments are undefined\n"
         )
         return 1
-    schedule = payment_schedule(rule, m, grid_n)
+    schedule = payment_schedule(rule, m, args.grid)
     if args.format == "json":
         _emit(json_text({k: col.tolist() for k, col in schedule.columns().items()}), args.out)
     else:
@@ -212,9 +210,7 @@ def _cmd_payment_table(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    grid_n = args.grid if args.grid is not None else DEFAULT_GRID_N
-    mech = _mechanism_from_file(args.file, args, grid_n)
-    report = run_standard_audit(mech)
+    report = run_standard_audit(_mechanism_from_file(args))
     if args.format == "json":
         _emit(json_text(report.to_dict()), args.out)
     else:
@@ -225,8 +221,7 @@ def _cmd_audit(args) -> int:
 def _cmd_compare(args) -> int:
     dist = distribution_from_descriptor(_load_json(args.file))
     m = _require_m(args)
-    grid_n = args.grid if args.grid is not None else DEFAULT_GRID_N
-    table = compare_mechanisms(dist, m, mc_samples=args.mc_samples, seed=args.seed, grid_n=grid_n)
+    table = compare_mechanisms(dist, m, mc_samples=args.mc_samples, seed=args.seed, grid_n=args.grid)
     if args.format == "json":
         _emit(json_text(table.to_dict()), args.out)
     elif args.format == "csv":
@@ -237,12 +232,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_example1(args) -> int:
-    m = RoiTarget(args.m if args.m is not None else 2.0)
-    grid_n = args.grid if args.grid is not None else DEFAULT_GRID_N
+    m = RoiTarget(args.m)
     dist = UniformDistribution(1.0)
-    base = myerson_baseline(dist, m, grid_n)
+    base = myerson_baseline(dist, m, args.grid)
     base_rev = expected_revenue_quadrature(base, dist).mean
-    sol = optimal_mechanism(dist, m, grid_n=grid_n, tol=args.tol)
+    sol = optimal_mechanism(dist, m, grid_n=args.grid, tol=args.tol)
     audit = run_standard_audit(sol.schedule)
     verdict = "PASS" if audit.passed else "FAIL"
     line = (
@@ -263,23 +257,28 @@ def _cmd_example1(args) -> int:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    # built on the first main call and reused; parse_args keeps no state between calls
-    shared = _Parser(add_help=False)
-    shared.add_argument("--m", type=float, default=None, help="target return ratio (> 1)")
-    grid_help = f"payment grid size (default {DEFAULT_GRID_N}); dmr-check: DMR grid (default 1001)"
-    shared.add_argument("--grid", type=int, default=None, help=grid_help)
-    shared.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
-    shared.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-    shared.add_argument("--mc-samples", type=int, default=100_000, help="Monte Carlo draws")
-    shared.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    shared.add_argument("--out", default=None, help="write output here instead of stdout")
-
+    # built on the first main call and reused; parse_args keeps no state between calls.
+    # Each command takes only the flags it reads, so argparse refuses any other.
     parser = _Parser(prog="roi-auction", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name, parents=[shared])
+    cmds = {name: sub.add_parser(name) for name in _COMMANDS}
+    grid_help = f"payment grid size (default {DEFAULT_GRID_N})"
+    for name, cmd in cmds.items():
         if name != "example1":
             cmd.add_argument("file")
+        if name != "dmr-check":
+            m_default = 2.0 if name == "example1" else None
+            cmd.add_argument("--m", type=float, default=m_default, help="target return ratio (> 1)")
+            cmd.add_argument("--grid", type=int, default=DEFAULT_GRID_N, help=grid_help)
+        if name in ("solve", "example1"):
+            cmd.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
+        cmd.add_argument("--out", help="write output here instead of stdout")
+    cmds["dmr-check"].add_argument("--grid", type=int, help="DMR grid size (default 1001)")
+    cmds["compare"].add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+    cmds["compare"].add_argument("--mc-samples", type=int, default=100_000, help="Monte Carlo draws")
+    for name, formats in (("dmr-check", "text json csv"), ("payment-table", "csv json"),
+                          ("audit", "text json"), ("compare", "text json csv")):
+        cmds[name].add_argument("--format", choices=formats.split(), default=formats.split()[0])
     return parser
 
 

@@ -263,24 +263,24 @@ def compare(
     seed: int = 0,
     grid_n: int = DEFAULT_GRID_N,
 ) -> ComparisonTable:
-    """Posted-price baseline versus the threshold-optimal mechanism."""
+    """Posted-price baseline versus the threshold-optimal mechanism; 0 samples skips Monte Carlo."""
     from .optimal import optimal_mechanism  # deferred: optimal builds on this module
 
+    if mc_samples < 0:
+        raise ConstructionError(f"need mc_samples >= 0 (0 skips Monte Carlo), got {mc_samples}")
     base = myerson_baseline(dist, m, grid_n)
     jumps = base.allocation.jump_points()
     base_threshold = jumps[0][0] if jumps else 0.0
     sol = optimal_mechanism(dist, m, grid_n=grid_n)
     rows = []
-    for name, mech, threshold in (
-        ("posted_price", base, base_threshold),
-        ("roi_optimal", sol.schedule, sol.threshold),
+    for name, mech, threshold, rev_quad in (
+        ("posted_price", base, base_threshold, expected_revenue_quadrature(base, dist).mean),
+        # the solver already took the quadrature revenue of its schedule
+        ("roi_optimal", sol.schedule, sol.threshold, sol.expected_revenue),
     ):
-        quad = expected_revenue_quadrature(mech, dist)
-        if mc_samples > 0:
-            mc = expected_revenue_mc(mech, dist, mc_samples, seed)
-            rows.append(ComparisonRow(name, threshold, quad.mean, mc.mean, mc.stderr))
-        else:
-            rows.append(ComparisonRow(name, threshold, quad.mean, None, None))
+        mc = expected_revenue_mc(mech, dist, mc_samples, seed) if mc_samples > 0 else None
+        rev_mc, stderr = (mc.mean, mc.stderr) if mc is not None else (None, None)
+        rows.append(ComparisonRow(name, threshold, rev_quad, rev_mc, stderr))
     if rows[1].rev_quad < rows[0].rev_quad - 1e-9:
         raise RoiAuctionError(
             f"threshold mechanism earned {rows[1].rev_quad!r}, below the posted-price "

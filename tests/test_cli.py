@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import roi_auction
 from roi_auction import RoiTarget, make_power_ramp, make_step, payment_schedule
 from roi_auction.cli import csv_text, fmt, json_text, main
+from roi_auction.payments import DEFAULT_GRID_N
 
 UNIFORM_DESC = {"kind": "uniform", "vmax": 1.0}
 TRIANGULAR_DESC = {
@@ -151,8 +152,8 @@ def _single_error_line(capsys) -> str:
 @pytest.mark.parametrize("command", ["solve", "compare"])
 def test_ratio_too_close_to_one_is_unusable_input(command, uniform_file, tmp_path, capsys):
     # c = 1e7: the ramp scale D^-c overflows a float
-    argv = [command, uniform_file, "--m", "1.0000001", "--mc-samples", "100"]
-    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    argv = [command, uniform_file, "--m", "1.0000001", "--out", str(tmp_path / "out.json")]
+    assert main(argv + (["--mc-samples", "100"] if command == "compare" else [])) == 2
     assert "too close to 1" in _single_error_line(capsys)
 
 
@@ -162,8 +163,8 @@ def test_huge_vmax_is_unusable_input(command, tmp_path, capsys):
     desc = {"kind": "power_cdf", "vmax": 1e300, "exponent": 2.0}
     path = _write(tmp_path, "huge.json", desc)
     assert main(["dmr-check", path]) == 0
-    argv = [command, path, "--m", "2", "--mc-samples", "100", "--out", str(tmp_path / "o.json")]
-    assert main(argv) == 2
+    argv = [command, path, "--m", "2", "--out", str(tmp_path / "o.json")]
+    assert main(argv + (["--mc-samples", "100"] if command == "compare" else [])) == 2
     assert "overflows" in _single_error_line(capsys)
 
 
@@ -321,14 +322,15 @@ def test_monte_carlo_stderr_stays_finite_at_large_payments(tmp_path, capsys):
     [
         (["--seed", str(2**64)], "2**64"),
         (["--mc-samples", str(2**62)], "in memory"),
+        (["--mc-samples", "-5"], "mc_samples >= 0"),
     ],
-    ids=["seed_2_to_64", "samples_2_to_62"],
+    ids=["seed_2_to_64", "samples_2_to_62", "negative_samples"],
 )
 def test_monte_carlo_seed_or_sample_count_past_its_range_is_unusable_input(
     flags, message, uniform_file, capsys
 ):
-    # both ended in a ValueError traceback: Philox keys hold 128 bits, and numpy
-    # refuses 2^62 floats before it allocates anything
+    # 2^64 and 2^62 ended in a ValueError traceback: Philox keys hold 128 bits, and
+    # numpy refuses 2^62 floats before it allocates anything; -5 exited 0, as 0 does
     argv = ["compare", uniform_file, "--m", "2", "--mc-samples", "10", *flags]
     assert main(argv) == 2
     assert message in _single_error_line(capsys)
@@ -372,8 +374,8 @@ def test_parser_reuse_keeps_no_options_between_calls(uniform_file, tmp_path, cap
         monkeypatch.setitem(cli._COMMANDS, name, record)
     out = str(tmp_path / "sol.json")
     runs = [
-        (["solve", uniform_file, "--m", "2", "--grid", "51", "--format", "json", "--out", out], 0),
-        (["compare", uniform_file, "--m", "3", "--tol", "1e-3", "--seed", "5", "--bogus"], 2),
+        (["solve", uniform_file, "--m", "2", "--grid", "51", "--tol", "1e-6", "--out", out], 0),
+        (["compare", uniform_file, "--m", "3", "--grid", "51", "--seed", "5", "--bogus"], 2),
         (["compare", uniform_file, "--m", "2"], 0),
         (["example1"], 0),
     ]
@@ -381,14 +383,12 @@ def test_parser_reuse_keeps_no_options_between_calls(uniform_file, tmp_path, cap
     for argv, code in runs:
         assert main(argv) == code
         stdouts.append(capsys.readouterr().out)
-    # grid None resolves to payments.DEFAULT_GRID_N (10,001) in each command
-    defaults = {"grid": None, "format": "text", "tol": 1e-9, "seed": 0, "mc_samples": 100_000}
-    # the usage error never reaches a command
+    # each command's namespace holds its own flags only; the usage error never reaches a command
     assert seen == [
-        {**defaults, "command": "solve", "file": uniform_file, "m": 2.0, "grid": 51,
-         "format": "json", "out": out},
-        {**defaults, "command": "compare", "file": uniform_file, "m": 2.0, "out": None},
-        {**defaults, "command": "example1", "m": None, "out": None},
+        {"command": "solve", "file": uniform_file, "m": 2.0, "grid": 51, "tol": 1e-6, "out": out},
+        {"command": "compare", "file": uniform_file, "m": 2.0, "grid": DEFAULT_GRID_N, "seed": 0,
+         "mc_samples": 100_000, "format": "text", "out": None},
+        {"command": "example1", "m": 2.0, "grid": DEFAULT_GRID_N, "tol": 1e-9, "out": None},
     ]
     for (argv, _), stdout in zip(runs, stdouts):
         assert stdout == _fresh_interpreter_stdout(argv)
@@ -687,6 +687,42 @@ def test_argparse_problems_use_exit_code_two(capsys):
     capsys.readouterr()
 
 
+# Each command's flags and --format values, as README's flag table lists them. Any other
+# flag or value is refused: a flag the command would ignore is unusable input.
+FLAG_ROWS = {
+    "dmr-check": (["--grid", "--out"], ["text", "json", "csv"]),
+    "solve": (["--m", "--grid", "--tol", "--out"], []),
+    "payment-table": (["--m", "--grid", "--out"], ["csv", "json"]),
+    "audit": (["--m", "--grid", "--out"], ["text", "json"]),
+    "compare": (["--m", "--grid", "--seed", "--mc-samples", "--out"], ["text", "json", "csv"]),
+    "example1": (["--m", "--grid", "--tol", "--out"], []),
+}
+
+
+@pytest.mark.parametrize("command", list(FLAG_ROWS))
+def test_each_command_accepts_only_its_own_flags(command, uniform_file, step_file, tmp_path, capsys):
+    flags, formats = FLAG_ROWS[command]
+    # example1 matches its frozen values at 2001 points, not at 51
+    values = {"--m": "2", "--grid": "2001", "--tol": "1e-9", "--seed": "3", "--mc-samples": "10"}
+    values["--out"] = str(tmp_path / "out.json")
+    argv = [command]
+    if command != "example1":
+        argv.append(step_file if command in ("payment-table", "audit") else uniform_file)
+    argv += [arg for flag in flags for arg in (flag, values[flag])]
+    # the whole row at once, with each of the command's --format values
+    for extra in [["--format", value] for value in formats] or [[]]:
+        assert main(argv + extra) == 0
+        assert capsys.readouterr().err == ""
+    for flag in sorted(values.keys() - set(flags)):
+        assert main(argv + [flag, values[flag]]) == 2
+        assert "unrecognized arguments" in _single_error_line(capsys)
+    for value in ["text", "json", "csv"]:
+        if value not in formats:
+            assert main(argv + ["--format", value]) == 2
+            refusal = "invalid choice" if formats else "unrecognized arguments"
+            assert refusal in _single_error_line(capsys)
+
+
 # --- exit-code contract over generated inputs --------------------------------------------
 # Descriptors start valid and are then mutated; fields and flags range over huge integers,
 # NaN/Infinity literals, empty lists, wrong types, extreme vmax and extreme --m.
@@ -800,21 +836,26 @@ _RATIOS += ["1", "1.0000001", "1e15", "1e300", "inf", "nan", "-1"]
     command=_COMMANDS,
     m=st.sampled_from(_RATIOS + [None]),
     tol=st.sampled_from(["1e-9", "1e-12", "0", "nan", "inf"]),
-    fmt=st.sampled_from(["json", "csv", "text"]),
     grid=st.sampled_from(["51", "51", "51", "2", "1"]),
     mc_samples=st.sampled_from(["200", "1", "0"]),
+    data=st.data(),
 )
 @settings(max_examples=150, derandomize=True, deadline=2000)
-def test_exit_code_contract_holds_on_generated_inputs(command, m, tol, fmt, grid, mc_samples):
-    name, data = command
+def test_exit_code_contract_holds_on_generated_inputs(command, m, tol, grid, mc_samples, data):
+    name, desc = command
+    flags, formats = FLAG_ROWS[name]
     with tempfile.TemporaryDirectory() as tmp:
         argv = [name]
         if name != "example1":
             argv.append(os.path.join(tmp, "input.json"))
             with open(argv[-1], "w", encoding="utf-8") as fp:
-                json.dump(data, fp)
-        argv += ["--grid", grid, "--tol", tol, "--format", fmt, "--mc-samples", mc_samples]
-        argv += ["--out", os.path.join(tmp, "out.json")] + ([] if m is None else [f"--m={m}"])
+                json.dump(desc, fp)
+        # every flag is drawn from the command's own row, so each run reaches the command
+        values = {"--m": m, "--grid": grid, "--tol": tol, "--mc-samples": mc_samples}
+        values["--out"] = os.path.join(tmp, "out.json")
+        argv += [f"{flag}={values[flag]}" for flag in flags if values.get(flag) is not None]
+        if formats:
+            argv.append(f"--format={data.draw(st.sampled_from(formats))}")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             with warnings.catch_warnings(record=True) as caught:

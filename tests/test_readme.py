@@ -1,8 +1,12 @@
-"""The README's Python examples run, and print what their comments say."""
+"""The README's Python examples run, and print what their comments say, and its
+per-command flag table is the CLI parser's."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
+
+from roi_auction.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # a comment that opens with the value the expression before it evaluates to
@@ -32,3 +36,35 @@ def test_readme_examples_match_their_comments():
                 assert abs(got - float(want)) <= 1e-9, f"{source} gave {got!r}, README says {want}"
             checked += 1
     assert checked >= 8
+
+
+def _readme_flag_table() -> dict[str, dict[str, tuple | None]]:
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| command | flags |"):].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        command, flags = re.fullmatch(r"\| `([\w-]+)` \| (.*) \|", line).groups()
+        rows[command] = {
+            flag: tuple(choices.split(",")) if choices else None
+            for flag, choices in re.findall(r"`(--[\w-]+)(?: \{([\w,]+)\})?`", flags)
+        }
+    return rows
+
+
+def _parser_flags() -> dict[str, dict[str, tuple | None]]:
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    rows = {}
+    for command, cmd in sub.choices.items():
+        rows[command] = {}
+        for action in cmd._actions:
+            if action.option_strings and action.dest != "help":
+                choices = tuple(action.choices) if action.choices else None
+                # README lists the default --format value first
+                assert choices is None or action.default == choices[0], (command, action.dest)
+                rows[command][action.option_strings[0]] = choices
+    return rows
+
+
+def test_readme_flag_table_is_the_parsers():
+    assert _readme_flag_table() == _parser_flags()

@@ -105,6 +105,9 @@ def test_mc_input_guards():
         expected_revenue_mc(mech, UNIFORM, 0)
     with pytest.raises(ConstructionError):
         expected_revenue_mc(mech, UNIFORM, 10, seed=-1)
+    # 0 skips Monte Carlo in compare; below 0 is refused
+    with pytest.raises(ConstructionError, match="mc_samples"):
+        compare(UNIFORM, M2, mc_samples=-1)
 
 
 def _draw_order_mc(mech, dist, n, seed):
@@ -215,6 +218,7 @@ def test_compare_output_is_deterministic():
 class _StubSolution:
     threshold = 0.0
     schedule = payment_schedule(make_constant(0.0, 1.0), M2)
+    expected_revenue = 0.0
 
 
 def test_compare_flags_solver_dominance_defect(monkeypatch):
