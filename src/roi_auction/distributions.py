@@ -486,7 +486,7 @@ def distribution_from_descriptor(data: dict) -> ValueDistribution:
         if isinstance(exc, ConstructionError):
             raise
         raise DescriptorError(f"malformed {kind!r} descriptor: {exc}") from exc
-    if abs(dist.vmax - vmax) > 1e-9 * max(1.0, vmax):
+    if abs(dist.vmax - vmax) > 1e-9 * vmax:
         raise DescriptorError(
             f"declared vmax {vmax!r} disagrees with the data endpoint {dist.vmax!r}"
         )

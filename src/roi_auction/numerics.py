@@ -1,22 +1,53 @@
-"""Root bracketing, scalar quadrature and the piecewise power-term format.
+"""Root bracketing, integration and the piecewise power-term format.
 
-Both routines are deliberately small and deterministic: plain bisection with
-an explicit bracket-width stopping rule, and adaptive Simpson with an
-absolute-tolerance budget split across subintervals. No library path calls
-adaptive Simpson (the threshold solve and the revenue are exact); it stays
+The routines are deliberately small and deterministic: plain bisection with
+an explicit bracket-width stopping rule, the closed-form integral of the
+product of two piecewise power curves (the threshold solve's G and the
+expected revenue), and adaptive Simpson with an absolute-tolerance budget
+split across subintervals. No library path calls adaptive Simpson; it stays
 only because the benchmark's tracer, ``perfbench/tracing.py``, wraps it by
 name.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+import bisect
+from typing import Callable, Iterable, Sequence
 
 from .errors import QuadratureError
 
 #: (lo, hi, ((a, e), ...)): a curve equal to the sum of a * (v / vmax)^e for lo <= v < hi;
 #: densities, allocation rules and payments are lowered to tuples of these
 PowerPiece = tuple[float, float, tuple[tuple[float, float], ...]]
+
+
+def power_product_integral(
+    left: Sequence[PowerPiece], right: Sequence[PowerPiece], span: float, rescale: float
+) -> float:
+    """Integral over t = v / span in [0, 1] of the product of two piece lists.
+
+    Both lists tile [0, ...) in order, bounded in v. A left term (a, e) is
+    a t^e, and a right term (b, k), b (rescale t)^k, is restated as
+    b rescale^k t^k. Pieces starting at or beyond span are dropped; each cell
+    [l, u] of the merged partition adds, pair by pair in term order, the moment
+
+        integral_l^u a t^e b t^k dt = a b (u^q - l^q) / q,  q = e + k + 1.
+    """
+    left = [piece for piece in left if piece[0] < span]
+    right = [(lo, hi, [(b * rescale**k, k) for b, k in f]) for lo, hi, f in right if lo < span]
+    left_los, right_los = [p[0] for p in left], [p[0] for p in right]
+    cuts = sorted({0.0, span, *(v for v in left_los + right_los if 0.0 < v < span)})
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        r_terms = right[bisect.bisect_right(right_los, mid) - 1][2]
+        t_lo, t_hi = lo / span, hi / span
+        for a, e in left[bisect.bisect_right(left_los, mid) - 1][2]:
+            for b, k in r_terms:
+                q = e + k + 1.0
+                total += a * (t_hi**q - t_lo**q) * b / q
+    return total
+
 
 #: Bisection steps bisect_root takes at most before returning its bracket midpoint.
 BISECT_MAX_ITER = 200

@@ -12,13 +12,9 @@ not underflow as M -> 1, and the revenue derivative is its fixed multiple
 -(c + 1) G(D), so the bisected sign is the quantity that actually matters.
 
 G is exact, not quadrature: every distribution lowers psi to pieces of power
-terms a (v / vmax)^e (``ValueDistribution.psi_pieces``), and each term of a
-piece [lo, hi) contributes its moment
-
-    a (D / vmax)^e (u^q - l^q) / q,  q = e + c + 1, l = lo / D, u = min(hi, D) / D,
-
-the integral of a (D s / vmax)^e s^c over l <= s < u.
-
+terms a (v / vmax)^e (``ValueDistribution.psi_pieces``), which in s = v / D
+are a (D / vmax)^e s^e, and G is their product with the one-piece weight s^c
+on [0, D], summed in closed-form moments by ``numerics.power_product_integral``.
 No step of this depends on how steep the weight s^c is, so ratios near 1
 need no special path.
 """
@@ -36,7 +32,7 @@ from .allocation import make_power_ramp
 from .audit import AuditCheck, AuditReport, _verdict
 from .distributions import ValueDistribution
 from .errors import ConstructionError, DomainError, PreconditionError, QuadratureError
-from .numerics import bisect_root
+from .numerics import bisect_root, power_product_integral
 from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, _envelope, payment_schedule
 from .revenue import expected_revenue_quadrature
 
@@ -54,18 +50,8 @@ class BoundaryCase(enum.Enum):
 
 def _scaled_integral(dist: ValueDistribution, m: RoiTarget, threshold: float) -> float:
     """G(threshold) = integral_0^1 psi(threshold * s) s^c ds, from exact piece moments."""
-    c = 1.0 / (m.ratio - 1.0)
-    top = threshold / dist.vmax
-    total = 0.0
-    for lo, hi, terms in dist.psi_pieces():
-        if lo >= threshold:
-            break
-        s_lo = lo / threshold
-        s_hi = min(hi, threshold) / threshold
-        for a, e in terms:
-            q = e + c + 1.0
-            total += a * top**e * (s_hi**q - s_lo**q) / q
-    return total
+    weight = ((0.0, threshold, ((1.0, 1.0 / (m.ratio - 1.0)),)),)
+    return power_product_integral(weight, dist.psi_pieces(), threshold, threshold / dist.vmax)
 
 
 def threshold_integral(dist: ValueDistribution, m: RoiTarget, upper: float) -> float:
@@ -85,10 +71,10 @@ def solve_threshold(
 
     Refuses non-DMR inputs: without a monotone weighted curve the sign of G
     no longer brackets a unique root and the ramp is not optimal. Stops when
-    the bracket is below tol * max(1, vmax) and the residual
-    |G(mid)| (mid / max(1, vmax))^(c+1) is at most tol: that is |H(mid)| for
-    vmax <= 1, and scale-free above it. Once no float lies strictly inside the
-    bracket (a tol below float resolution), the midpoint there is returned if
+    the bracket is below tol * vmax and |G(mid)| (mid / vmax)^(c+1), the
+    residual |H(mid)| / vmax^(c+1), is at most tol, so values scaled by 2^k
+    give the threshold times 2^k bitwise. Once no float lies strictly inside
+    the bracket (a tol below float resolution), its midpoint is returned if
     its residual is at most tol, and a QuadratureError raised if not. A vmax
     whose power c + 1 overflows, so that H itself cannot be reported, is a
     DomainError; a tol that is not positive and finite is a ConstructionError.
@@ -119,21 +105,19 @@ def solve_threshold(
         return vmax, BoundaryCase.FULL_SUPPORT
     if dist.marginal_revenue(vmax) <= 0.0:
         return vmax, BoundaryCase.FULL_SUPPORT
-    lo = bisect_root(dist.marginal_revenue, 0.0, vmax, x_tol=1e-13 * max(1.0, vmax))
+    lo = bisect_root(dist.marginal_revenue, 0.0, vmax, x_tol=1e-13 * vmax)
     hi = vmax
-    mid = 0.5 * (lo + hi)
-    residual = math.inf
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         g_mid = _scaled_integral(dist, m, mid)
-        residual = g_mid * (mid / max(1.0, vmax)) ** (c + 1.0)
+        residual = g_mid * (mid / vmax) ** (c + 1.0)
         # with no float strictly inside the bracket, this midpoint is the last
         last = not lo < mid < hi
         if g_mid > 0.0:
             hi = mid
         else:
             lo = mid
-        if (last or hi - lo <= 0.5 * tol * max(1.0, vmax)) and abs(residual) <= tol:
+        if (last or hi - lo <= 0.5 * tol * vmax) and abs(residual) <= tol:
             return mid, BoundaryCase.INTERIOR_ROOT
         if last:
             break

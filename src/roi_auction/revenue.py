@@ -1,12 +1,12 @@
 """Expected revenue, two ways, plus the posted-price baseline.
 
 The exact path (``expected_revenue_quadrature``) lowers the payment and the
-density to power terms in t = v / vmax on a common partition and sums their
-closed-form moments. Derived payments are cut at the rule's pieces, its
-stationary candidates and the exact points where the rebate's running max
-switches between tight (p = v x) and flat (p = ratio p~ - R); hand-supplied
-schedules are their linear interpolant. Jumps sit on cuts, so no left limits
-are needed. Monte Carlo draws values by quantile transform from
+density to power terms in t = v / vmax and integrates their product with
+``numerics.power_product_integral``. Derived payments are cut at the rule's
+pieces, its stationary candidates and the exact points where the rebate's
+running max switches between tight (p = v x) and flat (p = ratio p~ - R);
+hand-supplied schedules are their linear interpolant. Jumps sit on cuts, so
+no left limits are needed. Monte Carlo draws values by quantile transform from
 counter-based substreams, so results are byte-identical for a given seed
 regardless of chunking order. Each chunk of draws is evaluated in sorted
 order, which turns the table lookups into sequential scans, and scattered
@@ -25,7 +25,7 @@ import numpy as np
 from .allocation import make_step
 from .distributions import ValueDistribution
 from .errors import ConstructionError, PreconditionError, RoiAuctionError
-from .numerics import PowerPiece, bisect_root
+from .numerics import PowerPiece, bisect_root, power_product_integral
 from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule
 
 _MC_CHUNK = 1 << 16
@@ -46,7 +46,7 @@ class RevenueEstimate:
 def _shared_support(mech: PaymentSchedule, dist: ValueDistribution) -> float:
     """The rule's vmax, once the distribution is known to share it."""
     vmax = mech.allocation.vmax
-    if abs(dist.vmax - vmax) > 1e-9 * max(1.0, vmax):
+    if abs(dist.vmax - vmax) > 1e-9 * vmax:
         raise ConstructionError(
             f"distribution support [0, {dist.vmax}] does not match the rule's [0, {vmax}]"
         )
@@ -56,29 +56,15 @@ def _shared_support(mech: PaymentSchedule, dist: ValueDistribution) -> float:
 def expected_revenue_quadrature(mech: PaymentSchedule, dist: ValueDistribution) -> RevenueEstimate:
     """Exact integral of the truthful payment against the value density.
 
-    The payment and the density are both sums of power terms in t = v / vmax
-    on every piece of a common partition, so the integral is a sum of
-    closed-form moments a b (u^q - l^q) / q. The name and the method label
-    "quadrature" stay as callers know them.
+    The payment and the density are both pieces of power terms in
+    t = v / vmax, so ``numerics.power_product_integral`` sums the integral
+    in closed form. The name and the method label "quadrature" stay as
+    callers know them.
     """
     vmax = _shared_support(mech, dist)
     pay = _payment_pieces(mech) if mech.derived else _interpolant_pieces(mech, vmax)
     # the density's terms, restated in the rule's t = v / vmax
-    rescale = vmax / dist.vmax
-    dens = [(lo, [(b * rescale**k, k) for b, k in f]) for lo, _, f in dist.pdf_pieces()]
-    pay_los = [lo for lo, _, _ in pay]
-    dens_los = [lo for lo, _ in dens]
-    cuts = sorted({0.0, vmax, *(v for v in pay_los + dens_los if 0.0 < v < vmax)})
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        p_terms = pay[bisect.bisect_right(pay_los, mid) - 1][2]
-        f_terms = dens[bisect.bisect_right(dens_los, mid) - 1][1]
-        t_lo, t_hi = lo / vmax, hi / vmax
-        for a, e in p_terms:
-            for b, k in f_terms:
-                q = e + k + 1.0
-                total += a * (t_hi**q - t_lo**q) * b / q
+    total = power_product_integral(pay, dist.pdf_pieces(), vmax, vmax / dist.vmax)
     return RevenueEstimate(mean=vmax * total, stderr=0.0, method="quadrature")
 
 
@@ -222,9 +208,7 @@ def myerson_baseline(
         raise PreconditionError(
             "marginal revenue does not change sign on the support; no interior posted price"
         )
-    price = bisect_root(
-        dist.marginal_revenue, 0.0, dist.vmax, x_tol=1e-13 * max(1.0, dist.vmax)
-    )
+    price = bisect_root(dist.marginal_revenue, 0.0, dist.vmax, x_tol=1e-13 * dist.vmax)
     rule = make_step(price, dist.vmax)
     return payment_schedule(rule, m if m is not None else RoiTarget(2.0), grid_n)
 

@@ -288,3 +288,50 @@ def per_row_csv(sched) -> str:
     for row in zip(sched.grid, sched.allocations, sched.myerson, sched.payments, sched.rebates):
         lines.append(",".join(format(float(c), ".12g") for c in row) + "\n")
     return "".join(lines)
+
+
+def loop_scaled_integral(dist, m, threshold: float) -> float:
+    """G(threshold) by the per-piece moment loop the solver ran on its own.
+
+    Kept verbatim, with ``loop_revenue_quadrature``, as the bitwise reference
+    for ``numerics.power_product_integral``, which replaced both loops.
+    """
+    c = 1.0 / (m.ratio - 1.0)
+    top = threshold / dist.vmax
+    total = 0.0
+    for lo, hi, terms in dist.psi_pieces():
+        if lo >= threshold:
+            break
+        s_lo = lo / threshold
+        s_hi = min(hi, threshold) / threshold
+        for a, e in terms:
+            q = e + c + 1.0
+            total += a * top**e * (s_hi**q - s_lo**q) / q
+    return total
+
+
+def loop_revenue_quadrature(mech, dist) -> float:
+    """Expected revenue by the partition-merge loop the revenue ran on its own."""
+    import bisect
+
+    from roi_auction.revenue import _interpolant_pieces, _payment_pieces, _shared_support
+
+    vmax = _shared_support(mech, dist)
+    pay = _payment_pieces(mech) if mech.derived else _interpolant_pieces(mech, vmax)
+    # the density's terms, restated in the rule's t = v / vmax
+    rescale = vmax / dist.vmax
+    dens = [(lo, [(b * rescale**k, k) for b, k in f]) for lo, _, f in dist.pdf_pieces()]
+    pay_los = [lo for lo, _, _ in pay]
+    dens_los = [lo for lo, _ in dens]
+    cuts = sorted({0.0, vmax, *(v for v in pay_los + dens_los if 0.0 < v < vmax)})
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        p_terms = pay[bisect.bisect_right(pay_los, mid) - 1][2]
+        f_terms = dens[bisect.bisect_right(dens_los, mid) - 1][1]
+        t_lo, t_hi = lo / vmax, hi / vmax
+        for a, e in p_terms:
+            for b, k in f_terms:
+                q = e + k + 1.0
+                total += a * (t_hi**q - t_lo**q) * b / q
+    return vmax * total

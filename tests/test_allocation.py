@@ -101,7 +101,7 @@ def test_fall_spread_over_a_piece_fails_check_monotone(shape, at_v):
 
 
 @given(st.integers(0, 10_000), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None)
 def test_evaluate_never_decreases(seed, a, b):
     rule = random_monotone_rule(seed % 100)
     lo, hi = min(a, b), max(a, b)

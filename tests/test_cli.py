@@ -236,6 +236,8 @@ TINY_CELL_SCHEDULE = {
         ("dmr-check", {"kind": [], "vmax": 1.0}),
         ("payment-table", _one_segment_rule({"type": ["constant"], "level": 1.0})),
         ("audit", TINY_CELL_SCHEDULE),
+        # ends at twice its declared vmax, which a mismatch of 1e-9 * max(1, vmax) let through
+        ("solve", {"kind": "tabulated_cdf", "vmax": 1e-10, "points": [[0, 0], [2e-10, 1]]}),
     ],
     ids=[
         "big_uniform_vmax",
@@ -248,6 +250,7 @@ TINY_CELL_SCHEDULE = {
         "list_kind",
         "list_shape_type",
         "schedule_slope_overflow",
+        "tiny_vmax_disagrees",
     ],
 )
 def test_out_of_range_or_mistyped_descriptors_are_unusable_input(

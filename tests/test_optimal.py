@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roi_auction import (
     BoundaryCase,
@@ -186,6 +187,33 @@ def test_solver_residual_is_scale_free_above_unit_vmax(dist, ratio):
     threshold, case = solve_threshold(dist, RoiTarget(ratio), tol=1e-9)
     assert case is BoundaryCase.INTERIOR_ROOT
     assert abs(threshold - want) <= 1e-9 * dist.vmax
+
+
+# DMR inputs on [0, s], each built from the same floats at every power-of-two scale s
+SCALED_KINDS = {
+    "uniform": lambda s: UniformDistribution(s),
+    "power_cdf": lambda s: PowerCdfDistribution(2.0, vmax=3.0 * s),
+    "tabulated_cdf": lambda s: TabulatedCdf(
+        tuple((v * s, F) for v, F in [(0.0, 0.0), (0.2, 0.1), (0.5, 0.3), (0.8, 0.6), (1.0, 1.0)])
+    ),
+    "piecewise_linear_density": lambda s: PiecewiseLinearDensity(
+        (0.0, 0.5 * s, s), (0.5 / s, 1.0 / s, 1.5 / s)
+    ),
+}
+
+
+@given(
+    kind=st.sampled_from(sorted(SCALED_KINDS)),
+    ratio=st.one_of(st.sampled_from([1.05, 1.2, 2.0, 5.0, 20.0]), st.floats(1.05, 20.0)),
+    k=st.integers(-40, 40),
+)
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_threshold_scales_bitwise_with_vmax(kind, ratio, k):
+    # the bracket stop, the residual and the psi bracket were absolute below vmax = 1,
+    # so uniform at vmax 1e-8 and ratio 1.05 gave D / vmax = 0.53125 for 0.5238...
+    make, m = SCALED_KINDS[kind], RoiTarget(ratio)
+    base, case = solve_threshold(make(1.0), m)
+    assert solve_threshold(make(2.0**k), m) == (math.ldexp(base, k), case)
 
 
 @pytest.mark.parametrize(

@@ -129,7 +129,7 @@ def test_payment_invariants(seed):
 
 
 @given(seed=st.integers(0, 60), ratio=st.floats(1.1, 8.0), t=st.floats(0.0, 1.0))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, derandomize=True, deadline=None)
 def test_payment_bounded_by_realized_value(seed, ratio, t):
     rule = random_monotone_rule(seed)
     m = RoiTarget(ratio)

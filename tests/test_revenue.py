@@ -75,6 +75,16 @@ def test_support_mismatch_is_rejected():
         expected_revenue_mc(mech, wide, 100)
 
 
+def test_support_mismatch_is_relative_below_unit_vmax():
+    # the allowed mismatch was 1e-9 * max(1, vmax), so at vmax 1e-10 twice the support passed
+    mech = payment_schedule(make_step(0.4e-10, 1e-10), M2)
+    wide = UniformDistribution(2e-10)
+    with pytest.raises(ConstructionError):
+        expected_revenue_quadrature(mech, wide)
+    with pytest.raises(ConstructionError):
+        expected_revenue_mc(mech, wide, 100)
+
+
 def test_mc_seeded_reruns_are_identical():
     mech = myerson_baseline(UNIFORM)
     first = expected_revenue_mc(mech, UNIFORM, 70_000, seed=3)
