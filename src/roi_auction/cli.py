@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -63,6 +64,32 @@ def json_ready(obj: Any) -> Any:
 def json_text(data: Any) -> str:
     """Sorted, indented JSON of ``data`` with every float at 12 digits."""
     return json.dumps(json_ready(data), indent=2, sort_keys=True) + "\n"
+
+
+# the %.12g cells whose text columns_json rewrites
+_INTEGER_CELL = re.compile(r"\n(-?\d+)(?=\n)")
+_OTHER_CELL = re.compile(r"\n(\S*e(?:\+1[2-5]|-3(?:0[89]|[12]\d))|-?inf|nan)(?=\n)")
+
+
+def columns_json(columns: dict[str, np.ndarray]) -> str:
+    """``json_text`` of float columns given as arrays, with one %-format per column.
+
+    For a finite x, ``json_text`` writes repr(float(fmt(x))). Decimals of up to
+    15 significant digits read back as distinct normal floats, so repr keeps
+    fmt's digits and differs only in layout: it adds ".0" to an integer and
+    writes exponents 12 to 15 out in full. Those cells, cells that may be
+    subnormal and non-finite ones are rewritten; every other cell is already
+    its JSON text.
+    """
+    parts = []
+    for name in sorted(columns):
+        col = columns[name]
+        text = "\n" + "%.12g\n" * col.size % tuple(col.tolist())
+        text = _INTEGER_CELL.sub(r"\n\1.0", text)
+        text = _OTHER_CELL.sub(lambda m: "\n" + json.dumps(json_ready(float(m[1]))), text)
+        items = text[1:-1].replace("\n", ",\n    ")
+        parts.append(f"  {json.dumps(name)}: [\n    {items}\n  ]")
+    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def csv_text(records: Sequence[dict]) -> str:
@@ -203,7 +230,7 @@ def _cmd_payment_table(args) -> int:
         return 1
     schedule = payment_schedule(rule, m, args.grid)
     if args.format == "json":
-        _emit(json_text({k: col.tolist() for k, col in schedule.columns().items()}), args.out)
+        _emit(columns_json(schedule.columns()), args.out)
     else:
         _emit(schedule.csv_text(), args.out)
     return 0

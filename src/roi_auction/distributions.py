@@ -168,7 +168,10 @@ class ValueDistribution(abc.ABC):
         those find no violation, inside each piece (``_piece_probes``)."""
         if grid_n < 2:
             raise ConstructionError("check_dmr needs at least two grid points")
-        grid = np.linspace(0.0, self.vmax, grid_n)
+        try:
+            grid = np.linspace(0.0, self.vmax, grid_n)
+        except (ValueError, MemoryError):
+            raise ConstructionError(f"cannot hold a {grid_n}-point DMR grid in memory") from None
         with np.errstate(over="ignore", invalid="ignore"):
             starts, ends = self._piece_probes()
             points = np.concatenate([grid, starts, ends])

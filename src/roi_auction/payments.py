@@ -11,17 +11,19 @@ The kernel ``_envelope`` gives x, p~ and the violation g = ratio p~ - v x for
 every payment here. The max runs over a candidate set: a uniform grid, every
 segment endpoint (right-continuous, so post-jump values are included), the
 stationary points of g on linear pieces, and the query point itself; this
-makes the rebate exact for all structured shapes. One running max R of g
-(``schedule_on``) gives a schedule, with p = v x - (R - g): exactly v x where
-g is its own running max, and never above v x in floating point.
+makes the rebate exact for all structured shapes. A derived schedule is its
+(rule, target) pair: ``payment_schedule`` and ``schedule_on`` check it when
+they build it, and it is sampled on its grid on first read, by one running max
+R of g, with p = v x - (R - g): exactly v x where g is its own running max,
+and never above v x in floating point.
 
 Ratio limit: g and R grow like ratio * vmax, so for ratios of 100 and more the
 payment error is up to about ratio 2^-52 vmax (tested below twice that); at
 ratio 1e8 on [0, 1] it exceeds the audits' 1e-9 characterization tolerance.
 From ratio 2^51 on that bound is vmax itself, the whole payment range, so
 ``RoiTarget`` refuses such ratios. Payments stay within (ratio + 1) vmax in
-magnitude, so ``schedule_on`` refuses a rule and ratio where that passes half
-the float range.
+magnitude, so a derived schedule refuses a rule and ratio where that passes
+half the float range.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from __future__ import annotations
 import io
 import math
 import sys
-from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import IO
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
+from typing import IO, Callable
 
 import numpy as np
 
@@ -83,62 +85,82 @@ def _envelope(rule: AllocationRule, ratio: float, v):
 
 @lru_cache(maxsize=128)
 def _candidate_grid(rule: AllocationRule, ratio: float, grid_n: int) -> np.ndarray:
-    if grid_n < 2:
-        raise ConstructionError("payment grids need at least two points")
     uniform = np.linspace(0.0, rule.vmax, grid_n)
     return np.unique(np.concatenate([uniform, rule.knots(), rule.stationary_candidates(ratio)]))
 
 
 def schedule_on(rule: AllocationRule, m: RoiTarget, grid: np.ndarray) -> PaymentSchedule:
-    """Derived payments on an increasing grid from 0, via one running-max sweep."""
-    # with x in [0, 1], g, R - g and p = v x - (R - g) stay within (ratio + 1) vmax;
-    # keep that a factor 2 inside the float range, for the revenue sums built on it
-    if not (m.ratio + 1.0) * rule.vmax <= sys.float_info.max / 2.0:
-        raise ConstructionError(
-            f"ROI ratio {m.ratio!r} times vmax {rule.vmax!r} leaves the float range; "
-            "payments would overflow"
-        )
-    x, pt, g = _envelope(rule, m.ratio, grid)
-    reb = np.maximum.accumulate(g)
-    return PaymentSchedule(
-        grid=grid,
-        allocations=x,
-        myerson=pt,
-        rebates=reb,
-        payments=grid * x - (reb - g),
-        allocation=rule,
-        m=m,
-        derived=True,
-    )
+    """Derived payments on an increasing grid from 0, sampled on first read."""
+    return PaymentSchedule(rule, m, lambda: grid)
 
 
 def payment_schedule(
     rule: AllocationRule, m: RoiTarget, grid_n: int = DEFAULT_GRID_N
 ) -> PaymentSchedule:
     """Payments on the candidate grid: uniform points, knots and stationary points."""
-    return schedule_on(rule, m, _candidate_grid(rule, m.ratio, grid_n))
+    if grid_n < 2:
+        raise ConstructionError("payment grids need at least two points")
+    try:
+        # the grid is built on first read; a size no array can take is refused here
+        np.empty(grid_n)
+    except (ValueError, MemoryError):
+        raise ConstructionError(f"cannot hold a {grid_n}-point payment grid in memory") from None
+    return PaymentSchedule(rule, m, partial(_candidate_grid, rule, m.ratio, grid_n))
 
 
 @dataclass(frozen=True, eq=False)
 class PaymentSchedule:
     """A mechanism: an allocation rule, its ROI target and the payments it charges.
 
-    Audits, revenue estimators and the CLI all take this one type. The payments
-    are sampled on ``grid``; a derived schedule holds the truthful ones.
-
-    ``derived`` schedules evaluate off-grid payments by exact recomputation
-    (the running max is a prefix of the stored sweep, plus the query point);
-    hand-supplied schedules interpolate their stored grid instead.
+    Audits, revenue estimators and the CLI all take this one type. A derived
+    schedule holds the truthful payments: it is its (rule, target) pair, plus
+    ``make_grid``, the grid it is sampled on. Its columns ``grid``,
+    ``allocations``, ``myerson``, ``rebates`` and ``payments`` come from one
+    running-max sweep on first read and are kept; the exact revenue reads only
+    the rule and the target, so it never samples them. Off-grid payments are
+    exact recomputations (the running max is a prefix of the sweep, plus the
+    query point). A hand-supplied schedule (``hand``, ``with_payments``) holds
+    explicit columns and interpolates its grid instead.
     """
 
-    grid: np.ndarray
-    allocations: np.ndarray
-    myerson: np.ndarray
-    rebates: np.ndarray
-    payments: np.ndarray
     allocation: AllocationRule
     m: RoiTarget
-    derived: bool = True
+    make_grid: Callable[[], np.ndarray] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        # with x in [0, 1], g, R - g and p = v x - (R - g) stay within (ratio + 1) vmax;
+        # keep that a factor 2 inside the float range, for the revenue sums built on it
+        ratio, vmax = self.m.ratio, self.allocation.vmax
+        if self.derived and not (ratio + 1.0) * vmax <= sys.float_info.max / 2.0:
+            raise ConstructionError(
+                f"ROI ratio {ratio!r} times vmax {vmax!r} leaves the float range; "
+                "payments would overflow"
+            )
+
+    @classmethod
+    def hand(cls, allocation, m, grid, allocations, myerson, rebates, payments) -> PaymentSchedule:
+        """A hand-supplied schedule with these columns."""
+        sched = cls(allocation, m)
+        object.__setattr__(sched, "_columns", (grid, allocations, myerson, rebates, payments))
+        return sched
+
+    @property
+    def derived(self) -> bool:
+        return self.make_grid is not None
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """(grid, x, p~, R, p) of a derived schedule, by one running-max sweep."""
+        grid = self.make_grid()
+        x, pt, g = _envelope(self.allocation, self.m.ratio, grid)
+        reb = np.maximum.accumulate(g)
+        return grid, x, pt, reb, grid * x - (reb - g)
+
+    grid = property(lambda self: self._columns[0])
+    allocations = property(lambda self: self._columns[1])
+    myerson = property(lambda self: self._columns[2])
+    rebates = property(lambda self: self._columns[3])
+    payments = property(lambda self: self._columns[4])
 
     def _sweep(self, a: np.ndarray):
         """(x, g, R) at a: R joins g with the stored sweep's running max up to a."""
@@ -167,7 +189,7 @@ class PaymentSchedule:
         new = np.asarray(payments, dtype=float)
         if new.shape != self.grid.shape:
             raise ConstructionError("replacement payments must match the grid length")
-        return replace(self, payments=new, derived=False)
+        return PaymentSchedule.hand(self.allocation, self.m, *self._columns[:4], new)
 
     def columns(self) -> dict[str, np.ndarray]:
         """The output columns by name, in CSV order."""

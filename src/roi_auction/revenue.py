@@ -168,6 +168,9 @@ def expected_revenue_mc(
     if not 0 <= seed < 2**64:
         raise ConstructionError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
     vmax = _shared_support(mech, dist)
+    # the payments read a derived schedule's sampled columns; sample them before any
+    # chunk array exists, so the kept columns do not split the memory chunks reuse
+    mech.grid
     try:
         pays = np.empty(n)
     except (ValueError, MemoryError):

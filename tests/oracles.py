@@ -335,3 +335,40 @@ def loop_revenue_quadrature(mech, dist) -> float:
                 q = e + k + 1.0
                 total += a * (t_hi**q - t_lo**q) * b / q
     return vmax * total
+
+
+def eager_schedule_columns(rule, m, grid_n: int) -> dict:
+    """A derived schedule's five columns as the package built them before it
+    sampled on first read: the candidate grid, then the running-max sweep.
+
+    The two bodies are kept verbatim, as the bitwise reference for the lazy
+    ``PaymentSchedule``; the sweep returns its columns instead of a schedule.
+    """
+    import sys
+
+    from roi_auction.errors import ConstructionError
+    from roi_auction.payments import _envelope
+
+    # _candidate_grid
+    if grid_n < 2:
+        raise ConstructionError("payment grids need at least two points")
+    uniform = np.linspace(0.0, rule.vmax, grid_n)
+    grid = np.unique(np.concatenate([uniform, rule.knots(), rule.stationary_candidates(m.ratio)]))
+
+    # schedule_on
+    # with x in [0, 1], g, R - g and p = v x - (R - g) stay within (ratio + 1) vmax;
+    # keep that a factor 2 inside the float range, for the revenue sums built on it
+    if not (m.ratio + 1.0) * rule.vmax <= sys.float_info.max / 2.0:
+        raise ConstructionError(
+            f"ROI ratio {m.ratio!r} times vmax {rule.vmax!r} leaves the float range; "
+            "payments would overflow"
+        )
+    x, pt, g = _envelope(rule, m.ratio, grid)
+    reb = np.maximum.accumulate(g)
+    return {
+        "grid": grid,
+        "allocations": x,
+        "myerson": pt,
+        "rebates": reb,
+        "payments": grid * x - (reb - g),
+    }

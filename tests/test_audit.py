@@ -48,15 +48,14 @@ def _hand_schedule(rule, m, grid, payments):
     pays = np.asarray(payments, dtype=float)
     x = rule.evaluate(grid)
     pt = grid * x - rule.prefix_integral(grid)
-    return PaymentSchedule(
+    return PaymentSchedule.hand(
+        rule,
+        m,
         grid=grid,
         allocations=x,
         myerson=pt,
         rebates=m.ratio * pt - pays,
         payments=pays,
-        allocation=rule,
-        m=m,
-        derived=False,
     )
 
 

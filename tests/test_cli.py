@@ -9,12 +9,13 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import roi_auction
 from roi_auction import RoiTarget, make_power_ramp, make_step, payment_schedule
-from roi_auction.cli import csv_text, fmt, json_text, main
+from roi_auction.cli import columns_json, csv_text, fmt, json_text, main
 from roi_auction.payments import DEFAULT_GRID_N
 
 UNIFORM_DESC = {"kind": "uniform", "vmax": 1.0}
@@ -308,6 +309,21 @@ def test_ratio_times_vmax_past_float_range_is_unusable_input(tmp_path, capsys):
         assert main(["compare", path, "--m", "1e15"]) == 2
     assert [str(w.message) for w in caught] == []
     assert "leaves the float range" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["solve", "payment-table", "audit", "compare", "example1", "dmr-check"])
+def test_grid_past_memory_is_unusable_input(command, uniform_file, step_file, tmp_path, capsys):
+    # each command ended in numpy's _ArrayMemoryError traceback, exit 1; 10^12 float64
+    # grid points are 7.3 TiB, refused before anything is allocated
+    argv = [command, "--grid", str(10**12)]
+    if command != "example1":
+        argv.insert(1, step_file if command in ("payment-table", "audit") else uniform_file)
+    if command not in ("example1", "dmr-check"):
+        argv += ["--m", "2"]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    assert "in memory" in _single_error_line(capsys)
 
 
 def test_monte_carlo_stderr_stays_finite_at_large_payments(tmp_path, capsys):
@@ -663,6 +679,26 @@ def test_json_text_rounds_floats_and_names_non_finite_ones():
         "b": [0.333333333333, "-inf", "nan"],
     }
     assert json_text(data).startswith('{\n  "a"')
+
+
+def test_columns_json_is_json_text_of_the_columns():
+    # cells at the layout switches of %.12g and repr, the subnormals, non-finite
+    # values, and random bit patterns, which reach every exponent
+    edges = [
+        0.0, -0.0, 1.0, -3.0, 1.0 / 3.0, 1e-4, 9.99999999999e-5, 1e-5, 999999999999.4,
+        999999999999.5, 123456789012.0, 1e12, 1e15, 9.99999999999e15, 1e16, 1e21,
+        2.2250738585072014e-308, 2.225e-308, 1e-310, 5e-324, 1.7976931348623157e308,
+        math.inf, -math.inf, math.nan,
+    ]
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2**64, size=(5, 4000), dtype=np.uint64, endpoint=False)
+    columns = bits.view(np.float64)
+    columns[:, :len(edges)] = np.stack([np.roll(edges, k) for k in range(5)])
+    data = dict(zip(["v", "x", "p_myerson", "p_roi", "rebate"], columns))
+    assert columns_json(data) == json_text({k: col.tolist() for k, col in data.items()})
+    sched = payment_schedule(make_power_ramp(0.75, 2.0), RoiTarget(2.0))
+    data = sched.columns()
+    assert columns_json(data) == json_text({k: col.tolist() for k, col in data.items()})
 
 
 def test_payment_table_json_holds_the_schedule_columns(step_file, tmp_path, capsys):

@@ -1,5 +1,5 @@
+import functools
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,17 +9,26 @@ from roi_auction import (
     ConditioningWarning,
     ConstructionError,
     DomainError,
+    PaymentSchedule,
     RoiTarget,
     distribution_from_descriptor,
+    expected_revenue_quadrature,
     make_piecewise_constant,
     make_power_ramp,
     make_step,
+    make_table,
     optimal_mechanism,
     payment_schedule,
     run_standard_audit,
 )
 from roi_auction.payments import schedule_on
-from oracles import brute_rebate, brute_roi_payment, exact_payments, per_row_csv
+from oracles import (
+    brute_rebate,
+    brute_roi_payment,
+    eager_schedule_columns,
+    exact_payments,
+    per_row_csv,
+)
 from random_rules import random_monotone_rule
 
 M2 = RoiTarget(2.0)
@@ -191,10 +200,11 @@ CSV_SPECIALS = [
 
 def _hand_schedule(columns: np.ndarray):
     """A hand schedule whose five CSV columns are the rows of ``columns``."""
-    base = payment_schedule(make_step(0.4, 1.0), M2, grid_n=5)
     grid, allocations, myerson, payments, rebates = columns
-    sched = replace(base, grid=grid, allocations=allocations, myerson=myerson, rebates=rebates)
-    return sched.with_payments(payments)
+    return PaymentSchedule.hand(
+        make_step(0.4, 1.0), M2, grid=grid, allocations=allocations, myerson=myerson,
+        rebates=rebates, payments=payments,
+    )
 
 
 def test_schedule_csv_matches_per_row_writer_on_special_values():
@@ -217,18 +227,17 @@ def test_schedule_csv_matches_per_row_writer_across_block_boundaries(rows):
     assert text.count("\n") == rows + 1
 
 
+KINDS = [
+    {"kind": "uniform", "vmax": 1.0},
+    {"kind": "power_cdf", "vmax": 3.0, "exponent": 2.0},
+    {"kind": "piecewise_linear_density", "vmax": 1.0, "breakpoints": [0.0, 1.0],
+     "densities": [0.5, 1.5]},
+    {"kind": "tabulated_cdf", "vmax": 1.0, "points": [[0.0, 0.0], [0.5, 0.3], [1.0, 1.0]]},
+]
+
+
 @pytest.mark.parametrize("ratio", [1.01, 2.0, 20.0])
-@pytest.mark.parametrize(
-    "desc",
-    [
-        {"kind": "uniform", "vmax": 1.0},
-        {"kind": "power_cdf", "vmax": 3.0, "exponent": 2.0},
-        {"kind": "piecewise_linear_density", "vmax": 1.0, "breakpoints": [0.0, 1.0],
-         "densities": [0.5, 1.5]},
-        {"kind": "tabulated_cdf", "vmax": 1.0, "points": [[0.0, 0.0], [0.5, 0.3], [1.0, 1.0]]},
-    ],
-    ids=lambda d: d["kind"],
-)
+@pytest.mark.parametrize("desc", KINDS, ids=lambda d: d["kind"])
 def test_schedule_csv_matches_per_row_writer_on_optimal_ramps(desc, ratio):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
@@ -245,6 +254,68 @@ def test_hand_schedules_interpolate_and_hide_rebates():
         hand.rebate_at(0.7)
     with pytest.raises(ConstructionError):
         sched.with_payments(np.zeros(3))
+
+
+@functools.cache
+def _lazy_cases() -> dict:
+    """(rule, target) by name: each kind's optimal ramp at two ratios, a step,
+    a table and a stored ``PowerRamp``."""
+    cases = {}
+    for desc in KINDS:
+        for ratio in (1.5, 5.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                sol = optimal_mechanism(distribution_from_descriptor(desc), RoiTarget(ratio))
+            cases[f"{desc['kind']}_ramp_{ratio}"] = (sol.schedule.allocation, RoiTarget(ratio))
+    cases["step"] = (make_step(0.4, 1.0), RoiTarget(3.0))
+    cases["table"] = (make_table([[0.0, 0.0], [0.3, 0.1], [0.55, 0.6], [1.0, 1.0]]), RoiTarget(2.5))
+    cases["power_ramp"] = (RAMP, M2)
+    return cases
+
+
+@pytest.mark.parametrize("grid_n", [2, 51, 10_001])
+@pytest.mark.parametrize(
+    "case",
+    [f"{d['kind']}_ramp_{r}" for d in KINDS for r in (1.5, 5.0)] + ["step", "table", "power_ramp"],
+)
+def test_sampled_columns_are_bitwise_the_eager_sweep(case, grid_n):
+    rule, m = _lazy_cases()[case]
+    want = eager_schedule_columns(rule, m, grid_n)
+    sched = payment_schedule(rule, m, grid_n)
+    for name, column in want.items():
+        got = getattr(sched, name)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in column.tolist()], name
+
+
+def test_revenue_leaves_a_derived_schedule_unsampled():
+    dist = distribution_from_descriptor(KINDS[1])
+    sol = optimal_mechanism(dist, RoiTarget(5.0))
+    sched = payment_schedule(RAMP, M2)
+    revenue = expected_revenue_quadrature(sched, distribution_from_descriptor(KINDS[0])).mean
+    assert sol.expected_revenue > 0.0 and revenue > 0.0
+    assert "_columns" not in vars(sol.schedule) and "_columns" not in vars(sched)
+    # the first column read samples all five, once
+    grid = sched.grid
+    assert vars(sched)["_columns"][0] is grid and sched.payments is vars(sched)["_columns"][4]
+
+
+HUGE_STEP = make_step(0.4e300, 1e300)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: payment_schedule(HUGE_STEP, RoiTarget(1e15)), "leaves the float range"),
+        (lambda: schedule_on(HUGE_STEP, RoiTarget(1e15), np.asarray([0.0, 1e300])),
+         "leaves the float range"),
+        (lambda: payment_schedule(RAMP, M2, 1), "at least two points"),
+        (lambda: payment_schedule(RAMP, M2, 10**12), "in memory"),
+    ],
+    ids=["overflow", "overflow_on_grid", "one_point", "unallocatable"],
+)
+def test_refusals_raise_when_the_schedule_is_built(build, message):
+    with pytest.raises(ConstructionError, match=message):
+        build()
 
 
 def test_payment_outside_support_fails():

@@ -308,15 +308,14 @@ def test_hand_schedule_revenue_is_its_interpolant_integral():
     rule = make_step(0.5, 1.0)
     m = RoiTarget(3.0)
     grid = np.asarray([0.0, 0.3, 0.45, 0.8])
-    hand = PaymentSchedule(
+    hand = PaymentSchedule.hand(
+        rule,
+        m,
         grid=grid,
         allocations=rule.evaluate(grid),
         myerson=np.zeros(4),
         rebates=np.zeros(4),
         payments=np.asarray([0.0, 0.1, 0.4, 0.7]),
-        allocation=rule,
-        m=m,
-        derived=False,
     )
     # uniform density: trapezoids, then the flat extension at 0.7 past v = 0.8
     want = 0.5 * (0.1 * 0.3 + 0.5 * 0.15 + 1.1 * 0.35) + 0.7 * 0.2
