@@ -290,9 +290,10 @@ class AllocationRule:
         parts = [float(s.shape.integral(s.lo, s.hi)) for s in self.segments]
         return np.concatenate([[0.0], np.cumsum(parts)])
 
-    def _per_segment(self, v, fn):
-        """fn(i, segment, points) on the points in each segment, which must lie in
-        [0, vmax] up to the join tolerance; a float for a scalar v."""
+    def _per_segment(self, v, *fns):
+        """Each fn(i, segment, points) on the points in each segment, which must lie
+        in [0, vmax] up to the join tolerance; one output per fn, each a float for
+        a scalar v. The domain check and segment lookup run once for all fns."""
         arr = np.asarray(v, dtype=float)
         a = np.atleast_1d(arr)
         if a.size:
@@ -301,20 +302,32 @@ class AllocationRule:
                 raise DomainError(f"evaluation point outside [0, {self.vmax}]")
         a = np.clip(a, 0.0, self.vmax)
         idx = np.clip(np.searchsorted(self._los, a, side="right") - 1, 0, len(self.segments) - 1)
-        out = np.empty_like(a)
+        outs = [np.empty_like(a) for _ in fns]
         for i, seg in enumerate(self.segments):
             mask = idx == i
             if np.any(mask):
-                out[mask] = fn(i, seg, a[mask])
-        return float(out[0]) if arr.ndim == 0 else out
+                points = a[mask]
+                for out, fn in zip(outs, fns):
+                    out[mask] = fn(i, seg, points)
+        return tuple(float(out[0]) if arr.ndim == 0 else out for out in outs)
+
+    def _value(self, i, seg, a):
+        return seg.shape.value(a)
+
+    def _integral(self, i, seg, a):
+        return self._cum[i] + seg.shape.integral(seg.lo, a)
 
     def evaluate(self, v):
         """Allocation at v; the right limit at every jump."""
-        return self._per_segment(v, lambda i, seg, a: seg.shape.value(a))
+        return self._per_segment(v, self._value)[0]
 
     def prefix_integral(self, v):
         """Exact integral of the allocation from 0 to v."""
-        return self._per_segment(v, lambda i, seg, a: self._cum[i] + seg.shape.integral(seg.lo, a))
+        return self._per_segment(v, self._integral)[0]
+
+    def _value_and_integral(self, v):
+        """(evaluate(v), prefix_integral(v)) from one segment lookup."""
+        return self._per_segment(v, self._value, self._integral)
 
     def knots(self) -> tuple[float, ...]:
         """Segment endpoints plus interior table vertices, sorted."""

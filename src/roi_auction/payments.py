@@ -77,9 +77,9 @@ class RoiTarget:
 def _envelope(rule: AllocationRule, ratio: float, v):
     """(x, p~, g) at v: the allocation, the envelope payment v x - integral_0^v x,
     and the violation g = ratio * p~ - v x."""
-    x = rule.evaluate(v)
+    x, area = rule._value_and_integral(v)
     vx = v * x
-    pt = vx - rule.prefix_integral(v)
+    pt = vx - area
     return x, pt, ratio * pt - vx
 
 

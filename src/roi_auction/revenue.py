@@ -9,9 +9,11 @@ hand-supplied schedules are their linear interpolant. Jumps sit on cuts, so
 no left limits are needed. Monte Carlo draws values by quantile transform from
 counter-based substreams, so results are byte-identical for a given seed
 regardless of chunking order. Each chunk of draws is evaluated in sorted
-order, which turns the table lookups into sequential scans, and scattered
-back; quantile and payment are elementwise, so every draw gets the same float
-and the sums still run in draw order.
+order, in sub-blocks of 16384 draws, which turns the table lookups into
+sequential scans, and scattered back; quantile and payment are elementwise,
+so every draw gets the same float and the sums still run in draw order. Both
+rows of ``compare`` read the same draws: each chunk is drawn, sorted and
+inverted once, and each row's payments go to that row's own array.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .numerics import PowerPiece, bisect_root, power_product_integral
 from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule
 
 _MC_CHUNK = 1 << 16
+_MC_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -158,21 +161,31 @@ def expected_revenue_mc(
     Each 65536-draw chunk runs on its own Philox key derived from (seed,
     chunk index), so the stream for chunk k never depends on how many draws
     preceded it; seeds run from 0 to 2^64 - 1. A chunk's uniforms are
-    evaluated in sorted order, so every lookup into a grid or table scans
-    forward, and the payments are scattered back to draw order. Each draw
-    gets the float it would get alone, and the mean and standard error sum
-    the same array in the same order.
+    evaluated in sorted order, in sub-blocks of 16384 draws, so every lookup
+    into a grid or table scans forward, and the payments are scattered back to
+    draw order. Each draw gets the float it would get alone, and the mean and
+    standard error sum the same array in the same order. ``compare`` runs its
+    two rows through the same loop, so each row reads these same draws.
     """
+    return _monte_carlo((mech,), dist, n, seed)[0]
+
+
+def _monte_carlo(
+    mechs: tuple[PaymentSchedule, ...], dist: ValueDistribution, n: int, seed: int
+) -> tuple[RevenueEstimate, ...]:
+    """``expected_revenue_mc`` of each mechanism, drawing, sorting and inverting
+    each value once for all of them."""
     if n < 1:
         raise ConstructionError(f"need at least one sample, got {n}")
     if not 0 <= seed < 2**64:
         raise ConstructionError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
-    vmax = _shared_support(mech, dist)
+    vmaxes = [_shared_support(mech, dist) for mech in mechs]
     # the payments read a derived schedule's sampled columns; sample them before any
     # chunk array exists, so the kept columns do not split the memory chunks reuse
-    mech.grid
+    for mech in mechs:
+        mech.grid
     try:
-        pays = np.empty(n)
+        pays = [np.empty(n) for _ in mechs]
     except (ValueError, MemoryError):
         raise ConstructionError(f"cannot hold {n} Monte Carlo payments in memory") from None
     for k, start in enumerate(range(0, n, _MC_CHUNK)):
@@ -180,14 +193,34 @@ def expected_revenue_mc(
         gen = np.random.Generator(np.random.Philox(key=seed * 2**64 + k))
         u = gen.random(stop - start)
         order = np.argsort(u)
-        pays[start:stop][order] = mech.value_many(dist.quantile(u[order]))
-    # moments of pays / 2^e with 2^e near vmax, so squares cannot overflow; scaling
-    # by a power of two is exact, so mean and stderr are those of pays itself.
-    # Scaled in place: a second n-float array would raise peak memory.
+        # quantile and payment are elementwise, so a sub-block gives each draw the
+        # float the whole chunk would; it keeps their temporaries small
+        for at in range(0, stop - start, _MC_BLOCK):
+            idx = order[at:at + _MC_BLOCK]
+            values = dist.quantile(u[idx])
+            for mech, out in zip(mechs, pays):
+                out[start:stop][idx] = mech.value_many(values)
+    return tuple(_moments(out, vmax, n, seed) for out, vmax in zip(pays, vmaxes))
+
+
+def _moments(pays: np.ndarray, vmax: float, n: int, seed: int) -> RevenueEstimate:
+    """Mean and standard error of pays, which this overwrites.
+
+    The moments are those of pays / 2^e with 2^e near vmax, so squares cannot
+    overflow; scaling by a power of two is exact, so they are those of pays
+    itself. The steps are ``np.mean`` and ``np.std(ddof=1)``'s own, run in
+    place, so the floats are theirs without a second n-float array.
+    """
     e = math.frexp(vmax)[1]
     np.ldexp(pays, -e, out=pays)
-    mean = math.ldexp(float(np.mean(pays)), e)
-    stderr = math.ldexp(float(np.std(pays, ddof=1) / math.sqrt(n)), e) if n > 1 else 0.0
+    mean = np.add.reduce(pays, axis=None) / n
+    stderr = 0.0
+    if n > 1:
+        np.subtract(pays, mean, out=pays)
+        np.square(pays, out=pays)
+        std = np.sqrt(np.add.reduce(pays, axis=None) / (n - 1))
+        stderr = math.ldexp(float(std / math.sqrt(n)), e)
+    mean = math.ldexp(float(mean), e)
     return RevenueEstimate(mean=mean, stderr=stderr, method="monte_carlo", n_samples=n, seed=seed)
 
 
@@ -259,18 +292,21 @@ def compare(
     jumps = base.allocation.jump_points()
     base_threshold = jumps[0][0] if jumps else 0.0
     sol = optimal_mechanism(dist, m, grid_n=grid_n)
+    base_rev = expected_revenue_quadrature(base, dist).mean
+    # the solver already took the quadrature revenue of its schedule
+    if sol.expected_revenue < base_rev - 1e-9:
+        raise RoiAuctionError(
+            f"threshold mechanism earned {sol.expected_revenue!r}, below the posted-price "
+            f"baseline {base_rev!r}; this indicates a solver defect"
+        )
+    mcs = _monte_carlo((base, sol.schedule), dist, mc_samples, seed) if mc_samples else (None, None)
     rows = []
-    for name, mech, threshold, rev_quad in (
-        ("posted_price", base, base_threshold, expected_revenue_quadrature(base, dist).mean),
-        # the solver already took the quadrature revenue of its schedule
-        ("roi_optimal", sol.schedule, sol.threshold, sol.expected_revenue),
+    for name, threshold, rev_quad, mc in zip(
+        ("posted_price", "roi_optimal"),
+        (base_threshold, sol.threshold),
+        (base_rev, sol.expected_revenue),
+        mcs,
     ):
-        mc = expected_revenue_mc(mech, dist, mc_samples, seed) if mc_samples > 0 else None
         rev_mc, stderr = (mc.mean, mc.stderr) if mc is not None else (None, None)
         rows.append(ComparisonRow(name, threshold, rev_quad, rev_mc, stderr))
-    if rows[1].rev_quad < rows[0].rev_quad - 1e-9:
-        raise RoiAuctionError(
-            f"threshold mechanism earned {rows[1].rev_quad!r}, below the posted-price "
-            f"baseline {rows[0].rev_quad!r}; this indicates a solver defect"
-        )
     return ComparisonTable(tuple(rows))

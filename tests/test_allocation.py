@@ -62,6 +62,35 @@ def test_prefix_integral_matches_simpson_per_segment(seed):
         assert got == pytest.approx(want, abs=1e-8)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_one_segment_lookup_gives_evaluate_and_prefix_integral(seed):
+    rule = random_monotone_rule(seed, vmax=(1.0, 37.5)[seed % 2])
+    vmax = rule.vmax
+    rng = np.random.default_rng(seed)
+    points = (
+        0.37 * vmax,
+        vmax,
+        np.empty(0),
+        rng.uniform(0.0, vmax, 257),
+        np.asarray(rule.knots()),
+        np.asarray([-0.5e-12 * vmax, vmax * (1.0 + 0.5e-12)]),
+    )
+    for v in points:
+        x, area = rule._value_and_integral(v)
+        want_x, want_area = rule.evaluate(v), rule.prefix_integral(v)
+        if np.ndim(v) == 0:
+            assert type(x) is float and type(area) is float
+        assert np.asarray(x).tobytes() == np.asarray(want_x).tobytes()
+        assert np.asarray(area).tobytes() == np.asarray(want_area).tobytes()
+    for bad in (-2e-12 * vmax, vmax * (1.0 + 2e-12), np.asarray([0.5 * vmax, -vmax])):
+        errors = []
+        for fn in (rule._value_and_integral, rule.evaluate, rule.prefix_integral):
+            with pytest.raises(DomainError) as exc:
+                fn(bad)
+            errors.append(str(exc.value))
+        assert len(set(errors)) == 1
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_random_monotone_rules_are_monotone_and_bounded(seed):
     rule = random_monotone_rule(seed)

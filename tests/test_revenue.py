@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from roi_auction import (
     payment_schedule,
 )
 from roi_auction.cli import csv_text
+from roi_auction.revenue import _monte_carlo
 from oracles import table_revenue
 from random_rules import perturbed_table_copy
 
@@ -148,16 +150,49 @@ CONVEX_TABLE = TabulatedCdf(((0.0, 0.0), (0.25, 0.05), (0.5, 0.2), (0.75, 0.45),
     ids=lambda d: type(d).__name__,
 )
 def test_mc_sorted_evaluation_is_bitwise_draw_order(dist):
+    # compare's two rows and a hand schedule share one stream of draws, sorted and
+    # evaluated in sub-blocks; each estimate must equal its mechanism's run alone and
+    # the unsorted draw-order reference, across sub-block and chunk boundaries
+    base = myerson_baseline(dist, M2)
     sched = optimal_mechanism(dist, M2).schedule
     mechs = {
+        "posted_price": base,
         "optimal": sched,
-        "posted_price": myerson_baseline(dist, M2),
         "hand": sched.with_payments(0.9 * sched.payments),
     }
-    for name, mech in mechs.items():
-        for n, seed in ((2 * 65_536 + 123, 11), (1, 2**64 - 1)):
-            est = expected_revenue_mc(mech, dist, n, seed)
-            assert (est.mean, est.stderr) == _draw_order_mc(mech, dist, n, seed), (name, n)
+    for n in (1, 2, 2**14 - 1, 2**14 + 1, 2**16 + 1, 2 * 2**16 + 123):
+        for seed in (0, 11, 2**64 - 1):
+            rows = compare(dist, M2, mc_samples=n, seed=seed).rows
+            shared = _monte_carlo(tuple(mechs.values()), dist, n, seed)
+            for row, est in zip(rows, shared):
+                assert (row.rev_mc, row.stderr) == (est.mean, est.stderr), (row.name, n, seed)
+            for (name, mech), est in zip(mechs.items(), shared):
+                alone = expected_revenue_mc(mech, dist, n, seed)
+                want = _draw_order_mc(mech, dist, n, seed)
+                assert (est.mean, est.stderr) == (alone.mean, alone.stderr) == want, (name, n, seed)
+
+
+def test_mc_memory_holds_one_payment_array_per_row():
+    # the moments run in place, so Monte Carlo holds n floats per mechanism plus
+    # sub-block temporaries; np.std's n-float deviation array would add 8n bytes
+    n = 1 << 20
+    mech = optimal_mechanism(UNIFORM, M2).schedule
+    mech.grid
+    compare(UNIFORM, M2, mc_samples=1)
+    peaks = []
+    for run in (
+        lambda: expected_revenue_mc(mech, UNIFORM, n),
+        lambda: compare(UNIFORM, M2, mc_samples=n),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    mib = 1 << 20
+    assert peaks[0] <= 8 * n + 6 * mib
+    assert peaks[1] <= 16 * n + 6 * mib
 
 
 def test_baseline_posted_prices():
@@ -239,6 +274,14 @@ def test_compare_flags_solver_dominance_defect(monkeypatch):
     )
     with pytest.raises(RoiAuctionError, match="baseline"):
         compare(UNIFORM, M2, mc_samples=0)
+
+    # both exact revenues are known before any draw, so the defect is raised first
+    def no_draws(*args, **kwargs):
+        raise AssertionError("Monte Carlo drew before the solver check")
+
+    monkeypatch.setattr(np.random, "Philox", no_draws)
+    with pytest.raises(RoiAuctionError, match="solver defect"):
+        compare(UNIFORM, M2, mc_samples=1_000_000)
 
 
 def test_revenue_estimate_to_dict():
