@@ -13,13 +13,18 @@ order, in sub-blocks of 16384 draws, which turns the table lookups into
 sequential scans, and scattered back; quantile and payment are elementwise,
 so every draw gets the same float and the sums still run in draw order. Both
 rows of ``compare`` read the same draws: each chunk is drawn, sorted and
-inverted once, and each row's payments go to that row's own array.
+inverted once, and each row's payments go to that row's own array. Chunks run
+on two threads, the caller and one helper, and each writes only its own slice
+of those arrays, so which thread takes a chunk cannot change a byte.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextvars
 import math
+import operator
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -160,14 +165,27 @@ def expected_revenue_mc(
 
     Each 65536-draw chunk runs on its own Philox key derived from (seed,
     chunk index), so the stream for chunk k never depends on how many draws
-    preceded it; seeds run from 0 to 2^64 - 1. A chunk's uniforms are
-    evaluated in sorted order, in sub-blocks of 16384 draws, so every lookup
-    into a grid or table scans forward, and the payments are scattered back to
-    draw order. Each draw gets the float it would get alone, and the mean and
-    standard error sum the same array in the same order. ``compare`` runs its
-    two rows through the same loop, so each row reads these same draws.
+    preceded it; n and seed are integers, and seeds run from 0 to 2^64 - 1.
+    A chunk's uniforms are evaluated in sorted order, in sub-blocks of 16384
+    draws, so every lookup into a grid or table scans forward, and the
+    payments are scattered back to draw order. Each draw gets the float it
+    would get alone, and the mean and standard error sum the same array in the
+    same order. The caller and one helper thread take chunks in turn, each
+    writing only that chunk's slice, and the sums start once both are done;
+    an error in either thread is raised here. ``compare`` runs its two rows
+    through the same loop, so each row reads these same draws.
     """
     return _monte_carlo((mech,), dist, n, seed)[0]
+
+
+def _whole(name: str, value) -> int:
+    """value as a Python int; bools (numpy's too) and non-integers are refused."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ConstructionError(f"{name} must be an integer, got {value!r}")
 
 
 def _monte_carlo(
@@ -175,6 +193,8 @@ def _monte_carlo(
 ) -> tuple[RevenueEstimate, ...]:
     """``expected_revenue_mc`` of each mechanism, drawing, sorting and inverting
     each value once for all of them."""
+    n = _whole("the sample count", n)
+    seed = _whole("the seed", seed)
     if n < 1:
         raise ConstructionError(f"need at least one sample, got {n}")
     if not 0 <= seed < 2**64:
@@ -188,19 +208,55 @@ def _monte_carlo(
         pays = [np.empty(n) for _ in mechs]
     except (ValueError, MemoryError):
         raise ConstructionError(f"cannot hold {n} Monte Carlo payments in memory") from None
-    for k, start in enumerate(range(0, n, _MC_CHUNK)):
-        stop = min(start + _MC_CHUNK, n)
-        gen = np.random.Generator(np.random.Philox(key=seed * 2**64 + k))
-        u = gen.random(stop - start)
-        order = np.argsort(u)
-        # quantile and payment are elementwise, so a sub-block gives each draw the
-        # float the whole chunk would; it keeps their temporaries small
-        for at in range(0, stop - start, _MC_BLOCK):
-            idx = order[at:at + _MC_BLOCK]
-            values = dist.quantile(u[idx])
-            for mech, out in zip(mechs, pays):
-                out[start:stop][idx] = mech.value_many(values)
+    count = -(-n // _MC_CHUNK)
+    chunks = iter(range(count))
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        # next() on the shared iterator is one C call, so each chunk goes to one thread
+        try:
+            while not errors:
+                k = next(chunks, None)
+                if k is None:
+                    return
+                _mc_chunk(mechs, dist, pays, n, seed, k)
+        except BaseException as exc:  # re-raised by the caller once both threads stop
+            errors.append(exc)
+
+    helper = None
+    if count > 1:
+        # the helper keeps the caller's context, so its np.errstate applies there too
+        helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+        helper.start()
+    work()
+    if helper is not None:
+        helper.join()
+    if errors:
+        raise errors[0]
     return tuple(_moments(out, vmax, n, seed) for out, vmax in zip(pays, vmaxes))
+
+
+def _mc_chunk(
+    mechs: tuple[PaymentSchedule, ...],
+    dist: ValueDistribution,
+    pays: list[np.ndarray],
+    n: int,
+    seed: int,
+    k: int,
+) -> None:
+    """Draw chunk k and write each mechanism's payments to its slice of pays."""
+    start = k * _MC_CHUNK
+    stop = min(start + _MC_CHUNK, n)
+    gen = np.random.Generator(np.random.Philox(key=seed * 2**64 + k))
+    u = gen.random(stop - start)
+    order = np.argsort(u)
+    # quantile and payment are elementwise, so a sub-block gives each draw the
+    # float the whole chunk would; it keeps their temporaries small
+    for at in range(0, stop - start, _MC_BLOCK):
+        idx = order[at:at + _MC_BLOCK]
+        values = dist.quantile(u[idx])
+        for mech, out in zip(mechs, pays):
+            out[start:stop][idx] = mech.value_many(values)
 
 
 def _moments(pays: np.ndarray, vmax: float, n: int, seed: int) -> RevenueEstimate:
@@ -286,6 +342,7 @@ def compare(
     """Posted-price baseline versus the threshold-optimal mechanism; 0 samples skips Monte Carlo."""
     from .optimal import optimal_mechanism  # deferred: optimal builds on this module
 
+    mc_samples = _whole("mc_samples", mc_samples)
     if mc_samples < 0:
         raise ConstructionError(f"need mc_samples >= 0 (0 skips Monte Carlo), got {mc_samples}")
     base = myerson_baseline(dist, m, grid_n)

@@ -1,4 +1,17 @@
 import sys
+import threading
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves more threads alive than it found."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads left running after the test: {left}")

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -122,6 +123,30 @@ def test_mc_input_guards():
         compare(UNIFORM, M2, mc_samples=-1)
 
 
+@pytest.mark.parametrize(
+    "n, seed",
+    [(100, 1.5), (100, True), (100, np.True_), (10.0, 0), (True, 0), ("100", 0)],
+)
+def test_mc_refuses_non_integer_counts_and_seeds(n, seed):
+    mech = myerson_baseline(UNIFORM)
+    with pytest.raises(ConstructionError, match="must be an integer"):
+        expected_revenue_mc(mech, UNIFORM, n, seed)
+    with pytest.raises(ConstructionError, match="must be an integer"):
+        compare(UNIFORM, M2, mc_samples=n, seed=seed)
+
+
+def test_mc_takes_numpy_integers_as_python_ints():
+    # np.uint64 * 2**64 overflowed; the key and the label use the Python int
+    mech = myerson_baseline(UNIFORM)
+    for seed in (2**63, 2**64 - 1):
+        want = expected_revenue_mc(mech, UNIFORM, 100, seed)
+        got = expected_revenue_mc(mech, UNIFORM, np.int64(100), np.uint64(seed))
+        assert got == want
+        assert type(got.seed) is int and type(got.n_samples) is int
+        rows = compare(UNIFORM, M2, mc_samples=np.int32(100), seed=np.uint64(seed)).rows
+        assert rows[0].rev_mc == want.mean
+
+
 def _draw_order_mc(mech, dist, n, seed):
     """(mean, stderr) with every chunk evaluated in draw order, unsorted."""
     chunk = 1 << 16
@@ -160,7 +185,7 @@ def test_mc_sorted_evaluation_is_bitwise_draw_order(dist):
         "optimal": sched,
         "hand": sched.with_payments(0.9 * sched.payments),
     }
-    for n in (1, 2, 2**14 - 1, 2**14 + 1, 2**16 + 1, 2 * 2**16 + 123):
+    for n in (1, 2, 2**14 - 1, 2**14 + 1, 2**16, 2**16 + 1, 2 * 2**16 + 123, 3 * 2**16 + 5):
         for seed in (0, 11, 2**64 - 1):
             rows = compare(dist, M2, mc_samples=n, seed=seed).rows
             shared = _monte_carlo(tuple(mechs.values()), dist, n, seed)
@@ -170,6 +195,83 @@ def test_mc_sorted_evaluation_is_bitwise_draw_order(dist):
                 alone = expected_revenue_mc(mech, dist, n, seed)
                 want = _draw_order_mc(mech, dist, n, seed)
                 assert (est.mean, est.stderr) == (alone.mean, alone.stderr) == want, (name, n, seed)
+
+
+FOUR_CHUNKS = 4 * 2**16
+
+
+def _patch_quantile(monkeypatch, before):
+    """Make UniformDistribution.quantile call before(in_helper) first. The caller's
+    first call waits until the helper has begun one, so both threads hold a chunk."""
+    caller = threading.get_ident()
+    helper_began = threading.Event()
+    original = UniformDistribution.quantile
+
+    def quantile(self, u):
+        in_helper = threading.get_ident() != caller
+        if in_helper:
+            helper_began.set()
+        elif not helper_began.wait(timeout=60):
+            raise AssertionError("the helper thread took no chunk")
+        before(in_helper)
+        return original(self, u)
+
+    monkeypatch.setattr(UniformDistribution, "quantile", quantile)
+
+
+class _ChunkFailed(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller", "both"])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: expected_revenue_mc(myerson_baseline(UNIFORM), UNIFORM, FOUR_CHUNKS),
+        lambda: compare(UNIFORM, M2, mc_samples=FOUR_CHUNKS),
+    ],
+    ids=["expected_revenue_mc", "compare"],
+)
+def test_mc_chunk_failure_in_either_thread_reaches_the_caller(monkeypatch, capsys, run, failing):
+    raised = set()
+
+    def fail_once(in_helper):
+        side = "helper" if in_helper else "caller"
+        if failing in (side, "both") and side not in raised:
+            raised.add(side)
+            raise _ChunkFailed(f"chunk failed in the {side}")
+
+    _patch_quantile(monkeypatch, fail_once)
+    threads = threading.active_count()
+    with pytest.raises(_ChunkFailed) as exc:
+        run()
+    assert type(exc.value) is _ChunkFailed
+    sides = ("helper", "caller") if failing == "both" else (failing,)
+    assert str(exc.value) in {f"chunk failed in the {side}" for side in sides}
+    assert raised == set(sides)
+    assert threading.active_count() == threads
+    assert capsys.readouterr().err == ""
+
+
+def test_mc_helper_thread_keeps_the_callers_numpy_error_state(monkeypatch):
+    seen = []
+    _patch_quantile(monkeypatch, lambda in_helper: seen.append((in_helper, np.geterr())))
+    mech = myerson_baseline(UNIFORM)
+    with np.errstate(divide="raise", under="ignore"):
+        want = np.geterr()
+        expected_revenue_mc(mech, UNIFORM, FOUR_CHUNKS)
+    assert {in_helper for in_helper, _ in seen} == {False, True}
+    assert all(state == want for _, state in seen)
+
+
+def test_mc_one_chunk_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-chunk run started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    mech = myerson_baseline(UNIFORM)
+    assert expected_revenue_mc(mech, UNIFORM, 2**16).n_samples == 2**16
+    compare(UNIFORM, M2, mc_samples=2**16)
 
 
 def test_mc_memory_holds_one_payment_array_per_row():
