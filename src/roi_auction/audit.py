@@ -4,6 +4,12 @@ The checks here are sound but grid-limited: they evaluate truthful and
 misreported outcomes on finite grids (always including allocation knots,
 where first-price tightness makes violations show up) and report the worst
 observed violation with a witness.
+
+Each audited mechanism's truthful outcomes, the audit grid with x and p on
+it, are evaluated once: ``check_dsic`` and ``check_ir`` are wrappers over the
+kernels ``_dsic`` and ``_ir``, which take those outcomes, and
+``run_standard_audit``, ``uniqueness_probe`` and ``profile_audit`` hand one
+evaluation to every kernel that reads it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .allocation import AllocationRule, make_constant, make_step
+from .allocation import AllocationRule, MonotonicityReport, make_constant, make_step
 from .errors import ConstructionError
 from .payments import FEASIBILITY_TOL, PaymentSchedule, RoiTarget, payment_schedule
 
@@ -118,7 +124,12 @@ def _truthful_outcomes(mech: PaymentSchedule, grid_n: int):
 
 
 def check_dsic(mech: PaymentSchedule, grid_n: int = AUDIT_GRID_N) -> AuditCheck:
-    """Worst utility gain from any feasible misreport over all ordered grid pairs.
+    """Worst utility gain from any feasible misreport over all ordered grid pairs."""
+    return _dsic(_truthful_outcomes(mech, grid_n), mech.m.ratio)
+
+
+def _dsic(outcomes, ratio: float) -> AuditCheck:
+    """``check_dsic`` on truthful outcomes (grid, x, p).
 
     For true value v and report b the utility is ratio * (v x(b)) - p(b), and
     the report is feasible where v x(b) >= p(b) - FEASIBILITY_TOL. Reports are
@@ -131,8 +142,7 @@ def check_dsic(mech: PaymentSchedule, grid_n: int = AUDIT_GRID_N) -> AuditCheck:
     only with a strictly larger maximum, so ties stay at the lowest b: the
     result is bitwise that of the full value-by-report matrices.
     """
-    grid, x, p = _truthful_outcomes(mech, grid_n)
-    ratio = mech.m.ratio
+    grid, x, p = outcomes
     p_floor = p - FEASIBILITY_TOL
     vx_truth = grid * x
     truth_feas = vx_truth >= p_floor
@@ -174,18 +184,27 @@ def check_dsic(mech: PaymentSchedule, grid_n: int = AUDIT_GRID_N) -> AuditCheck:
 
 def check_ir(mech: PaymentSchedule) -> AuditCheck:
     """Truthful payments never exceed realized value v * x(v) (the hard constraint)."""
-    grid, x, p = _truthful_outcomes(mech, AUDIT_GRID_N)
+    return _ir(_truthful_outcomes(mech, AUDIT_GRID_N))
+
+
+def _ir(outcomes) -> AuditCheck:
+    """``check_ir`` on truthful outcomes (grid, x, p)."""
+    grid, x, p = outcomes
     return _verdict("ir", p - grid * x, IR_TOL, lambda i: {"v": float(grid[i])})
 
 
 def check_characterization(mech: PaymentSchedule) -> AuditCheck:
     """Payments must match the rebate formula for the rule, and the rule be monotone."""
+    return _characterization(mech, mech.allocation.check_monotone(grid_n=AUDIT_GRID_N))
+
+
+def _characterization(mech: PaymentSchedule, mono: MonotonicityReport) -> AuditCheck:
+    """``check_characterization`` given the rule's ``check_monotone`` report."""
     ref = payment_schedule(mech.allocation, mech.m, grid_n=AUDIT_GRID_N)
     recomputed = ref.value_many(mech.grid)
     gaps = np.abs(mech.payments - recomputed)
     gap_i = int(np.argmax(gaps))
     gap = float(gaps[gap_i])
-    mono = mech.allocation.check_monotone(grid_n=AUDIT_GRID_N)
     passed = gap <= CHARACTERIZATION_TOL and mono.passed
     worst = max(gap, mono.worst_violation)
     witness = None
@@ -206,25 +225,40 @@ def uniqueness_probe(mech: PaymentSchedule) -> AuditCheck:
     so an absolute shift would vanish in their rounding at large vmax; below 1
     the unit stays 1, so the shift stays above the audits' absolute tolerances.
     The witness lists the offsets in those units.
+
+    Each probe is a hand schedule on ``mech``'s grid with its rule, so all of
+    them share one audit grid and one x on it; only the payments there, each
+    probe's own interpolation, differ. A probe goes uncaught when it passes
+    both ``_ir`` and ``_dsic``, and ``_dsic`` runs only once ``_ir`` has passed.
     """
     vmax = mech.allocation.vmax
     mask = mech.grid >= vmax / 2.0
-    uncaught: list[float] = []
+    probes = []
     for off in PROBE_OFFSETS:
         perturbed = mech.payments.copy()
         perturbed[mask] += off * max(1.0, vmax)
-        probe = mech.with_payments(perturbed)
-        dsic = check_dsic(probe)
-        ir = check_ir(probe)
-        if dsic.passed and ir.passed:
+        probes.append(mech.with_payments(perturbed))
+    grid = _audit_grid(probes[0], AUDIT_GRID_N)
+    x = mech.allocation.evaluate(grid)
+    uncaught: list[float] = []
+    for off, probe in zip(PROBE_OFFSETS, probes):
+        outcomes = (grid, x, probe.value_many(grid))
+        if _ir(outcomes).passed and _dsic(outcomes, mech.m.ratio).passed:
             uncaught.append(off)
     witness = {"offsets": list(PROBE_OFFSETS), "uncaught": uncaught}
     return AuditCheck("uniqueness_probe", not uncaught, float(len(uncaught)), witness)
 
 
 def run_standard_audit(mech: PaymentSchedule) -> AuditReport:
-    """The audit battery used by the command-line front end."""
+    """The audit battery used by the command-line front end.
+
+    The rule's monotonicity is checked once, for its own line and for the
+    characterization, and the truthful outcomes are evaluated once, for DSIC
+    and IR; the uniqueness probe evaluates its shifted schedules on their own
+    grid. Every verdict is that of the public checks run one by one.
+    """
     mono = mech.allocation.check_monotone(grid_n=AUDIT_GRID_N)
+    outcomes = _truthful_outcomes(mech, AUDIT_GRID_N)
     checks = (
         AuditCheck(
             "monotone",
@@ -232,9 +266,9 @@ def run_standard_audit(mech: PaymentSchedule) -> AuditReport:
             mono.worst_violation,
             None if mono.passed else {"at_v": mono.at_v},
         ),
-        check_characterization(mech),
-        check_dsic(mech),
-        check_ir(mech),
+        _characterization(mech, mono),
+        _dsic(outcomes, mech.m.ratio),
+        _ir(outcomes),
         uniqueness_probe(mech),
     )
     return AuditReport(checks)
@@ -259,52 +293,61 @@ def profile_audit(
     payments for them.
 
     The factory is called for every profile, but each distinct induced
-    (rule, target) pair is audited once per call: rules and targets are
-    frozen and compare by value, and many profiles induce the same curve
-    (under ``highest_bid_wins`` it depends only on the top opponent bid).
-    Worst violations and witnesses are taken in profile order, so a witness
-    names the first profile that reaches the worst violation.
+    (rule, target) pair is audited once per call, on one evaluation of its
+    truthful outcomes: rules and targets are frozen and compare by value, and
+    many profiles induce the same curve (under ``highest_bid_wins`` it depends
+    only on the top opponent bid). Each profile keeps only its pair's index,
+    and each check's violations are laid out in profile order at the end, so
+    a witness names the first profile that reaches the worst violation.
     """
     n = len(ms)
     if n < 2:
         raise ConstructionError("profile audits need at least two bidders")
     if n > 3:
         raise ConstructionError("profile audits support at most three bidders")
-    opponents = np.linspace(0.0, vmax, PROFILE_OPPONENT_GRID_N)
-    tols = {"profile_monotone": 0.0, "profile_dsic": DSIC_TOL, "profile_ir": IR_TOL}
-    # each check's violation per profile, in profile order, and what names it:
-    # the bidder, the opponent bids and the induced audit's own witness
-    violations: dict[str, list] = {name: [] for name in tols}
-    witnesses: dict[str, list] = {name: [] for name in tols}
-    audited: dict[tuple[AllocationRule, RoiTarget], tuple] = {}
+    opponents = np.linspace(0.0, vmax, PROFILE_OPPONENT_GRID_N).tolist()
+    profiles: list[tuple[int, tuple[float, ...]]] = []
+    pair_of: list[int] = []
+    index: dict[tuple[AllocationRule, RoiTarget], int] = {}
+    # per audited pair, each check's (violation, witness of the induced audit)
+    audits: list[tuple[tuple[float, dict | None], ...]] = []
     for i in range(n):
-        for profile in itertools.product(opponents, repeat=n - 1):
-            bids = tuple(float(b) for b in profile)
+        for bids in itertools.product(opponents, repeat=n - 1):
             rule = factory(i, bids)
             key = (rule, ms[i])
-            if key not in audited:
-                mono = rule.check_monotone(grid_n=AUDIT_GRID_N)
-                # a non-monotone curve has no payments to check
-                dsic = ir = AuditCheck("not_run", True, 0.0, None)
-                if mono.passed:
-                    mech = payment_schedule(rule, ms[i], grid_n=PROFILE_SCHEDULE_GRID_N)
-                    dsic = check_dsic(mech)
-                    ir = check_ir(mech)
-                audited[key] = (mono, dsic, ir)
-            mono, dsic, ir = audited[key]
-            for name, violation, witness in (
-                ("profile_monotone", 0.0 if mono.passed else mono.worst_violation, None),
-                ("profile_dsic", dsic.worst_violation, dsic.witness),
-                ("profile_ir", ir.worst_violation, ir.witness),
-            ):
-                violations[name].append(violation)
-                witnesses[name].append((i, bids, witness))
+            k = index.get(key)
+            if k is None:
+                k = index[key] = len(audits)
+                audits.append(_induced_audit(rule, ms[i]))
+            profiles.append((i, bids))
+            pair_of.append(k)
+    at = np.asarray(pair_of, dtype=np.intp)
+    tols = {"profile_monotone": 0.0, "profile_dsic": DSIC_TOL, "profile_ir": IR_TOL}
+    checks = []
+    for c, (name, tol) in enumerate(tols.items()):
+        found = [pair[c] for pair in audits]
 
-    def named(found: list) -> Callable[[int], dict]:
-        return lambda j: {"bidder": found[j][0], "opponents": list(found[j][1]), **(found[j][2] or {})}
+        def named(j: int, found=found) -> dict:
+            i, bids = profiles[j]
+            return {"bidder": i, "opponents": list(bids), **(found[pair_of[j]][1] or {})}
 
-    checks = (_verdict(n, violations[n], tol, named(witnesses[n])) for n, tol in tols.items())
+        violations = np.asarray([violation for violation, _ in found])[at]
+        checks.append(_verdict(name, violations, tol, named))
     return AuditReport(tuple(checks))
+
+
+def _induced_audit(rule: AllocationRule, m: RoiTarget) -> tuple[tuple[float, dict | None], ...]:
+    """(violation, witness) of one induced pair's monotone, DSIC and IR checks.
+
+    A non-monotone curve has no payments to check; its DSIC and IR read 0.
+    """
+    mono = rule.check_monotone(grid_n=AUDIT_GRID_N)
+    if not mono.passed:
+        return (mono.worst_violation, None), (0.0, None), (0.0, None)
+    mech = payment_schedule(rule, m, grid_n=PROFILE_SCHEDULE_GRID_N)
+    outcomes = _truthful_outcomes(mech, AUDIT_GRID_N)
+    dsic, ir = _dsic(outcomes, m.ratio), _ir(outcomes)
+    return (0.0, None), (dsic.worst_violation, dsic.witness), (ir.worst_violation, ir.witness)
 
 
 def highest_bid_wins(vmax: float = 1.0) -> ProfileFactory:

@@ -188,17 +188,23 @@ def _whole(name: str, value) -> int:
     raise ConstructionError(f"{name} must be an integer, got {value!r}")
 
 
+def _seed(seed) -> int:
+    """seed as a Python int in [0, 2^64), the range of a Philox key's high word."""
+    seed = _whole("the seed", seed)
+    if not 0 <= seed < 2**64:
+        raise ConstructionError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
+    return seed
+
+
 def _monte_carlo(
     mechs: tuple[PaymentSchedule, ...], dist: ValueDistribution, n: int, seed: int
 ) -> tuple[RevenueEstimate, ...]:
     """``expected_revenue_mc`` of each mechanism, drawing, sorting and inverting
     each value once for all of them."""
     n = _whole("the sample count", n)
-    seed = _whole("the seed", seed)
+    seed = _seed(seed)
     if n < 1:
         raise ConstructionError(f"need at least one sample, got {n}")
-    if not 0 <= seed < 2**64:
-        raise ConstructionError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
     vmaxes = [_shared_support(mech, dist) for mech in mechs]
     # the payments read a derived schedule's sampled columns; sample them before any
     # chunk array exists, so the kept columns do not split the memory chunks reuse
@@ -345,6 +351,8 @@ def compare(
     mc_samples = _whole("mc_samples", mc_samples)
     if mc_samples < 0:
         raise ConstructionError(f"need mc_samples >= 0 (0 skips Monte Carlo), got {mc_samples}")
+    # a malformed seed is refused at every sample count, 0 included
+    seed = _seed(seed)
     base = myerson_baseline(dist, m, grid_n)
     jumps = base.allocation.jump_points()
     base_threshold = jumps[0][0] if jumps else 0.0

@@ -372,3 +372,53 @@ def eager_schedule_columns(rule, m, grid_n: int) -> dict:
         "rebates": reb,
         "payments": grid * x - (reb - g),
     }
+
+
+def composed_standard_audit(mech):
+    """``run_standard_audit`` composed of the public checks, each run on its own.
+
+    This is the battery as the package ran it before its checks shared one
+    truthful-outcome evaluation: ``check_characterization``, ``check_dsic`` and
+    ``check_ir`` each evaluate the mechanism afresh, and the uniqueness probe
+    runs ``check_dsic`` and ``check_ir`` on every shifted schedule. Both bodies
+    are kept verbatim, as the bitwise reference for the shared evaluation.
+    """
+    from roi_auction.audit import (
+        AUDIT_GRID_N,
+        PROBE_OFFSETS,
+        AuditCheck,
+        AuditReport,
+        check_characterization,
+        check_dsic,
+        check_ir,
+    )
+
+    def uniqueness_probe(mech):
+        vmax = mech.allocation.vmax
+        mask = mech.grid >= vmax / 2.0
+        uncaught: list[float] = []
+        for off in PROBE_OFFSETS:
+            perturbed = mech.payments.copy()
+            perturbed[mask] += off * max(1.0, vmax)
+            probe = mech.with_payments(perturbed)
+            dsic = check_dsic(probe)
+            ir = check_ir(probe)
+            if dsic.passed and ir.passed:
+                uncaught.append(off)
+        witness = {"offsets": list(PROBE_OFFSETS), "uncaught": uncaught}
+        return AuditCheck("uniqueness_probe", not uncaught, float(len(uncaught)), witness)
+
+    mono = mech.allocation.check_monotone(grid_n=AUDIT_GRID_N)
+    checks = (
+        AuditCheck(
+            "monotone",
+            mono.passed,
+            mono.worst_violation,
+            None if mono.passed else {"at_v": mono.at_v},
+        ),
+        check_characterization(mech),
+        check_dsic(mech),
+        check_ir(mech),
+        uniqueness_probe(mech),
+    )
+    return AuditReport(checks)

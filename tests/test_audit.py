@@ -15,6 +15,7 @@ from roi_auction import (
     check_dsic,
     check_ir,
     highest_bid_wins,
+    make_constant,
     make_power_ramp,
     make_step,
     make_table,
@@ -28,7 +29,14 @@ from roi_auction.allocation import AllocationRule, Segment, TableShape
 from roi_auction.audit import DSIC_TOL, _audit_grid
 from roi_auction.cli import json_text
 from roi_auction.payments import FEASIBILITY_TOL
-from oracles import broadcast_audit_grid, brute_dsic_gain, full_matrix_dsic, per_profile_audit
+from conftest import count_calls
+from oracles import (
+    broadcast_audit_grid,
+    brute_dsic_gain,
+    composed_standard_audit,
+    full_matrix_dsic,
+    per_profile_audit,
+)
 from random_rules import random_monotone_rule, random_nonmonotone_rule
 
 M2 = RoiTarget(2.0)
@@ -141,6 +149,74 @@ def test_standard_audit_round_trip(seed, ratio):
     )
 
 
+@st.composite
+def _audited_mechanisms(draw, forms):
+    """Derived or hand schedules (``forms``) of every rule shape, at vmax 1e-6 to 1e150."""
+    vmax = 10.0 ** draw(st.floats(-6.0, 150.0))
+    m = RoiTarget(draw(st.sampled_from([1.01, 1.5, 2.0, 3.0, 20.0, 1e4])))
+    seed = draw(st.integers(0, 50))
+    kind = draw(st.sampled_from(["monotone", "nonmonotone", "ramp", "step", "null"]))
+    if kind == "monotone":
+        rule = random_monotone_rule(seed, vmax)
+    elif kind == "nonmonotone":
+        rule = random_nonmonotone_rule(seed, vmax)
+    elif kind == "ramp":
+        # the ramp's own ratio keeps its exponent at most 2, where any threshold here is storable
+        rule = make_power_ramp(
+            draw(st.floats(0.05, 0.95)) * vmax, draw(st.sampled_from([1.5, 2.0, 5.0])), vmax
+        )
+    elif kind == "step":
+        rule = make_step(draw(st.floats(0.0, 0.99)) * vmax, vmax)
+    else:
+        rule = make_constant(0.0, vmax)
+    derived = payment_schedule(rule, m, grid_n=draw(st.sampled_from([2, 51, 201, 2001])))
+    form = draw(forms)
+    if form == "derived":
+        return derived
+    grid = _clear_grid(rule, draw(st.integers(2, 301)))
+    pays = derived.value_many(grid)
+    lo = draw(st.integers(0, grid.size - 1))
+    stretch = slice(lo, draw(st.integers(lo + 1, grid.size)))
+    if form == "tampered":
+        pays[stretch] += draw(st.floats(-0.1, 0.1)) * vmax
+    elif form != "honest":
+        pays[stretch] = float(form)
+    return _hand_schedule(rule, m, grid, pays)
+
+
+@pytest.mark.parametrize(
+    "forms",
+    [st.just("derived"), st.sampled_from(["honest", "tampered", "nan", "inf", "-inf"])],
+    ids=["derived", "hand"],
+)
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_standard_audit_equals_the_composed_public_checks(forms, data):
+    mech = data.draw(_audited_mechanisms(forms))
+    with np.errstate(all="ignore"):
+        got = run_standard_audit(mech)
+        want = composed_standard_audit(mech)
+    assert json_text(got.to_dict()) == json_text(want.to_dict())
+    assert [c.worst_violation.hex() for c in got.checks] == [
+        c.worst_violation.hex() for c in want.checks
+    ]
+    assert repr(got.to_dict()) == repr(want.to_dict())
+
+
+@pytest.mark.parametrize("form", ["derived", "hand"])
+def test_standard_audit_evaluates_the_mechanism_once(form, monkeypatch):
+    # the battery ran check_monotone twice and evaluated truthful outcomes six times:
+    # for DSIC and IR on the mechanism and on each of the two probes
+    mech = payment_schedule(random_monotone_rule(2), M3)
+    if form == "hand":
+        mech = mech.with_payments(mech.payments)
+    counts = count_calls(monkeypatch, audit, "_truthful_outcomes", "_audit_grid")
+    mono = count_calls(monkeypatch, AllocationRule, "check_monotone")
+    assert run_standard_audit(mech).passed
+    # one audit grid for the mechanism's outcomes, one shared by both probes
+    assert {**mono, **counts} == {"check_monotone": 1, "_truthful_outcomes": 1, "_audit_grid": 2}
+
+
 @pytest.mark.parametrize("seed", [0, 3, 8])
 def test_nonmonotone_rule_fails_audit(seed):
     mech = payment_schedule(random_nonmonotone_rule(seed), M2)
@@ -235,20 +311,9 @@ def test_profile_audit_matches_per_profile_oracle(factory, ms, vmax, opponent_gr
     "ms,audits", [([RoiTarget(1.5), M2, RoiTarget(5.0)], 63), ([M2, M2, M2], 21)]
 )
 def test_profile_audit_audits_each_induced_mechanism_once(ms, audits, monkeypatch):
-    # under highest_bid_wins the curve depends only on the top opponent bid: 21 curves
-    counts = {"check_dsic": 0, "check_ir": 0}
-
-    def counted(name):
-        inner = getattr(audit, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return inner(*args, **kwargs)
-
-        return wrapper
-
-    for name in counts:
-        monkeypatch.setattr(audit, name, counted(name))
+    # under highest_bid_wins the curve depends only on the top opponent bid: 21 curves,
+    # and each induced mechanism's truthful outcomes are evaluated once for DSIC and IR
+    counts = count_calls(monkeypatch, audit, "_truthful_outcomes")
     calls = []
     inner_factory = highest_bid_wins()
 
@@ -257,7 +322,7 @@ def test_profile_audit_audits_each_induced_mechanism_once(ms, audits, monkeypatc
         return inner_factory(i, bids)
 
     assert profile_audit(factory, ms).passed
-    assert counts == {"check_dsic": audits, "check_ir": audits}
+    assert counts == {"_truthful_outcomes": audits}
     # yet the factory still sees every profile, once each and in order
     opponents = [float(b) for b in np.linspace(0.0, 1.0, 21)]
     assert calls == [(i, bids) for i in range(3) for bids in itertools.product(opponents, repeat=2)]

@@ -355,6 +355,13 @@ def test_monte_carlo_seed_or_sample_count_past_its_range_is_unusable_input(
     assert message in _single_error_line(capsys)
 
 
+def test_negative_seed_is_unusable_input_without_draws(uniform_file, capsys):
+    # with --mc-samples 0 the seed was never checked, and this printed a table
+    argv = ["compare", uniform_file, "--m", "2", "--mc-samples", "0", "--seed", "-5"]
+    assert main(argv) == 2
+    assert "0 <= seed < 2**64" in _single_error_line(capsys)
+
+
 def test_largest_monte_carlo_seed_runs(uniform_file, capsys):
     argv = ["compare", uniform_file, "--m", "2", "--mc-samples", "10", "--seed", str(2**64 - 1)]
     code, out = _run_quietly(argv, capsys)

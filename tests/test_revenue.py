@@ -135,6 +135,19 @@ def test_mc_refuses_non_integer_counts_and_seeds(n, seed):
         compare(UNIFORM, M2, mc_samples=n, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [-5.5, True, -5, 2**64])
+@pytest.mark.parametrize("mc_samples", [0, 10])
+def test_compare_refuses_a_malformed_seed_before_any_solve(mc_samples, seed, monkeypatch):
+    # with 0 samples the seed is unused, yet a malformed one is still refused, and first
+    def no_solve(*args, **kwargs):
+        raise AssertionError("compare solved before checking its seed")
+
+    monkeypatch.setattr(roi_auction.revenue, "myerson_baseline", no_solve)
+    monkeypatch.setattr(roi_auction.optimal, "optimal_mechanism", no_solve)
+    with pytest.raises(ConstructionError, match="seed"):
+        compare(UNIFORM, M2, mc_samples=mc_samples, seed=seed)
+
+
 def test_mc_takes_numpy_integers_as_python_ints():
     # np.uint64 * 2**64 overflowed; the key and the label use the Python int
     mech = myerson_baseline(UNIFORM)
