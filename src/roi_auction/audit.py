@@ -237,7 +237,7 @@ def uniqueness_probe(mech: PaymentSchedule) -> AuditCheck:
     for off in PROBE_OFFSETS:
         perturbed = mech.payments.copy()
         perturbed[mask] += off * max(1.0, vmax)
-        probes.append(mech.with_payments(perturbed))
+        probes.append(PaymentSchedule.hand(mech.allocation, mech.m, mech.grid, perturbed))
     grid = _audit_grid(probes[0], AUDIT_GRID_N)
     x = mech.allocation.evaluate(grid)
     uncaught: list[float] = []
@@ -296,9 +296,9 @@ def profile_audit(
     (rule, target) pair is audited once per call, on one evaluation of its
     truthful outcomes: rules and targets are frozen and compare by value, and
     many profiles induce the same curve (under ``highest_bid_wins`` it depends
-    only on the top opponent bid). Each profile keeps only its pair's index,
-    and each check's violations are laid out in profile order at the end, so
-    a witness names the first profile that reaches the worst violation.
+    only on the top opponent bid). Each profile keeps its pair's audit, and
+    each check's violations are laid out in profile order, so a witness names
+    the first profile that reaches the worst violation.
     """
     n = len(ms)
     if n < 2:
@@ -306,32 +306,26 @@ def profile_audit(
     if n > 3:
         raise ConstructionError("profile audits support at most three bidders")
     opponents = np.linspace(0.0, vmax, PROFILE_OPPONENT_GRID_N).tolist()
-    profiles: list[tuple[int, tuple[float, ...]]] = []
-    pair_of: list[int] = []
-    index: dict[tuple[AllocationRule, RoiTarget], int] = {}
     # per audited pair, each check's (violation, witness of the induced audit)
-    audits: list[tuple[tuple[float, dict | None], ...]] = []
+    audits: dict[tuple[AllocationRule, RoiTarget], tuple[tuple[float, dict | None], ...]] = {}
+    rows = []
     for i in range(n):
         for bids in itertools.product(opponents, repeat=n - 1):
             rule = factory(i, bids)
             key = (rule, ms[i])
-            k = index.get(key)
-            if k is None:
-                k = index[key] = len(audits)
-                audits.append(_induced_audit(rule, ms[i]))
-            profiles.append((i, bids))
-            pair_of.append(k)
-    at = np.asarray(pair_of, dtype=np.intp)
+            found = audits.get(key)
+            if found is None:
+                found = audits[key] = _induced_audit(rule, ms[i])
+            rows.append((i, bids, found))
     tols = {"profile_monotone": 0.0, "profile_dsic": DSIC_TOL, "profile_ir": IR_TOL}
     checks = []
     for c, (name, tol) in enumerate(tols.items()):
-        found = [pair[c] for pair in audits]
 
-        def named(j: int, found=found) -> dict:
-            i, bids = profiles[j]
-            return {"bidder": i, "opponents": list(bids), **(found[pair_of[j]][1] or {})}
+        def named(j: int, c=c) -> dict:
+            i, bids, found = rows[j]
+            return {"bidder": i, "opponents": list(bids), **(found[c][1] or {})}
 
-        violations = np.asarray([violation for violation, _ in found])[at]
+        violations = np.asarray([found[c][0] for _, _, found in rows])
         checks.append(_verdict(name, violations, tol, named))
     return AuditReport(tuple(checks))
 

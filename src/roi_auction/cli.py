@@ -19,7 +19,7 @@ import re
 import sys
 import warnings
 from pathlib import Path
-from typing import Any, Sequence
+from typing import IO, Any, Callable, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
     RoiAuctionError,
 )
 from .optimal import optimal_mechanism
-from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule, schedule_on
+from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule
 from .revenue import compare as compare_mechanisms
 from .revenue import expected_revenue_quadrature, myerson_baseline
 
@@ -121,12 +121,14 @@ def _load_json(path: str) -> dict:
         raise _UsageError(f"{path} is not valid JSON: {exc}")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Callable[[IO[str]], object], out: str | None) -> None:
+    """Write text, or call a writer with the stream, to stdout or to the file out."""
+    write = text if callable(text) else lambda fp: fp.write(text)
     if out is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fp:
-            fp.write(text)
+            write(fp)
 
 
 def _require_m(args) -> RoiTarget:
@@ -177,7 +179,7 @@ def _mechanism_from_file(args) -> PaymentSchedule:
     if not np.all(np.isfinite(slopes)):
         # the schedule is interpolated between its points, so each slope must be a float
         raise DescriptorError("schedule payments change too fast between grid points to interpolate")
-    return schedule_on(rule, m, grid).with_payments(payments)
+    return PaymentSchedule.hand(rule, m, grid, payments)
 
 
 def _cmd_dmr_check(args) -> int:
@@ -232,7 +234,7 @@ def _cmd_payment_table(args) -> int:
     if args.format == "json":
         _emit(columns_json(schedule.columns()), args.out)
     else:
-        _emit(schedule.csv_text(), args.out)
+        _emit(schedule.write_csv, args.out)
     return 0
 
 

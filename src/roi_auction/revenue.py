@@ -1,12 +1,9 @@
 """Expected revenue, two ways, plus the posted-price baseline.
 
-The exact path (``expected_revenue_quadrature``) lowers the payment and the
-density to power terms in t = v / vmax and integrates their product with
-``numerics.power_product_integral``. Derived payments are cut at the rule's
-pieces, its stationary candidates and the exact points where the rebate's
-running max switches between tight (p = v x) and flat (p = ratio p~ - R);
-hand-supplied schedules are their linear interpolant. Jumps sit on cuts, so
-no left limits are needed. Monte Carlo draws values by quantile transform from
+The exact path (``expected_revenue_quadrature``) integrates a schedule's
+payment pieces (``PaymentSchedule.pieces``, power terms in t = v / vmax)
+against the density's with ``numerics.power_product_integral``, for either
+kind of schedule alike. Monte Carlo draws values by quantile transform from
 counter-based substreams, so results are byte-identical for a given seed
 regardless of chunking order. Each chunk of draws is evaluated in sorted
 order, in sub-blocks of 16384 draws, which turns the table lookups into
@@ -20,7 +17,6 @@ of those arrays, so which thread takes a chunk cannot change a byte.
 
 from __future__ import annotations
 
-import bisect
 import contextvars
 import math
 import operator
@@ -32,7 +28,7 @@ import numpy as np
 from .allocation import make_step
 from .distributions import ValueDistribution
 from .errors import ConstructionError, PreconditionError, RoiAuctionError
-from .numerics import PowerPiece, bisect_root, power_product_integral
+from .numerics import bisect_root, power_product_integral
 from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule
 
 _MC_CHUNK = 1 << 16
@@ -64,98 +60,15 @@ def _shared_support(mech: PaymentSchedule, dist: ValueDistribution) -> float:
 def expected_revenue_quadrature(mech: PaymentSchedule, dist: ValueDistribution) -> RevenueEstimate:
     """Exact integral of the truthful payment against the value density.
 
-    The payment and the density are both pieces of power terms in
-    t = v / vmax, so ``numerics.power_product_integral`` sums the integral
-    in closed form. The name and the method label "quadrature" stay as
-    callers know them.
+    The payment (``mech.pieces()``) and the density are both pieces of power
+    terms in t = v / vmax, so ``numerics.power_product_integral`` sums the
+    integral in closed form. The name and the method label "quadrature" stay
+    as callers know them.
     """
     vmax = _shared_support(mech, dist)
-    pay = _payment_pieces(mech) if mech.derived else _interpolant_pieces(mech, vmax)
     # the density's terms, restated in the rule's t = v / vmax
-    total = power_product_integral(pay, dist.pdf_pieces(), vmax, vmax / dist.vmax)
+    total = power_product_integral(mech.pieces(), dist.pdf_pieces(), vmax, vmax / dist.vmax)
     return RevenueEstimate(mean=vmax * total, stderr=0.0, method="quadrature")
-
-
-def _payment_pieces(sched: PaymentSchedule) -> list[PowerPiece]:
-    """Truthful payments of a derived schedule as power terms in t = v / vmax.
-
-    On a rule piece x = sum a t^e, with C = integral_0^lo x, the envelope
-    payment is p~ = sum vmax a e / (e + 1) t^(e+1) + K, K = sum vmax a
-    (lo / vmax)^(e+1) / (e + 1) - C, and the violation is g = ratio p~ - v x. The
-    pieces are cut at the rule's stationary candidates, so g is monotone on
-    each; a left-to-right pass carries the running max R of g (from g(0) = 0)
-    and splits a rising piece where g crosses R. Where g is the max the piece
-    is tight, p = v x; elsewhere it is flat, p = ratio p~ - R.
-    """
-    rule = sched.allocation
-    ratio = sched.m.ratio
-    vmax = rule.vmax
-    pieces = rule.pieces()
-    below = rule.prefix_integral(np.asarray([lo for lo, _, _ in pieces]))
-    stationary = rule.stationary_candidates(ratio)
-    out: list[PowerPiece] = []
-    best = 0.0
-    for (lo, hi, terms), area in zip(pieces, below):
-        terms = [(a, e) for a, e in terms if a != 0.0]
-        t0 = lo / vmax
-        env0 = sum(vmax * a * t0 ** (e + 1.0) / (e + 1.0) for a, e in terms) - float(area)
-        tight = tuple((vmax * a, e + 1.0) for a, e in terms)
-        flat = [(ratio * vmax * a * e / (e + 1.0), e + 1.0) for a, e in terms if e != 0.0]
-        g = [(vmax * a * (ratio * e / (e + 1.0) - 1.0), e + 1.0) for a, e in terms]
-        g = [(c, q) for c, q in g if c != 0.0]
-        inner = stationary[bisect.bisect_right(stationary, lo):bisect.bisect_left(stationary, hi)]
-        for l, u in zip((lo, *inner), (*inner, hi)):
-            g_l = ratio * env0 + sum(c * (l / vmax) ** q for c, q in g)
-            g_u = ratio * env0 + sum(c * (u / vmax) ** q for c, q in g)
-            start = max(best, g_l)
-            if g_u <= start:
-                out.append((l, u, (*flat, (ratio * env0 - start, 0.0))))
-                best = start
-                continue
-            if g_l < best:
-                cross = _rising_root(g, ratio * env0 - best, l, u, vmax)
-                out.append((l, cross, (*flat, (ratio * env0 - best, 0.0))))
-                l = cross
-            out.append((l, u, tight))
-            best = g_u
-    return out
-
-
-def _rising_root(
-    terms: list[tuple[float, float]], const: float, lo: float, hi: float, vmax: float
-) -> float:
-    """The v in [lo, hi] where const + sum c (v / vmax)^q rises through zero.
-
-    Rule pieces give either one term (power segments, constants) or the
-    exponents 1 and 2 (linear segments and table cells).
-    """
-    if len(terms) == 1:
-        (c, q), = terms
-        t = max(-const / c, 0.0) ** (1.0 / q)
-    else:
-        by_q = {q: c for c, q in terms}
-        c1, c2 = by_q[1.0], by_q[2.0]
-        # the rising root is the one where 2 c2 t + c1 = +sqrt(disc); take
-        # whichever of its two forms does not cancel
-        root = math.sqrt(max(c1 * c1 - 4.0 * c2 * const, 0.0))
-        t = -2.0 * const / (c1 + root) if c1 >= 0.0 else (root - c1) / (2.0 * c2)
-    return min(max(vmax * t, lo), hi)
-
-
-def _interpolant_pieces(sched: PaymentSchedule, vmax: float) -> list[PowerPiece]:
-    """A hand-supplied schedule as value_many reads it: linear between grid
-    points, flat outside them."""
-    grid = [float(v) for v in sched.grid]
-    pays = [float(p) for p in sched.payments]
-    out: list[PowerPiece] = []
-    if grid[0] > 0.0:
-        out.append((0.0, grid[0], ((pays[0], 0.0),)))
-    for va, vb, pa, pb in zip(grid[:-1], grid[1:], pays[:-1], pays[1:]):
-        slope = (pb - pa) / (vb - va)
-        out.append((va, vb, ((pa - slope * va, 0.0), (slope * vmax, 1.0))))
-    if grid[-1] < vmax:
-        out.append((grid[-1], vmax, ((pays[-1], 0.0),)))
-    return out
 
 
 def expected_revenue_mc(

@@ -314,10 +314,10 @@ def loop_revenue_quadrature(mech, dist) -> float:
     """Expected revenue by the partition-merge loop the revenue ran on its own."""
     import bisect
 
-    from roi_auction.revenue import _interpolant_pieces, _payment_pieces, _shared_support
+    from roi_auction.revenue import _shared_support
 
     vmax = _shared_support(mech, dist)
-    pay = _payment_pieces(mech) if mech.derived else _interpolant_pieces(mech, vmax)
+    pay = mech.pieces()
     # the density's terms, restated in the rule's t = v / vmax
     rescale = vmax / dist.vmax
     dens = [(lo, [(b * rescale**k, k) for b, k in f]) for lo, _, f in dist.pdf_pieces()]
@@ -355,7 +355,7 @@ def eager_schedule_columns(rule, m, grid_n: int) -> dict:
     uniform = np.linspace(0.0, rule.vmax, grid_n)
     grid = np.unique(np.concatenate([uniform, rule.knots(), rule.stationary_candidates(m.ratio)]))
 
-    # schedule_on
+    # the schedule's overflow refusal and running-max sweep
     # with x in [0, 1], g, R - g and p = v x - (R - g) stay within (ratio + 1) vmax;
     # keep that a factor 2 inside the float range, for the revenue sums built on it
     if not (m.ratio + 1.0) * rule.vmax <= sys.float_info.max / 2.0:
@@ -381,8 +381,10 @@ def composed_standard_audit(mech):
     truthful-outcome evaluation: ``check_characterization``, ``check_dsic`` and
     ``check_ir`` each evaluate the mechanism afresh, and the uniqueness probe
     runs ``check_dsic`` and ``check_ir`` on every shifted schedule. Both bodies
-    are kept verbatim, as the bitwise reference for the shared evaluation.
+    are kept as they were, with each probe built by ``PaymentSchedule.hand``,
+    as the bitwise reference for the shared evaluation.
     """
+    from roi_auction import PaymentSchedule
     from roi_auction.audit import (
         AUDIT_GRID_N,
         PROBE_OFFSETS,
@@ -400,7 +402,7 @@ def composed_standard_audit(mech):
         for off in PROBE_OFFSETS:
             perturbed = mech.payments.copy()
             perturbed[mask] += off * max(1.0, vmax)
-            probe = mech.with_payments(perturbed)
+            probe = PaymentSchedule.hand(mech.allocation, mech.m, mech.grid, perturbed)
             dsic = check_dsic(probe)
             ir = check_ir(probe)
             if dsic.passed and ir.passed:

@@ -52,21 +52,6 @@ def _clear_grid(rule, n=201):
     return np.unique(np.concatenate([base[gap > 1e-9], knots]))
 
 
-def _hand_schedule(rule, m, grid, payments):
-    pays = np.asarray(payments, dtype=float)
-    x = rule.evaluate(grid)
-    pt = grid * x - rule.prefix_integral(grid)
-    return PaymentSchedule.hand(
-        rule,
-        m,
-        grid=grid,
-        allocations=x,
-        myerson=pt,
-        rebates=m.ratio * pt - pays,
-        payments=pays,
-    )
-
-
 def test_mechanism_point_queries():
     mech = payment_schedule(make_step(0.4, 1.0), M2)
     assert mech.allocation.evaluate(0.7) == 1.0
@@ -85,7 +70,7 @@ def test_check_dsic_worst_matches_brute_oracle():
     grid = _clear_grid(rule)
     pays = payment_schedule(rule, M2).value_many(grid)
     breached = np.where(grid >= 0.7, pays - 0.01, pays)
-    mech = _hand_schedule(rule, M2, grid, breached)
+    mech = PaymentSchedule.hand(rule, M2, grid, breached)
 
     check = check_dsic(mech, grid_n=grid.size)
     oracle = brute_dsic_gain(grid, rule.evaluate(grid), breached, M2.ratio)
@@ -104,7 +89,7 @@ def test_unrebated_payments_fail_dsic_and_ir():
     grid = _clear_grid(rule)
     x = rule.evaluate(grid)
     naive = M2.ratio * (grid * x - rule.prefix_integral(grid))
-    mech = _hand_schedule(rule, M2, grid, naive)
+    mech = PaymentSchedule.hand(rule, M2, grid, naive)
 
     dsic = check_dsic(mech, grid_n=grid.size)
     assert not dsic.passed
@@ -126,7 +111,7 @@ def test_characterization_localizes_payment_gap():
     grid = _clear_grid(rule)
     pays = payment_schedule(rule, M2).value_many(grid)
     breached = np.where(grid >= 0.7, pays - 0.01, pays)
-    mech = _hand_schedule(rule, M2, grid, breached)
+    mech = PaymentSchedule.hand(rule, M2, grid, breached)
     check = check_characterization(mech)
     assert not check.passed
     assert check.witness["payment_gap"] == pytest.approx(0.01, abs=1e-12)
@@ -181,7 +166,7 @@ def _audited_mechanisms(draw, forms):
         pays[stretch] += draw(st.floats(-0.1, 0.1)) * vmax
     elif form != "honest":
         pays[stretch] = float(form)
-    return _hand_schedule(rule, m, grid, pays)
+    return PaymentSchedule.hand(rule, m, grid, pays)
 
 
 @pytest.mark.parametrize(
@@ -209,7 +194,7 @@ def test_standard_audit_evaluates_the_mechanism_once(form, monkeypatch):
     # for DSIC and IR on the mechanism and on each of the two probes
     mech = payment_schedule(random_monotone_rule(2), M3)
     if form == "hand":
-        mech = mech.with_payments(mech.payments)
+        mech = PaymentSchedule.hand(mech.allocation, M3, mech.grid, mech.payments)
     counts = count_calls(monkeypatch, audit, "_truthful_outcomes", "_audit_grid")
     mono = count_calls(monkeypatch, AllocationRule, "check_monotone")
     assert run_standard_audit(mech).passed
@@ -359,7 +344,7 @@ def test_report_serializes_infinite_violations():
     grid = _clear_grid(rule)
     x = rule.evaluate(grid)
     naive = M2.ratio * (grid * x - rule.prefix_integral(grid))
-    mech = _hand_schedule(rule, M2, grid, naive)
+    mech = PaymentSchedule.hand(rule, M2, grid, naive)
     report = AuditReport((check_dsic(mech, grid_n=grid.size),))
     assert '"worst_violation": "inf"' in json_text(report.to_dict())
     assert "FAIL" in report.summary()
@@ -371,7 +356,7 @@ def _dsic_cases():
         honest = payment_schedule(rule, M3, grid_n=601)
         yield honest
         bump = np.where(honest.grid > 0.5, 0.02 * (seed - 1.5), 0.0)
-        yield honest.with_payments(honest.payments + bump)
+        yield PaymentSchedule.hand(rule, M3, honest.grid, honest.payments + bump)
     yield payment_schedule(random_nonmonotone_rule(2), M2, grid_n=601)
 
 
@@ -395,7 +380,7 @@ def test_audit_grid_matches_broadcast_nearest_knot(seed):
     grid_n = int(rng.integers(20, 400))
     rule = _crowded_table(rng, vmax, grid_n, int(rng.integers(1, 300)))
     derived = payment_schedule(rule, M2, grid_n=grid_n)
-    hand = derived.with_payments(derived.payments)
+    hand = PaymentSchedule.hand(rule, M2, derived.grid, derived.payments)
     for mech in (derived, hand):
         for n in (grid_n, grid_n // 3 + 2):
             assert np.array_equal(_audit_grid(mech, n), broadcast_audit_grid(mech, n))
@@ -461,7 +446,7 @@ def _dsic_inputs(draw):
         pays[stretch] -= shift
     elif tamper == "unaffordable":
         pays[stretch] = grid[stretch] * rule.evaluate(grid[stretch]) + shift
-    return _hand_schedule(rule, m, grid, pays), grid_n
+    return PaymentSchedule.hand(rule, m, grid, pays), grid_n
 
 
 @given(_dsic_inputs())

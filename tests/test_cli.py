@@ -311,6 +311,19 @@ def test_ratio_times_vmax_past_float_range_is_unusable_input(tmp_path, capsys):
     assert "leaves the float range" in _single_error_line(capsys)
 
 
+def test_hand_schedule_past_float_range_is_unusable_input(tmp_path, capsys):
+    # a hand schedule is refused as a derived one is, where (ratio + 1) vmax
+    # passes half the float range
+    data = {
+        "allocation": _one_segment_rule({"type": "constant", "level": 1.0}, 1e300),
+        "m": 1e15,
+        "schedule": {"grid": [0.0, 1e300], "payments": [0.0, 0.0]},
+    }
+    path = _write(tmp_path, "huge.json", data)
+    assert main(["audit", path]) == 2
+    assert "leaves the float range" in _single_error_line(capsys)
+
+
 @pytest.mark.parametrize("command", ["solve", "payment-table", "audit", "compare", "example1", "dmr-check"])
 def test_grid_past_memory_is_unusable_input(command, uniform_file, step_file, tmp_path, capsys):
     # each command ended in numpy's _ArrayMemoryError traceback, exit 1; 10^12 float64

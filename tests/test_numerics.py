@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from roi_auction import (
     ConditioningWarning,
     ConstructionError,
+    PaymentSchedule,
     PiecewiseLinearDensity,
     PowerCdfDistribution,
     RoiTarget,
@@ -111,7 +112,8 @@ def _integral_cases(draw):
         pass  # ratio too close to 1 for this threshold
     m = RoiTarget(ratio)
     schedules = [payment_schedule(rule, m, grid_n=51) for rule in rules]
-    schedules.append(schedules[-1].with_payments(0.5 * schedules[-1].payments))
+    last = schedules[-1]
+    schedules.append(PaymentSchedule.hand(last.allocation, m, last.grid, 0.5 * last.payments))
     if dist.check_dmr().passed:
         schedules.append(myerson_baseline(dist, m, grid_n=51))
     return dist, m, thresholds, schedules

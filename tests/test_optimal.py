@@ -10,6 +10,7 @@ from roi_auction import (
     ConstructionError,
     DomainError,
     OptimalSolution,
+    PaymentSchedule,
     PowerCdfDistribution,
     PreconditionError,
     PiecewiseLinearDensity,
@@ -333,7 +334,7 @@ def test_structural_audit_rejects_capped_myerson_step():
     fake = OptimalSolution(
         threshold=0.5,
         boundary_case=BoundaryCase.INTERIOR_ROOT,
-        schedule=sched.with_payments(2.0 * sched.myerson),
+        schedule=PaymentSchedule.hand(step, M2, sched.grid, 2.0 * sched.myerson),
         expected_revenue=0.0,
     )
     by_name = {c.name: c for c in structural_audit(fake, UNIFORM).checks}

@@ -1,4 +1,5 @@
 import functools
+import io
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from roi_auction import (
     payment_schedule,
     run_standard_audit,
 )
-from roi_auction.payments import schedule_on
+from roi_auction.payments import _envelope
 from oracles import (
     brute_rebate,
     brute_roi_payment,
@@ -62,14 +63,14 @@ def test_step_rebate_value(ratio):
 
 
 def _on(rule, m, vs):
-    """The schedule of ``rule`` on the grid 0, *vs."""
-    return schedule_on(rule, m, np.asarray([0.0, *vs]))
+    """(x, p~, g) of ``rule`` at vs, by the kernel that samples every derived schedule."""
+    return _envelope(rule, m.ratio, np.asarray(vs, dtype=float))
 
 
 def test_myerson_payment_values():
-    assert _on(make_step(0.4, 1.0), M2, [0.7]).myerson[-1] == pytest.approx(0.4, abs=1e-15)
-    assert _on(RAMP, M2, [0.6]).myerson[-1] == pytest.approx((2 / 3) * 0.36, abs=1e-15)
-    got = _on(RAMP, M2, [0.2, 0.75, 1.0]).myerson[1:]
+    assert _on(make_step(0.4, 1.0), M2, [0.7])[1][-1] == pytest.approx(0.4, abs=1e-15)
+    assert _on(RAMP, M2, [0.6])[1][-1] == pytest.approx((2 / 3) * 0.36, abs=1e-15)
+    got = _on(RAMP, M2, [0.2, 0.75, 1.0])[1]
     assert got == pytest.approx([(2 / 3) * 0.04, 0.375, 0.375], abs=1e-15)
 
 
@@ -93,8 +94,9 @@ def test_two_level_staircase_payments():
 
 
 def test_roi_violation_peaks_at_step_threshold():
-    s = _on(make_step(0.4, 1.0), M2, [0.4, 0.6, 1.0])
-    got = (s.m.ratio * s.myerson - s.grid * s.allocations)[1:]
+    grid = np.asarray([0.4, 0.6, 1.0])
+    x, pt, _ = _on(make_step(0.4, 1.0), M2, grid)
+    got = M2.ratio * pt - grid * x
     assert got == pytest.approx([0.4, 0.2, -0.2], abs=1e-12)
 
 
@@ -174,13 +176,19 @@ def test_interior_rebate_maximum_for_sub_two_ratio():
     got = payment_schedule(rule, m, grid_n=11).rebate_at(1.0)
     want = brute_rebate(rule, 1.5, 1.0, n=400_001)
     assert got == pytest.approx(want, abs=1e-7)
-    at = _on(rule, m, [0.8])
-    assert got >= float(m.ratio * at.myerson[-1] - 0.8 * at.allocations[-1]) - 1e-15
+    x, pt, _ = _on(rule, m, [0.8])
+    assert got >= float(m.ratio * pt[-1] - 0.8 * x[-1]) - 1e-15
+
+
+def _csv(sched) -> str:
+    buf = io.StringIO()
+    sched.write_csv(buf)
+    return buf.getvalue()
 
 
 def test_schedule_csv_golden():
     sched = payment_schedule(make_step(0.4, 1.0), M2, grid_n=5)
-    assert sched.csv_text() == (
+    assert _csv(sched) == (
         "v,x,p_myerson,p_roi,rebate\n"
         "0,0,0,0,0\n"
         "0.25,0,0,0,0\n"
@@ -198,22 +206,22 @@ CSV_SPECIALS = [
 ]
 
 
-def _hand_schedule(columns: np.ndarray):
-    """A hand schedule whose five CSV columns are the rows of ``columns``."""
+def _sampled_as(columns: np.ndarray):
+    """A derived schedule whose five CSV columns are the rows of ``columns``: they
+    stand in for its sampled columns, which the CSV writer reads."""
     grid, allocations, myerson, payments, rebates = columns
-    return PaymentSchedule.hand(
-        make_step(0.4, 1.0), M2, grid=grid, allocations=allocations, myerson=myerson,
-        rebates=rebates, payments=payments,
-    )
+    sched = payment_schedule(make_step(0.4, 1.0), M2)
+    vars(sched)["_columns"] = (grid, allocations, myerson, rebates, payments)
+    return sched
 
 
 def test_schedule_csv_matches_per_row_writer_on_special_values():
     specials = np.asarray(CSV_SPECIALS)
     # each column holds every special value, in a different order
     columns = np.stack([np.roll(specials, k) for k in range(5)])
-    sched = _hand_schedule(columns)
-    assert sched.csv_text() == per_row_csv(sched)
-    assert "\n0.333333333333,nan,-inf,inf,1e+21\n" in sched.csv_text()
+    sched = _sampled_as(columns)
+    assert _csv(sched) == per_row_csv(sched)
+    assert "\n0.333333333333,nan,-inf,inf,1e+21\n" in _csv(sched)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 2049])
@@ -221,8 +229,8 @@ def test_schedule_csv_matches_per_row_writer_across_block_boundaries(rows):
     rng = np.random.default_rng(rows)
     columns = rng.standard_normal((5, rows)) * 10.0 ** rng.integers(-300, 300, (5, rows))
     columns.flat[rng.integers(0, columns.size, 8)] = rng.choice(CSV_SPECIALS, 8)
-    sched = _hand_schedule(columns)
-    text = sched.csv_text()
+    sched = _sampled_as(columns)
+    text = _csv(sched)
     assert text == per_row_csv(sched)
     assert text.count("\n") == rows + 1
 
@@ -242,18 +250,47 @@ def test_schedule_csv_matches_per_row_writer_on_optimal_ramps(desc, ratio):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
         sol = optimal_mechanism(distribution_from_descriptor(desc), RoiTarget(ratio))
-    assert sol.schedule.csv_text() == per_row_csv(sol.schedule)
+    assert _csv(sol.schedule) == per_row_csv(sol.schedule)
 
 
 def test_hand_schedules_interpolate_and_hide_rebates():
     sched = payment_schedule(make_step(0.4, 1.0), M2, grid_n=201)
-    hand = sched.with_payments(sched.payments * 0.5)
+    hand = PaymentSchedule.hand(sched.allocation, M2, sched.grid, sched.payments * 0.5)
     assert not hand.derived
     assert hand.value_at(0.7) == pytest.approx(0.2, abs=1e-12)
     with pytest.raises(ConstructionError):
         hand.rebate_at(0.7)
-    with pytest.raises(ConstructionError):
-        sched.with_payments(np.zeros(3))
+    with pytest.raises(ConstructionError, match="must match the grid length"):
+        PaymentSchedule.hand(sched.allocation, M2, sched.grid, np.zeros(3))
+
+
+def test_hand_schedule_holds_only_its_grid_and_payments():
+    rule = make_step(0.4, 1.0)
+    grid, pays = np.asarray([0.0, 0.5, 1.0]), np.asarray([0.0, 0.2, 0.4])
+    hand = PaymentSchedule.hand(rule, M2, grid, pays)
+    assert np.array_equal(hand.grid, grid) and np.array_equal(hand.payments, pays)
+    assert hand.value_many([0.25, 0.75]).tolist() == [0.1, 0.30000000000000004]
+    # the interpolant, linear between grid points, as power terms in t = v / vmax
+    assert [(lo, hi) for lo, hi, _ in hand.pieces()] == [(0.0, 0.5), (0.5, 1.0)]
+    for refused in (
+        lambda: hand.allocations,
+        lambda: hand.myerson,
+        lambda: hand.rebates,
+        hand.columns,
+        lambda: hand.write_csv(io.StringIO()),
+        lambda: hand.rebate_at(0.7),
+    ):
+        with pytest.raises(ConstructionError, match="holds only its grid and payments"):
+            refused()
+
+
+def test_cached_candidate_grid_is_read_only():
+    # schedules of one rule, ratio and size share the cached grid, so a write to
+    # one schedule's grid would move every other's
+    grid = payment_schedule(make_step(0.4, 1.0), M2, 11).grid
+    with pytest.raises(ValueError, match="read-only"):
+        grid *= 0.5
+    assert payment_schedule(make_step(0.4, 1.0), M2, 11).grid[-1] == 1.0
 
 
 @functools.cache
@@ -306,7 +343,7 @@ HUGE_STEP = make_step(0.4e300, 1e300)
     "build,message",
     [
         (lambda: payment_schedule(HUGE_STEP, RoiTarget(1e15)), "leaves the float range"),
-        (lambda: schedule_on(HUGE_STEP, RoiTarget(1e15), np.asarray([0.0, 1e300])),
+        (lambda: PaymentSchedule.hand(HUGE_STEP, RoiTarget(1e15), [0.0, 1e300], [0.0, 0.0]),
          "leaves the float range"),
         (lambda: payment_schedule(RAMP, M2, 1), "at least two points"),
         (lambda: payment_schedule(RAMP, M2, 10**12), "in memory"),

@@ -196,7 +196,7 @@ def test_mc_sorted_evaluation_is_bitwise_draw_order(dist):
     mechs = {
         "posted_price": base,
         "optimal": sched,
-        "hand": sched.with_payments(0.9 * sched.payments),
+        "hand": PaymentSchedule.hand(sched.allocation, M2, sched.grid, 0.9 * sched.payments),
     }
     for n in (1, 2, 2**14 - 1, 2**14 + 1, 2**16, 2**16 + 1, 2 * 2**16 + 123, 3 * 2**16 + 5):
         for seed in (0, 11, 2**64 - 1):
@@ -466,15 +466,7 @@ def test_hand_schedule_revenue_is_its_interpolant_integral():
     rule = make_step(0.5, 1.0)
     m = RoiTarget(3.0)
     grid = np.asarray([0.0, 0.3, 0.45, 0.8])
-    hand = PaymentSchedule.hand(
-        rule,
-        m,
-        grid=grid,
-        allocations=rule.evaluate(grid),
-        myerson=np.zeros(4),
-        rebates=np.zeros(4),
-        payments=np.asarray([0.0, 0.1, 0.4, 0.7]),
-    )
+    hand = PaymentSchedule.hand(rule, m, grid, [0.0, 0.1, 0.4, 0.7])
     # uniform density: trapezoids, then the flat extension at 0.7 past v = 0.8
     want = 0.5 * (0.1 * 0.3 + 0.5 * 0.15 + 1.1 * 0.35) + 0.7 * 0.2
     assert expected_revenue_quadrature(hand, UNIFORM).mean == pytest.approx(want, abs=1e-15)
@@ -487,10 +479,10 @@ def test_hand_schedule_revenue_is_its_interpolant_integral():
     want = sum(a * (u * u - l * l) + 2.0 * b * (u**3 - l**3) / 3.0 for l, u, a, b in cells)
     want += 0.7 * (1.0 - 0.8**2)
     assert expected_revenue_quadrature(hand, POWER2).mean == pytest.approx(want, abs=1e-15)
-    # with_payments halves the step's price to 0.25, reached linearly from the
-    # grid point 0.4 below the jump
+    # halving the derived payments halves the step's price to 0.25, reached
+    # linearly from the grid point 0.4 below the jump
     derived = payment_schedule(rule, m, grid_n=11)
-    halved = derived.with_payments(0.5 * derived.payments)
+    halved = PaymentSchedule.hand(rule, m, derived.grid, 0.5 * derived.payments)
     want = 0.5 * 0.25 * 0.1 + 0.25 * 0.5
     assert expected_revenue_quadrature(halved, UNIFORM).mean == pytest.approx(want, abs=1e-15)
 
