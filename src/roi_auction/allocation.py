@@ -3,8 +3,10 @@
 A rule is an ordered list of segments tiling [0, vmax], each carrying a shape
 in global coordinates (constant, linear, power, or an interpolated table).
 Evaluation is right-continuous at segment joins, so the stored value at a jump
-is the post-jump one; prefix integrals use the per-shape closed forms, and
-``pieces`` lowers a rule to power terms in v / vmax for exact integration.
+is the post-jump one; prefix integrals use the per-shape closed forms. For
+exact integration a rule lowers itself once to arrays of power terms in
+v / vmax (``Lowered``, one row per segment or table cell), which the payment
+walk reads and ``pieces`` gives as tuples.
 
 Range ([0, 1]) and tiling are enforced at construction. Monotonicity is NOT:
 check_monotone reports it, and the named constructors reject violations, which
@@ -17,7 +19,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +33,28 @@ _LOG_NORMAL_RANGE = 708.0
 
 #: Largest drop in the allocation that check_monotone still passes.
 MONOTONE_TOL = 1e-12
+
+#: (lo, hi, coefficients, exponents) of a shape's pieces: shapes (k,), (k,),
+#: (k, 2) and (k, 2), a zero coefficient where a piece has one term
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: (lo, hi, slope, intercept) of a shape's linear pieces, each of shape (k,)
+Lines = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+_NO_LINES: Lines = (np.empty(0),) * 4
+
+
+def _row(lo: float, hi: float, coef: tuple[float, float], expo: tuple[float, float]) -> Rows:
+    return np.asarray([lo]), np.asarray([hi]), np.asarray([coef]), np.asarray([expo])
+
+
+class Lowered(NamedTuple):
+    """A rule as arrays, one row per segment or table cell: x = a0 t^e0 + a1 t^e1
+    on [lo, hi) with t = v / vmax, and ``below`` the integral of x from 0 to lo."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    coef: np.ndarray
+    expo: np.ndarray
+    below: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -47,14 +71,14 @@ class Constant:
     def integral(self, a, b):
         return self.level * (np.asarray(b, dtype=float) - a)
 
-    def stationary(self, lo: float, hi: float, ratio: float) -> tuple[float, ...]:
-        return ()
+    def lines(self, lo: float, hi: float) -> Lines:
+        return _NO_LINES
 
     def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
         return ()
 
-    def pieces(self, lo: float, hi: float, vmax: float) -> tuple[PowerPiece, ...]:
-        return ((lo, hi, ((self.level, 0.0),)),)
+    def lower(self, lo: float, hi: float, vmax: float) -> Rows:
+        return _row(lo, hi, (self.level, 0.0), (0.0, 0.0))
 
     def descriptor(self) -> dict:
         return {"type": "constant", "level": self.level}
@@ -89,19 +113,14 @@ class Linear:
             factored = 0.5 * (b - a) * (self.slope * (b + a)) + self.intercept * (b - a)
         return np.where(finite, out, factored)
 
-    def stationary(self, lo: float, hi: float, ratio: float) -> tuple[float, ...]:
-        # interior zero of g'(z) = slope * z * (ratio - 2) - intercept
-        denom = self.slope * (ratio - 2.0)
-        if denom == 0.0:
-            return ()
-        z = self.intercept / denom
-        return (z,) if lo < z < hi else ()
+    def lines(self, lo: float, hi: float) -> Lines:
+        return tuple(np.asarray([v]) for v in (lo, hi, self.slope, self.intercept))
 
     def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
         return ()
 
-    def pieces(self, lo: float, hi: float, vmax: float) -> tuple[PowerPiece, ...]:
-        return ((lo, hi, ((self.intercept, 0.0), (self.slope * vmax, 1.0))),)
+    def lower(self, lo: float, hi: float, vmax: float) -> Rows:
+        return _row(lo, hi, (self.intercept, self.slope * vmax), (0.0, 1.0))
 
     def descriptor(self) -> dict:
         return {"type": "linear", "slope": self.slope, "intercept": self.intercept}
@@ -141,14 +160,14 @@ class PowerRamp:
         # v^(e+1) left the float range; v x(v) / (e+1) is the same antiderivative
         return (b * self.value(b) - a * self.value(a)) / e1
 
-    def stationary(self, lo: float, hi: float, ratio: float) -> tuple[float, ...]:
+    def lines(self, lo: float, hi: float) -> Lines:
         # g' keeps one sign on a power piece, so the extremes sit at the ends
-        return ()
+        return _NO_LINES
 
     def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
         return ()
 
-    def pieces(self, lo: float, hi: float, vmax: float) -> tuple[PowerPiece, ...]:
+    def lower(self, lo: float, hi: float, vmax: float) -> Rows:
         # the coefficient is x extrapolated to vmax
         e = self.exponent
         if e * abs(math.log(vmax)) <= _LOG_NORMAL_RANGE:
@@ -164,7 +183,7 @@ class PowerRamp:
                 f"power segment on [{lo!r}, {hi!r}] extrapolated to vmax={vmax!r} "
                 "leaves the float range"
             )
-        return ((lo, hi, ((a, e),)),)
+        return _row(lo, hi, (a, 0.0), (e, 0.0))
 
     def descriptor(self) -> dict:
         return {"type": "power", "scale": self.scale, "exponent": self.exponent}
@@ -218,32 +237,27 @@ class TableShape:
         return self._cum[i] + 0.5 * (xa + xt) * (t - va)
 
     @cached_property
-    def _cells(self) -> tuple[Linear, ...]:
-        """The line through each pair of neighbouring points."""
-        vs, xs = self._vs.tolist(), self._xs.tolist()
-        out = []
-        for va, vb, xa, xb in zip(vs[:-1], vs[1:], xs[:-1], xs[1:]):
-            slope = (xb - xa) / (vb - va)
-            out.append(Linear(slope, xa - slope * va))
-        return tuple(out)
+    def _cell_lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """Slope and intercept of the line through each pair of neighbouring points."""
+        vs, xs = self._vs, self._xs
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = (xs[1:] - xs[:-1]) / (vs[1:] - vs[:-1])
+            return slope, xs[:-1] - slope * vs[:-1]
 
-    def stationary(self, lo: float, hi: float, ratio: float) -> tuple[float, ...]:
-        vs = self._vs.tolist()
-        out: list[float] = []
-        for va, vb, cell in zip(vs[:-1], vs[1:], self._cells):
-            out.extend(cell.stationary(va, vb, ratio))
-        return tuple(out)
+    def lines(self, lo: float, hi: float) -> Lines:
+        return (self._vs[:-1], self._vs[1:], *self._cell_lines)
 
     def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
         return tuple(float(v) for v in self._vs[1:-1])
 
-    def pieces(self, lo: float, hi: float, vmax: float) -> tuple[PowerPiece, ...]:
+    def lower(self, lo: float, hi: float, vmax: float) -> Rows:
         # one linear piece per cell; the outer cell ends are the segment's own
-        edges = (lo, *self.interior_knots(lo, hi), hi)
-        out: list[PowerPiece] = []
-        for a, b, cell in zip(edges[:-1], edges[1:], self._cells):
-            out.extend(cell.pieces(a, b, vmax))
-        return tuple(out)
+        edges = self._vs.copy()
+        edges[0], edges[-1] = lo, hi
+        slope, intercept = self._cell_lines
+        with np.errstate(over="ignore"):
+            coef = np.column_stack([intercept, slope * vmax])
+        return edges[:-1], edges[1:], coef, np.broadcast_to([0.0, 1.0], coef.shape)
 
     def descriptor(self) -> dict:
         return {"type": "table", "points": [[v, x] for v, x in self.points]}
@@ -338,12 +352,21 @@ class AllocationRule:
             pts.update(seg.shape.interior_knots(seg.lo, seg.hi))
         return tuple(sorted(pts))
 
+    @cached_property
+    def _lowered(self) -> Lowered:
+        rows = [seg.shape.lower(seg.lo, seg.hi, self.vmax) for seg in self.segments]
+        lo, hi, coef, expo = (np.concatenate(col) for col in zip(*rows))
+        return Lowered(lo, hi, coef, expo, self.prefix_integral(lo))
+
     def pieces(self) -> tuple[PowerPiece, ...]:
-        """The rule as power terms in v / vmax, one piece per segment or table cell."""
-        out: list[PowerPiece] = []
-        for seg in self.segments:
-            out.extend(seg.shape.pieces(seg.lo, seg.hi, self.vmax))
-        return tuple(out)
+        """The rule as power terms in v / vmax, one piece per segment or table
+        cell, zero terms left out."""
+        low = self._lowered
+        cols = (low.lo.tolist(), low.hi.tolist(), low.coef.tolist(), low.expo.tolist())
+        return tuple(
+            (lo, hi, tuple((a, e) for a, e in zip(coef, expo) if a != 0.0))
+            for lo, hi, coef, expo in zip(*cols)
+        )
 
     def jump_points(self) -> tuple[tuple[float, float, float], ...]:
         """(v, left limit, right value) at every discontinuous segment join."""
@@ -355,12 +378,23 @@ class AllocationRule:
                 out.append((nxt.lo, left, right))
         return tuple(out)
 
+    @cached_property
+    def _lines(self) -> Lines:
+        lines = [seg.shape.lines(seg.lo, seg.hi) for seg in self.segments]
+        return tuple(np.concatenate(col) for col in zip(*lines))
+
     def stationary_candidates(self, ratio: float) -> tuple[float, ...]:
-        """Interior stationary points of the rebate curve g for an ROI ratio."""
-        out: list[float] = []
-        for seg in self.segments:
-            out.extend(seg.shape.stationary(seg.lo, seg.hi, ratio))
-        return tuple(sorted(out))
+        """Interior stationary points of the rebate curve g for an ROI ratio.
+
+        On a linear piece x = slope v + intercept, g'(z) = slope z (ratio - 2) -
+        intercept vanishes at z = intercept / (slope (ratio - 2)); other pieces
+        have none inside."""
+        lo, hi, slope, intercept = self._lines
+        with np.errstate(all="ignore"):
+            denom = slope * (ratio - 2.0)
+            z = intercept / denom
+        inside = (denom != 0.0) & (lo < z) & (z < hi)
+        return tuple(np.sort(z[inside], kind="stable").tolist())
 
     def check_monotone(self, grid_n: int = 2001) -> MonotonicityReport:
         """Grid-plus-endpoints test that the rule never decreases."""

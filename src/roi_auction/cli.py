@@ -164,21 +164,10 @@ def _mechanism_from_file(args) -> PaymentSchedule:
     if not isinstance(sched, dict) or set(sched) != {"grid", "payments"}:
         raise DescriptorError("'schedule' needs exactly 'grid' and 'payments' arrays")
     try:
-        grid = np.asarray([float(v) for v in sched["grid"]])
-        payments = np.asarray([float(p) for p in sched["payments"]])
+        grid = [float(v) for v in sched["grid"]]
+        payments = [float(p) for p in sched["payments"]]
     except (TypeError, ValueError, OverflowError) as exc:
         raise DescriptorError(f"schedule arrays must be numeric: {exc}")
-    if grid.size != payments.size or grid.size < 2:
-        raise DescriptorError("schedule arrays must share a length of at least 2")
-    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(payments))):
-        raise DescriptorError("schedule grid and payments must be finite numbers")
-    if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0) or grid[-1] > rule.vmax * (1 + 1e-12):
-        raise DescriptorError("schedule grid must increase strictly from 0 within [0, vmax]")
-    with np.errstate(over="ignore"):
-        slopes = np.diff(payments) / np.diff(grid)
-    if not np.all(np.isfinite(slopes)):
-        # the schedule is interpolated between its points, so each slope must be a float
-        raise DescriptorError("schedule payments change too fast between grid points to interpolate")
     return PaymentSchedule.hand(rule, m, grid, payments)
 
 

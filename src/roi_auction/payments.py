@@ -16,11 +16,15 @@ and one running max R of g gives p = v x - (R - g): exactly v x where g is its
 own running max, and never above v x in floating point. An off-grid payment
 joins the query point to that running max, so the rebate is exact for all
 structured shapes. A hand schedule, ``PaymentSchedule.hand(rule, m, grid,
-payments)``, holds only its grid and payments and charges their interpolant.
+payments)``, holds only its grid and payments and charges their interpolant;
+it refuses a grid that does not rise strictly from 0 within vmax, and
+payments or slopes that are not finite.
 ``PaymentSchedule.pieces`` gives either kind's payment as power terms in
-t = v / vmax for the exact revenue: a derived one is cut where the running max
-switches between tight (p = v x) and flat (p = ratio p~ - R), so it never
-samples the grid, and a hand one is its interpolant.
+t = v / vmax for the exact revenue, and never samples the grid. A derived
+one comes from one array walk over the rule's lowered pieces: g at every
+sub-piece end, one running max over them, and a cut wherever that max
+switches between tight (p = v x) and flat (p = ratio p~ - R). A hand one is
+its interpolant.
 
 Ratio limit: g and R grow like ratio * vmax, so for ratios of 100 and more the
 payment error is up to about ratio 2^-52 vmax (tested below twice that); at
@@ -33,7 +37,6 @@ passes half the float range.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -143,13 +146,32 @@ class PaymentSchedule:
 
     @classmethod
     def hand(cls, allocation, m, grid, payments) -> PaymentSchedule:
-        """A hand-supplied schedule: these payments on this grid, interpolated."""
-        sched = cls(allocation, m, None)
+        """A hand-supplied schedule: these payments on this grid, interpolated.
+
+        The grid must rise strictly from 0 to at most vmax, up to the rule's
+        own slack of 1e-12 max(1, vmax), and the payments must be finite,
+        with a finite slope between each pair of neighbours.
+        """
         grid = np.asarray(grid, dtype=float)
         payments = np.asarray(payments, dtype=float)
-        if payments.shape != grid.shape:
-            raise ConstructionError("hand-supplied payments must match the grid length")
-        object.__setattr__(sched, "_hand", (grid, payments))
+        if grid.ndim != 1 or payments.shape != grid.shape or grid.size < 2:
+            raise ConstructionError("schedule arrays must share a length of at least 2")
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(payments))):
+            raise ConstructionError("schedule grid and payments must be finite numbers")
+        rises = np.diff(grid)
+        # the rule itself is defined that far past vmax, and a derived grid can reach it
+        top = allocation.vmax + 1e-12 * max(1.0, allocation.vmax)
+        if grid[0] != 0.0 or np.any(rises <= 0.0) or grid[-1] > top:
+            raise ConstructionError("schedule grid must increase strictly from 0 within [0, vmax]")
+        with np.errstate(over="ignore"):
+            slopes = np.diff(payments) / rises
+        if not np.all(np.isfinite(slopes)):
+            # the schedule is interpolated between its points, so each slope must be a float
+            raise ConstructionError(
+                "schedule payments change too fast between grid points to interpolate"
+            )
+        sched = cls(allocation, m, None)
+        object.__setattr__(sched, "_hand", (grid, payments, slopes))
         return sched
 
     @property
@@ -197,10 +219,15 @@ class PaymentSchedule:
         return float(self._sweep(np.asarray([v], dtype=float))[2][0])
 
     def pieces(self) -> list[PowerPiece]:
-        """The payment as power terms in t = v / vmax, as ``value_many`` charges it."""
+        """The payment as power terms in t = v / vmax, as ``value_many`` charges it.
+
+        A derived schedule's come from one array walk over its rule's lowered
+        pieces, and each float is the one a per-piece loop of Python arithmetic
+        gives; a hand schedule's are its interpolant, flat past the last point.
+        """
         if self.derived:
-            return _payment_pieces(self)
-        return _interpolant_pieces(self, self.allocation.vmax)
+            return _derived_pieces(self)
+        return _interpolant_pieces(self)
 
     def columns(self) -> dict[str, np.ndarray]:
         """The output columns by name, in CSV order."""
@@ -224,83 +251,123 @@ class PaymentSchedule:
             fp.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _payment_pieces(sched: PaymentSchedule) -> list[PowerPiece]:
+def _derived_pieces(sched: PaymentSchedule) -> list[PowerPiece]:
     """Truthful payments of a derived schedule as power terms in t = v / vmax.
 
     On a rule piece x = sum a t^e, with C = integral_0^lo x, the envelope
     payment is p~ = sum vmax a e / (e + 1) t^(e+1) + K, K = sum vmax a
-    (lo / vmax)^(e+1) / (e + 1) - C, and the violation is g = ratio p~ - v x. The
-    pieces are cut at the rule's stationary candidates, so g is monotone on
-    each; a left-to-right pass carries the running max R of g (from g(0) = 0)
-    and splits a rising piece where g crosses R. Where g is the max the piece
-    is tight, p = v x; elsewhere it is flat, p = ratio p~ - R.
+    (lo / vmax)^(e+1) / (e + 1) - C, and the violation is g = ratio p~ - v x.
+    Cut at the rule's stationary candidates, g is monotone on each sub-piece,
+    so the running max R of g (from g(0) = 0) before a sub-piece is the max of
+    g at all earlier sub-piece ends: one accumulate over them. Where g is the
+    max the sub-piece is tight, p = v x; elsewhere it is flat, p = ratio p~ - R;
+    a sub-piece where g rises through R splits at the crossing.
+
+    Each sum runs in term order from +0.0, skipping absent terms, and every
+    power is ``np.float_power`` (libm pow), so each float is the one a
+    per-piece loop of Python arithmetic gives.
     """
-    rule = sched.allocation
-    ratio = sched.m.ratio
+    rule, ratio = sched.allocation, sched.m.ratio
     vmax = rule.vmax
-    pieces = rule.pieces()
-    below = rule.prefix_integral(np.asarray([lo for lo, _, _ in pieces]))
-    stationary = rule.stationary_candidates(ratio)
+    lo, hi, a, e, area = rule._lowered
+    stationary = np.asarray(rule.stationary_candidates(ratio), dtype=float)
+    # as in Python float arithmetic, an overflow or nan passes on silently
+    with np.errstate(all="ignore"):
+        q = e + 1.0
+        live = a != 0.0
+        base = ratio * (_sum(vmax * a * np.float_power((lo / vmax)[:, None], q) / q, live) - area)
+        gc = vmax * a * (ratio * e / q - 1.0)
+        g_live = live & (gc != 0.0)
+
+        # sub-pieces: rule piece i is cut at the stationary points strictly inside it
+        left = np.searchsorted(stationary, lo, side="right")
+        inner = np.maximum(np.searchsorted(stationary, hi, side="left") - left, 0)
+        owner = np.repeat(np.arange(lo.size), inner + 1)
+        j = np.arange(owner.size) - (np.cumsum(inner + 1) - (inner + 1))[owner]
+        cut = np.append(stationary, 0.0)  # the pad is read only where lo or hi is taken
+        at = left[owner] + j
+        l = np.where(j == 0, lo[owner], cut[at - 1])
+        u = np.where(j == inner[owner], hi[owner], cut[at])
+        b, c, p, ok = base[owner], gc[owner], q[owner], g_live[owner]
+        # g at both ends of each sub-piece, g_l, g_u, g_l, ... once raveled
+        t = np.stack([l, u], axis=1) / vmax
+        g = b[:, None] + _sum(c[:, None] * np.float_power(t[:, :, None], p[:, None]), ok[:, None])
+        g_l, g_u = g[:, 0], g[:, 1]
+        # no end is -0.0 (each adds a sum from +0.0), so where no g is nan this
+        # running max is the loop's max(best, g), which keeps best on ties
+        run = np.maximum.accumulate(np.concatenate([[0.0], g.ravel()]))
+        best, start = run[:-1:2], run[1::2]
+        flat = g_u <= start
+        crossing = ~flat & (g_l < best)
+        cross = np.zeros_like(l)
+        k = np.flatnonzero(crossing)
+        cross[k] = _rising_roots(c[k], p[k], ok[k], b[k] - best[k], l[k], u[k], vmax)
+        level = b - start
+        tight_terms = _term_rows(vmax * a, q, live)
+        flat_terms = _term_rows(ratio * vmax * a * e / q, q, live & (e != 0.0))
+
     out: list[PowerPiece] = []
-    best = 0.0
-    for (lo, hi, terms), area in zip(pieces, below):
-        terms = [(a, e) for a, e in terms if a != 0.0]
-        t0 = lo / vmax
-        env0 = sum(vmax * a * t0 ** (e + 1.0) / (e + 1.0) for a, e in terms) - float(area)
-        tight = tuple((vmax * a, e + 1.0) for a, e in terms)
-        flat = [(ratio * vmax * a * e / (e + 1.0), e + 1.0) for a, e in terms if e != 0.0]
-        g = [(vmax * a * (ratio * e / (e + 1.0) - 1.0), e + 1.0) for a, e in terms]
-        g = [(c, q) for c, q in g if c != 0.0]
-        inner = stationary[bisect.bisect_right(stationary, lo):bisect.bisect_left(stationary, hi)]
-        for l, u in zip((lo, *inner), (*inner, hi)):
-            g_l = ratio * env0 + sum(c * (l / vmax) ** q for c, q in g)
-            g_u = ratio * env0 + sum(c * (u / vmax) ** q for c, q in g)
-            start = max(best, g_l)
-            if g_u <= start:
-                out.append((l, u, (*flat, (ratio * env0 - start, 0.0))))
-                best = start
-                continue
-            if g_l < best:
-                cross = _rising_root(g, ratio * env0 - best, l, u, vmax)
-                out.append((l, cross, (*flat, (ratio * env0 - best, 0.0))))
-                l = cross
-            out.append((l, u, tight))
-            best = g_u
+    cols = (owner, l, u, cross, level, flat, crossing)
+    for i, l_, u_, x, r, is_flat, is_crossing in zip(*(col.tolist() for col in cols)):
+        if is_flat:
+            out.append((l_, u_, (*flat_terms[i], (r, 0.0))))
+            continue
+        if is_crossing:
+            out.append((l_, x, (*flat_terms[i], (r, 0.0))))
+            l_ = x
+        out.append((l_, u_, tight_terms[i]))
     return out
 
 
-def _rising_root(
-    terms: list[tuple[float, float]], const: float, lo: float, hi: float, vmax: float
-) -> float:
-    """The v in [lo, hi] where const + sum c (v / vmax)^q rises through zero.
+def _sum(terms: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The sum of the live terms along the last axis, in order from +0.0."""
+    total = np.zeros(terms.shape[:-1])
+    for col in range(terms.shape[-1]):
+        total = np.where(live[..., col], total + terms[..., col], total)
+    return total
 
-    Rule pieces give either one term (power segments, constants) or the
-    exponents 1 and 2 (linear segments and table cells).
+
+def _term_rows(coef: np.ndarray, expo: np.ndarray, live: np.ndarray) -> list[tuple]:
+    """Each row's live (coefficient, exponent) pairs as a tuple; rows have two columns."""
+    first = zip(coef[:, 0].tolist(), expo[:, 0].tolist())
+    second = zip(coef[:, 1].tolist(), expo[:, 1].tolist())
+    return [
+        (t0, t1) if k0 and k1 else (t0,) if k0 else (t1,) if k1 else ()
+        for t0, t1, k0, k1 in zip(first, second, live[:, 0].tolist(), live[:, 1].tolist())
+    ]
+
+
+def _rising_roots(c, q, live, const, lo, hi, vmax: float) -> np.ndarray:
+    """Each v in [lo, hi] where const + sum c (v / vmax)^q rises through zero.
+
+    Rule pieces give either one live term (power segments, constants) or the
+    exponents 1 and 2 in columns 0 and 1 (linear segments and table cells).
     """
-    if len(terms) == 1:
-        (c, q), = terms
-        t = max(-const / c, 0.0) ** (1.0 / q)
-    else:
-        by_q = {q: c for c, q in terms}
-        c1, c2 = by_q[1.0], by_q[2.0]
-        # the rising root is the one where 2 c2 t + c1 = +sqrt(disc); take
-        # whichever of its two forms does not cancel
-        root = math.sqrt(max(c1 * c1 - 4.0 * c2 * const, 0.0))
-        t = -2.0 * const / (c1 + root) if c1 >= 0.0 else (root - c1) / (2.0 * c2)
-    return min(max(vmax * t, lo), hi)
+    one = np.where(live[:, 0], 0, 1)
+    rows = np.arange(len(c))
+    x = -const / c[rows, one]
+    t = np.float_power(np.where(0.0 > x, 0.0, x), 1.0 / q[rows, one])
+    c1, c2 = c[:, 0], c[:, 1]
+    # the rising root is the one where 2 c2 t + c1 = +sqrt(disc); take
+    # whichever of its two forms does not cancel
+    disc = c1 * c1 - 4.0 * c2 * const
+    root = np.sqrt(np.where(0.0 > disc, 0.0, disc))
+    both = np.where(c1 >= 0.0, -2.0 * const / (c1 + root), (root - c1) / (2.0 * c2))
+    v = vmax * np.where(live.all(axis=1), both, t)
+    v = np.where(lo > v, lo, v)
+    return np.where(hi < v, hi, v)
 
 
-def _interpolant_pieces(sched: PaymentSchedule, vmax: float) -> list[PowerPiece]:
+def _interpolant_pieces(sched: PaymentSchedule) -> list[PowerPiece]:
     """A hand-supplied schedule as value_many reads it: linear between grid
-    points, flat outside them."""
-    grid = [float(v) for v in sched.grid]
-    pays = [float(p) for p in sched.payments]
-    out: list[PowerPiece] = []
-    if grid[0] > 0.0:
-        out.append((0.0, grid[0], ((pays[0], 0.0),)))
-    for va, vb, pa, pb in zip(grid[:-1], grid[1:], pays[:-1], pays[1:]):
-        slope = (pb - pa) / (vb - va)
-        out.append((va, vb, ((pa - slope * va, 0.0), (slope * vmax, 1.0))))
+    points, flat past the last one."""
+    grid, pays, slopes = sched._hand
+    vmax = sched.allocation.vmax
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = (grid[:-1], grid[1:], pays[:-1] - slopes * grid[:-1], slopes * vmax)
+    out: list[PowerPiece] = [
+        (va, vb, ((a, 0.0), (b, 1.0))) for va, vb, a, b in zip(*(col.tolist() for col in cols))
+    ]
     if grid[-1] < vmax:
-        out.append((grid[-1], vmax, ((pays[-1], 0.0),)))
+        out.append((float(grid[-1]), vmax, ((float(pays[-1]), 0.0),)))
     return out

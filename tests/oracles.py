@@ -8,7 +8,12 @@ obviously correct, so disagreement points at the library.
 
 from __future__ import annotations
 
+import bisect
+import math
+
 import numpy as np
+
+from roi_auction.numerics import PowerPiece
 
 
 def simpson_integral(f, a: float, b: float, n: int = 2001) -> float:
@@ -312,8 +317,6 @@ def loop_scaled_integral(dist, m, threshold: float) -> float:
 
 def loop_revenue_quadrature(mech, dist) -> float:
     """Expected revenue by the partition-merge loop the revenue ran on its own."""
-    import bisect
-
     from roi_auction.revenue import _shared_support
 
     vmax = _shared_support(mech, dist)
@@ -424,3 +427,72 @@ def composed_standard_audit(mech):
         uniqueness_probe(mech),
     )
     return AuditReport(checks)
+
+
+def loop_payment_pieces(sched) -> list:
+    """Truthful payments of a derived schedule as power terms in t = v / vmax.
+
+    On a rule piece x = sum a t^e, with C = integral_0^lo x, the envelope
+    payment is p~ = sum vmax a e / (e + 1) t^(e+1) + K, K = sum vmax a
+    (lo / vmax)^(e+1) / (e + 1) - C, and the violation is g = ratio p~ - v x. The
+    pieces are cut at the rule's stationary candidates, so g is monotone on
+    each; a left-to-right pass carries the running max R of g (from g(0) = 0)
+    and splits a rising piece where g crosses R. Where g is the max the piece
+    is tight, p = v x; elsewhere it is flat, p = ratio p~ - R.
+
+    Kept verbatim, with ``_loop_rising_root``, as the bitwise reference for the
+    array walk behind ``PaymentSchedule.pieces``, which replaced both.
+    """
+    rule = sched.allocation
+    ratio = sched.m.ratio
+    vmax = rule.vmax
+    pieces = rule.pieces()
+    below = rule.prefix_integral(np.asarray([lo for lo, _, _ in pieces]))
+    stationary = rule.stationary_candidates(ratio)
+    out: list[PowerPiece] = []
+    best = 0.0
+    for (lo, hi, terms), area in zip(pieces, below):
+        terms = [(a, e) for a, e in terms if a != 0.0]
+        t0 = lo / vmax
+        env0 = sum(vmax * a * t0 ** (e + 1.0) / (e + 1.0) for a, e in terms) - float(area)
+        tight = tuple((vmax * a, e + 1.0) for a, e in terms)
+        flat = [(ratio * vmax * a * e / (e + 1.0), e + 1.0) for a, e in terms if e != 0.0]
+        g = [(vmax * a * (ratio * e / (e + 1.0) - 1.0), e + 1.0) for a, e in terms]
+        g = [(c, q) for c, q in g if c != 0.0]
+        inner = stationary[bisect.bisect_right(stationary, lo):bisect.bisect_left(stationary, hi)]
+        for l, u in zip((lo, *inner), (*inner, hi)):
+            g_l = ratio * env0 + sum(c * (l / vmax) ** q for c, q in g)
+            g_u = ratio * env0 + sum(c * (u / vmax) ** q for c, q in g)
+            start = max(best, g_l)
+            if g_u <= start:
+                out.append((l, u, (*flat, (ratio * env0 - start, 0.0))))
+                best = start
+                continue
+            if g_l < best:
+                cross = _loop_rising_root(g, ratio * env0 - best, l, u, vmax)
+                out.append((l, cross, (*flat, (ratio * env0 - best, 0.0))))
+                l = cross
+            out.append((l, u, tight))
+            best = g_u
+    return out
+
+
+def _loop_rising_root(
+    terms: list[tuple[float, float]], const: float, lo: float, hi: float, vmax: float
+) -> float:
+    """The v in [lo, hi] where const + sum c (v / vmax)^q rises through zero.
+
+    Rule pieces give either one term (power segments, constants) or the
+    exponents 1 and 2 (linear segments and table cells).
+    """
+    if len(terms) == 1:
+        (c, q), = terms
+        t = max(-const / c, 0.0) ** (1.0 / q)
+    else:
+        by_q = {q: c for c, q in terms}
+        c1, c2 = by_q[1.0], by_q[2.0]
+        # the rising root is the one where 2 c2 t + c1 = +sqrt(disc); take
+        # whichever of its two forms does not cancel
+        root = math.sqrt(max(c1 * c1 - 4.0 * c2 * const, 0.0))
+        t = -2.0 * const / (c1 + root) if c1 >= 0.0 else (root - c1) / (2.0 * c2)
+    return min(max(vmax * t, lo), hi)

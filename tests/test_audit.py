@@ -165,7 +165,11 @@ def _audited_mechanisms(draw, forms):
     if form == "tampered":
         pays[stretch] += draw(st.floats(-0.1, 0.1)) * vmax
     elif form != "honest":
-        pays[stretch] = float(form)
+        # a hand schedule refuses non-finite payments, so the audit sees the honest one
+        refused = pays.copy()
+        refused[stretch] = float(form)
+        with pytest.raises(ConstructionError, match="must be finite"):
+            PaymentSchedule.hand(rule, m, grid, refused)
     return PaymentSchedule.hand(rule, m, grid, pays)
 
 

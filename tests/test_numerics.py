@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -128,3 +129,14 @@ def test_shared_integral_is_bitwise_the_two_loops_it_replaced(case):
     for sched in schedules:
         got = expected_revenue_quadrature(sched, dist).mean
         assert got.hex() == loop_revenue_quadrature(sched, dist).hex()
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, 2.0, 3.0, 1.25, 1.0 / 3.0, 101.0])
+def test_float_power_is_libm_pow_bitwise(q):
+    """The payment walk raises arrays to powers with ``np.float_power`` and
+    matches Python's float arithmetic bit for bit only because that is libm
+    ``pow`` (``math.pow``) per element. If this fails here, that premise broke."""
+    t = np.concatenate([[0.0, 1.0, 5e-324], np.random.default_rng(0).random(100_000)])
+    want = np.asarray([math.pow(v, q) for v in t.tolist()])
+    assert np.array_equal(np.float_power(t, np.full_like(t, q)).view(np.int64), want.view(np.int64))
+    assert np.array_equal(np.float_power(t, q).view(np.int64), want.view(np.int64))

@@ -1,5 +1,6 @@
 import functools
 import io
+import math
 import warnings
 
 import numpy as np
@@ -11,26 +12,32 @@ from roi_auction import (
     ConstructionError,
     DomainError,
     PaymentSchedule,
+    PowerCdfDistribution,
     RoiTarget,
+    UniformDistribution,
     distribution_from_descriptor,
     expected_revenue_quadrature,
     make_piecewise_constant,
     make_power_ramp,
     make_step,
     make_table,
+    myerson_baseline,
     optimal_mechanism,
     payment_schedule,
     run_standard_audit,
 )
+from roi_auction.allocation import AllocationRule, Constant, Linear, Segment
+from roi_auction.numerics import power_product_integral
 from roi_auction.payments import _envelope
 from oracles import (
     brute_rebate,
     brute_roi_payment,
     eager_schedule_columns,
     exact_payments,
+    loop_payment_pieces,
     per_row_csv,
 )
-from random_rules import random_monotone_rule
+from random_rules import perturbed_table_copy, random_monotone_rule, random_nonmonotone_rule
 
 M2 = RoiTarget(2.0)
 RAMP = make_power_ramp(0.75, 2.0)
@@ -260,7 +267,7 @@ def test_hand_schedules_interpolate_and_hide_rebates():
     assert hand.value_at(0.7) == pytest.approx(0.2, abs=1e-12)
     with pytest.raises(ConstructionError):
         hand.rebate_at(0.7)
-    with pytest.raises(ConstructionError, match="must match the grid length"):
+    with pytest.raises(ConstructionError, match="must share a length"):
         PaymentSchedule.hand(sched.allocation, M2, sched.grid, np.zeros(3))
 
 
@@ -282,6 +289,46 @@ def test_hand_schedule_holds_only_its_grid_and_payments():
     ):
         with pytest.raises(ConstructionError, match="holds only its grid and payments"):
             refused()
+
+
+@pytest.mark.parametrize(
+    "grid,payments,message",
+    [
+        # a repeated point: the revenue divided by the zero-width cell
+        ([0.0, 0.5, 0.5, 1.0], [0.0, 0.25, 0.5, 0.5], "increase strictly"),
+        # a point out of order: the revenue came out 0.125, silently wrong
+        ([0.0, 0.75, 0.5, 1.0], [0.0, 0.5, 0.5, 0.5], "increase strictly"),
+        ([0.1, 0.5, 1.0], [0.0, 0.25, 0.5], "increase strictly"),
+        ([0.0, 0.5, 1.5], [0.0, 0.25, 0.5], "increase strictly"),
+        ([0.0], [0.0], "share a length"),
+        ([0.0, float("nan"), 1.0], [0.0, 0.25, 0.5], "must be finite"),
+        ([0.0, 0.5, 1.0], [0.0, float("inf"), 0.5], "must be finite"),
+        ([0.0, 1e-300, 1.0], [0.0, -1.8e8, 0.5], "too fast"),
+    ],
+    ids=["repeated", "decreasing", "off_zero", "past_vmax", "one_point", "nan_grid",
+         "inf_payment", "slope_overflow"],
+)
+def test_hand_refuses_grids_it_cannot_interpolate(grid, payments, message):
+    # the CLI refused these files; the library took them and priced them wrongly
+    with pytest.raises(ConstructionError, match=message):
+        PaymentSchedule.hand(make_step(0.5), RoiTarget(2), grid, payments)
+
+
+def test_hand_takes_a_derived_grid_that_ends_past_vmax():
+    # a rule may end 1e-12 past vmax, and its knots join the derived grid; the
+    # uniqueness probe re-prices that grid as a hand schedule
+    vmax = 1e-6
+    rule = AllocationRule(
+        vmax,
+        (Segment(0.0, 0.5 * vmax, Constant(0.0)), Segment(0.5 * vmax, vmax + 5e-13, Constant(1.0))),
+    )
+    sched = payment_schedule(rule, M2, grid_n=51)
+    assert sched.grid[-1] > vmax * (1 + 1e-12)
+    hand = PaymentSchedule.hand(rule, M2, sched.grid, sched.payments)
+    assert np.array_equal(hand.value_many(sched.grid), sched.payments)
+    assert run_standard_audit(sched).passed
+    with pytest.raises(ConstructionError, match="increase strictly"):
+        PaymentSchedule.hand(rule, M2, [0.0, vmax + 2e-12], [0.0, 0.0])
 
 
 def test_cached_candidate_grid_is_read_only():
@@ -394,3 +441,81 @@ def test_payment_error_within_stated_ratio_limit(ratio, vmax):
         sched = payment_schedule(rule, RoiTarget(ratio), grid_n=201)
         exact = np.asarray(exact_payments(rule, ratio, sched.grid))
         assert float(np.max(np.abs(sched.payments - exact))) <= bound
+
+
+# x = v - 0.4 past 0.4 at ratio 1.5 has its stationary point z = -0.4 / (1 * -0.5)
+# exactly on the end 0.8 that two cells, or two segments, share
+ON_END = {
+    "table": make_table([[0.0, 0.0], [0.4, 0.0], [0.8, 0.4], [1.0, 0.6]]),
+    "linear": AllocationRule(
+        1.0,
+        (
+            Segment(0.0, 0.4, Linear(0.0, 0.0)),
+            Segment(0.4, 0.8, Linear(1.0, -0.4)),
+            Segment(0.8, 1.0, Linear(1.0, -0.4)),
+        ),
+    ),
+}
+
+
+@st.composite
+def _walk_cases(draw):
+    """A derived schedule of any rule shape, and a distribution on its support."""
+    vmax = draw(st.sampled_from([1.0, 1e-6, 1e150]) | st.floats(-6.0, 150.0).map(lambda k: 10.0**k))
+    ratio = draw(st.sampled_from([2.0, 1.01, 1e4]) | st.floats(1.01, 1e4))
+    seed = draw(st.integers(0, 200))
+    frac = draw(st.floats(0.05, 0.95))
+    kind = draw(st.sampled_from(["monotone", "nonmonotone", "table", "ramp", "optimal", "posted",
+                                 "on_end"]))
+    if kind == "monotone":
+        rule = random_monotone_rule(seed, vmax)
+    elif kind == "nonmonotone":
+        rule = random_nonmonotone_rule(seed, vmax)
+    elif kind in ("table", "ramp"):
+        # the ramp's own ratio keeps its exponent at most 2, where any threshold here is storable
+        rule = make_power_ramp(frac * vmax, draw(st.sampled_from([1.5, 2.0, 5.0])), vmax)
+        if kind == "table":
+            # 101 knots, flat wherever the nudged values were clipped or held up
+            rule = perturbed_table_copy(rule, seed, magnitude=draw(st.sampled_from([0.02, 0.2])))
+    elif kind == "optimal":
+        name = draw(st.sampled_from([n for n in _lazy_cases() if "_ramp_" in n]))
+        rule = _lazy_cases()[name][0]
+        vmax = rule.vmax
+    elif kind == "on_end":
+        rule, vmax, ratio = ON_END[draw(st.sampled_from(sorted(ON_END)))], 1.0, 1.5
+    dist = draw(st.sampled_from([UniformDistribution(vmax), PowerCdfDistribution(2.0, vmax=vmax)]))
+    if kind == "posted":
+        return myerson_baseline(dist, RoiTarget(ratio), grid_n=51), dist
+    return payment_schedule(rule, RoiTarget(ratio), grid_n=51), dist
+
+
+def _hexed(pieces):
+    return [
+        (lo.hex(), hi.hex(), [(a.hex(), e.hex()) for a, e in terms]) for lo, hi, terms in pieces
+    ]
+
+
+@given(_walk_cases())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_payment_pieces_are_bitwise_the_loop_they_replaced(case):
+    sched, dist = case
+    vmax = sched.allocation.vmax
+    # an array step that warns where Python arithmetic stayed silent would print on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sched.pieces()
+        want = loop_payment_pieces(sched)
+        revenue = expected_revenue_quadrature(sched, dist).mean
+        loop_revenue = vmax * power_product_integral(want, dist.pdf_pieces(), vmax, 1.0)
+    assert _hexed(got) == _hexed(want)
+    assert revenue.hex() == loop_revenue.hex()
+    # the running max is the loop's only where no g is nan, where np.maximum and max differ
+    assert all(math.isfinite(v) for _, _, terms in got for a, e in terms for v in (a, e))
+
+
+def test_stationary_point_on_a_cell_end_cuts_nothing():
+    assert -0.4 / (1.0 * (1.5 - 2.0)) == 0.8
+    for rule in ON_END.values():
+        assert rule.stationary_candidates(1.5) == ()
+        got = payment_schedule(rule, RoiTarget(1.5)).pieces()
+        assert 0.8 in {lo for lo, _, _ in got}
