@@ -4,9 +4,10 @@ A rule is an ordered list of segments tiling [0, vmax], each carrying a shape
 in global coordinates (constant, linear, power, or an interpolated table).
 Evaluation is right-continuous at segment joins, so the stored value at a jump
 is the post-jump one; prefix integrals use the per-shape closed forms. For
-exact integration a rule lowers itself once to arrays of power terms in
-v / vmax (``Lowered``, one row per segment or table cell), which the payment
-walk reads and ``pieces`` gives as tuples.
+exact integration a rule lowers itself once to ``numerics.Pieces``, power
+terms in v / vmax with one row per segment or table cell and two term
+columns, at most one of them with a nonzero exponent; ``pieces`` gives that
+lowering and the payment walk reads it.
 
 Range ([0, 1]) and tiling are enforced at construction. Monotonicity is NOT:
 check_monotone reports it, and the named constructors reject violations, which
@@ -19,12 +20,13 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConditioningWarning, ConstructionError, DescriptorError, DomainError
-from .numerics import PowerPiece
+from .errors import descriptor_number, descriptor_pairs
+from .numerics import Pieces
 
 _RANGE_TOL = 1e-12
 _JOIN_TOL = 1e-12
@@ -34,27 +36,9 @@ _LOG_NORMAL_RANGE = 708.0
 #: Largest drop in the allocation that check_monotone still passes.
 MONOTONE_TOL = 1e-12
 
-#: (lo, hi, coefficients, exponents) of a shape's pieces: shapes (k,), (k,),
-#: (k, 2) and (k, 2), a zero coefficient where a piece has one term
-Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 #: (lo, hi, slope, intercept) of a shape's linear pieces, each of shape (k,)
 Lines = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 _NO_LINES: Lines = (np.empty(0),) * 4
-
-
-def _row(lo: float, hi: float, coef: tuple[float, float], expo: tuple[float, float]) -> Rows:
-    return np.asarray([lo]), np.asarray([hi]), np.asarray([coef]), np.asarray([expo])
-
-
-class Lowered(NamedTuple):
-    """A rule as arrays, one row per segment or table cell: x = a0 t^e0 + a1 t^e1
-    on [lo, hi) with t = v / vmax, and ``below`` the integral of x from 0 to lo."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    coef: np.ndarray
-    expo: np.ndarray
-    below: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,8 +61,9 @@ class Constant:
     def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
         return ()
 
-    def lower(self, lo: float, hi: float, vmax: float) -> Rows:
-        return _row(lo, hi, (self.level, 0.0), (0.0, 0.0))
+    def lower(self, lo: float, hi: float, vmax: float) -> Pieces:
+        coef = np.array([[self.level, 0.0]])
+        return Pieces(np.array([lo]), np.array([hi]), coef, np.zeros((1, 2)))
 
     def descriptor(self) -> dict:
         return {"type": "constant", "level": self.level}
@@ -119,8 +104,9 @@ class Linear:
     def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
         return ()
 
-    def lower(self, lo: float, hi: float, vmax: float) -> Rows:
-        return _row(lo, hi, (self.intercept, self.slope * vmax), (0.0, 1.0))
+    def lower(self, lo: float, hi: float, vmax: float) -> Pieces:
+        coef = np.array([[self.intercept, self.slope * vmax]])
+        return Pieces(np.array([lo]), np.array([hi]), coef, np.array([[0.0, 1.0]]))
 
     def descriptor(self) -> dict:
         return {"type": "linear", "slope": self.slope, "intercept": self.intercept}
@@ -167,7 +153,7 @@ class PowerRamp:
     def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
         return ()
 
-    def lower(self, lo: float, hi: float, vmax: float) -> Rows:
+    def lower(self, lo: float, hi: float, vmax: float) -> Pieces:
         # the coefficient is x extrapolated to vmax
         e = self.exponent
         if e * abs(math.log(vmax)) <= _LOG_NORMAL_RANGE:
@@ -183,7 +169,7 @@ class PowerRamp:
                 f"power segment on [{lo!r}, {hi!r}] extrapolated to vmax={vmax!r} "
                 "leaves the float range"
             )
-        return _row(lo, hi, (a, 0.0), (e, 0.0))
+        return Pieces(np.array([lo]), np.array([hi]), np.array([[a, 0.0]]), np.array([[e, 0.0]]))
 
     def descriptor(self) -> dict:
         return {"type": "power", "scale": self.scale, "exponent": self.exponent}
@@ -250,14 +236,14 @@ class TableShape:
     def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
         return tuple(float(v) for v in self._vs[1:-1])
 
-    def lower(self, lo: float, hi: float, vmax: float) -> Rows:
+    def lower(self, lo: float, hi: float, vmax: float) -> Pieces:
         # one linear piece per cell; the outer cell ends are the segment's own
         edges = self._vs.copy()
         edges[0], edges[-1] = lo, hi
         slope, intercept = self._cell_lines
         with np.errstate(over="ignore"):
             coef = np.column_stack([intercept, slope * vmax])
-        return edges[:-1], edges[1:], coef, np.broadcast_to([0.0, 1.0], coef.shape)
+        return Pieces(edges[:-1], edges[1:], coef, np.broadcast_to([0.0, 1.0], coef.shape))
 
     def descriptor(self) -> dict:
         return {"type": "table", "points": [[v, x] for v, x in self.points]}
@@ -353,20 +339,18 @@ class AllocationRule:
         return tuple(sorted(pts))
 
     @cached_property
-    def _lowered(self) -> Lowered:
+    def _pieces(self) -> Pieces:
         rows = [seg.shape.lower(seg.lo, seg.hi, self.vmax) for seg in self.segments]
-        lo, hi, coef, expo = (np.concatenate(col) for col in zip(*rows))
-        return Lowered(lo, hi, coef, expo, self.prefix_integral(lo))
+        return Pieces(*(np.concatenate(col) for col in zip(*rows)))
 
-    def pieces(self) -> tuple[PowerPiece, ...]:
-        """The rule as power terms in v / vmax, one piece per segment or table
-        cell, zero terms left out."""
-        low = self._lowered
-        cols = (low.lo.tolist(), low.hi.tolist(), low.coef.tolist(), low.expo.tolist())
-        return tuple(
-            (lo, hi, tuple((a, e) for a, e in zip(coef, expo) if a != 0.0))
-            for lo, hi, coef, expo in zip(*cols)
-        )
+    def pieces(self) -> Pieces:
+        """The rule as power terms in v / vmax, one row per segment or table cell."""
+        return self._pieces
+
+    @cached_property
+    def _below(self) -> np.ndarray:
+        """The integral of the rule from 0 to each row start of ``pieces``."""
+        return self.prefix_integral(self._pieces.lo)
 
     def jump_points(self) -> tuple[tuple[float, float, float], ...]:
         """(v, left limit, right value) at every discontinuous segment join."""
@@ -536,16 +520,12 @@ def _shape_from_descriptor(data: dict) -> Shape:
         unknown = sorted(set(data) - _SHAPE_FIELDS[kind])
         missing = sorted(_SHAPE_FIELDS[kind] - set(data))
         raise DescriptorError(f"shape fields for {kind!r}: unknown {unknown}, missing {missing}")
-    try:
-        if kind == "constant":
-            return Constant(level=float(data["level"]))
-        if kind == "linear":
-            return Linear(slope=float(data["slope"]), intercept=float(data["intercept"]))
-        if kind == "power":
-            return PowerRamp(scale=float(data["scale"]), exponent=float(data["exponent"]))
-        return TableShape(points=tuple((float(v), float(x)) for v, x in data["points"]))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DescriptorError(f"malformed {kind!r} shape: {exc}") from exc
+    if kind == "table":
+        return TableShape(points=descriptor_pairs(data["points"], "'table' shape field 'points'"))
+    # every other shape's fields are numbers named as the shape's own fields
+    num = {k: descriptor_number(v, f"{kind!r} shape field {k!r}") for k, v in data.items()
+           if k != "type"}
+    return {"constant": Constant, "linear": Linear, "power": PowerRamp}[kind](**num)
 
 
 def allocation_from_descriptor(data: dict) -> AllocationRule:
@@ -563,14 +543,7 @@ def allocation_from_descriptor(data: dict) -> AllocationRule:
     for item in segments:
         if not isinstance(item, dict) or set(item) != {"lo", "hi", "shape"}:
             raise DescriptorError("each segment needs exactly 'lo', 'hi' and 'shape'")
-        try:
-            lo = float(item["lo"])
-            hi = float(item["hi"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DescriptorError(f"segment bounds must be numbers: {exc}") from exc
+        lo = descriptor_number(item["lo"], "segment bound 'lo'")
+        hi = descriptor_number(item["hi"], "segment bound 'hi'")
         segs.append(Segment(lo, hi, _shape_from_descriptor(item["shape"])))
-    try:
-        vmax = float(data["vmax"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DescriptorError(f"'vmax' must be a number: {exc}") from exc
-    return AllocationRule(vmax, tuple(segs))
+    return AllocationRule(descriptor_number(data["vmax"], "'vmax'"), tuple(segs))

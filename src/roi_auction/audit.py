@@ -174,7 +174,9 @@ def _dsic(outcomes, ratio: float) -> AuditCheck:
         rows = live[gain]
         best[rows] = top[gain]
         best_at[rows] = start + at[gain]
-    gains = np.where(truth_feas, best - u_truth, np.inf)
+    # a gain past the float range is an infinite one, which fails as it should
+    with np.errstate(over="ignore"):
+        gains = np.where(truth_feas, best - u_truth, np.inf)
     # no feasible report at all, truthful or not: nothing to gain
     gains = np.where(~truth_feas & ~(best > -np.inf), 0.0, gains)
     return _verdict(

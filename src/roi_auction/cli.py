@@ -32,6 +32,8 @@ from .errors import (
     DescriptorError,
     DomainError,
     RoiAuctionError,
+    descriptor_number,
+    descriptor_numbers,
 )
 from .optimal import optimal_mechanism
 from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule
@@ -153,21 +155,14 @@ def _mechanism_from_file(args) -> PaymentSchedule:
     ratio = args.m if args.m is not None else data.get("m")
     if ratio is None:
         raise _UsageError("no target ratio: pass --m or put an 'm' field in the file")
-    try:
-        ratio = float(ratio)
-    except (TypeError, ValueError, OverflowError):
-        raise DescriptorError(f"'m' must be a number, got {ratio!r}")
-    m = RoiTarget(ratio)
+    m = RoiTarget(descriptor_number(ratio, "'m'"))
     if "schedule" not in data:
         return payment_schedule(rule, m, args.grid)
     sched = data["schedule"]
     if not isinstance(sched, dict) or set(sched) != {"grid", "payments"}:
         raise DescriptorError("'schedule' needs exactly 'grid' and 'payments' arrays")
-    try:
-        grid = [float(v) for v in sched["grid"]]
-        payments = [float(p) for p in sched["payments"]]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DescriptorError(f"schedule arrays must be numeric: {exc}")
+    grid = descriptor_numbers(sched["grid"], "schedule 'grid'")
+    payments = descriptor_numbers(sched["payments"], "schedule 'payments'")
     return PaymentSchedule.hand(rule, m, grid, payments)
 
 

@@ -5,9 +5,10 @@ virtual value v f(v) + F(v) - 1 whose monotonicity (the DMR property) gates
 the threshold solver. Tabulated and piecewise kinds store the density and
 integrate it exactly; no numerical differentiation happens at runtime.
 
-Each kind lowers only its density, to pieces of power terms in the
-normalized value t = v / vmax (``pdf_pieces``). The base class derives the
-weighted curve's pieces from them (``psi_pieces``), which is what lets the
+Each kind lowers only its density, to ``numerics.Pieces`` of power terms in
+the normalized value t = v / vmax (``pdf_pieces``, which a user subclass must
+return as ``Pieces`` too). The base class derives the weighted curve's pieces
+from them by array arithmetic (``psi_pieces``), which is what lets the
 threshold solver and the revenue integral work in closed form.
 """
 
@@ -23,7 +24,8 @@ from typing import Any
 import numpy as np
 
 from .errors import ConstructionError, DescriptorError, DomainError
-from .numerics import PowerPiece
+from .errors import descriptor_number, descriptor_numbers, descriptor_pairs
+from .numerics import Pieces
 
 _SUPPORT_SLACK = 1e-12
 
@@ -85,11 +87,11 @@ class ValueDistribution(abc.ABC):
     def _quantile(self, u: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def pdf_pieces(self) -> tuple[PowerPiece, ...]:
+    def pdf_pieces(self) -> Pieces:
         """The density f(v) as power terms in v / vmax.
 
-        Pieces tile [0, vmax] in order; on [lo, hi) the density equals the sum
-        of b * (v / vmax)^k over the piece's (b, k) terms, with every k >= 0.
+        Its rows tile [0, vmax] in order; on [lo, hi) the density equals the sum
+        of b * (v / vmax)^k over the row's (b, k) terms, with every k >= 0.
         """
 
     @abc.abstractmethod
@@ -111,26 +113,27 @@ class ValueDistribution(abc.ABC):
         a, scalar = _prepare(v, self.vmax)
         return _ret(self._psi(a), scalar)
 
-    def psi_pieces(self) -> tuple[PowerPiece, ...]:
-        """v f(v) + F(v) - 1 as power terms in v / vmax, on the pieces of ``pdf_pieces``."""
+    def psi_pieces(self) -> Pieces:
+        """v f(v) + F(v) - 1 as power terms in v / vmax, on the rows of
+        ``pdf_pieces``: each density term lifted, then the constant."""
         return self._psi_pieces
 
     @cached_property
-    def _psi_pieces(self) -> tuple[PowerPiece, ...]:
-        # on a piece from t0 = lo / vmax each density term b t^k gives v f the term
-        # vmax b t^(k+1) and F the term vmax b (t^(k+1) - t0^(k+1)) / (k+1) over F(lo)
+    def _psi_pieces(self) -> Pieces:
+        # on a row from t0 = lo / vmax each density term b t^k gives v f the term
+        # vmax b t^(k+1) and F the term vmax b (t^(k+1) - t0^(k+1)) / (k+1) over F(lo);
+        # the constant subtracts those terms at t0 in order, as floats do one by one
         vmax = self.vmax
-        pieces = self.pdf_pieces()
-        starts = self._cdf(np.asarray([lo for lo, _, _ in pieces]))
-        out = []
-        for (lo, hi, terms), start in zip(pieces, starts):
-            t0 = lo / vmax
-            const = float(start) - 1.0
-            for b, k in terms:
-                const -= vmax * b * t0 ** (k + 1.0) / (k + 1.0)
-            lifted = tuple((vmax * b * (k + 2.0) / (k + 1.0), k + 1.0) for b, k in terms)
-            out.append((lo, hi, lifted + ((const, 0.0),)))
-        return tuple(out)
+        lo, hi, b, k = self.pdf_pieces()
+        k1 = k + 1.0
+        const = self._cdf(lo) - 1.0
+        # as in Python float arithmetic, an overflow passes on silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            for term in (vmax * b * np.float_power((lo / vmax)[:, None], k1) / k1).T:
+                const = const - term
+            lifted = vmax * b * (k + 2.0) / k1
+        coef = np.concatenate([lifted, const[:, None]], axis=1)
+        return Pieces(lo, hi, coef, np.concatenate([k1, np.zeros_like(const)[:, None]], axis=1))
 
     def quantile(self, u):
         """Generalized inverse of the CDF; exact where closed forms exist."""
@@ -150,11 +153,11 @@ class ValueDistribution(abc.ABC):
         """
         starts: list[float] = []
         ends: list[float] = []
-        for lo, hi, terms in self.psi_pieces():
+        for lo, hi, coef, expo in zip(*(col.tolist() for col in self.psi_pieces())):
             points = [lo]
-            a2 = sum(a for a, e in terms if e == 2.0)
+            a2 = sum(a for a, e in zip(coef, expo) if e == 2.0)
             if a2 != 0.0:
-                vertex = -sum(a for a, e in terms if e == 1.0) / (2.0 * a2) * self.vmax
+                vertex = -sum(a for a, e in zip(coef, expo) if e == 1.0) / (2.0 * a2) * self.vmax
                 if lo < vertex < hi:
                     points.append(vertex)
             points.append(math.nextafter(hi, 0.0))
@@ -190,7 +193,7 @@ class ValueDistribution(abc.ABC):
         # F is continuous, so psi falls by b (f(b-) - f(b+)) where the density falls at
         # a breakpoint b, which a rising grid cell across b can hide; f(b-) is the
         # density one float below b, on the left piece
-        knots = np.asarray([lo for lo, _, _ in self.pdf_pieces()[1:]])
+        knots = self.pdf_pieces().lo[1:]
         with np.errstate(over="ignore", invalid="ignore"):
             jumps = knots * (self._pdf(np.nextafter(knots, 0.0)) - self._pdf(knots))
         for b, drop in zip(knots.tolist(), jumps.tolist()):
@@ -231,8 +234,9 @@ class UniformDistribution(ValueDistribution):
     def _quantile(self, u):
         return u * self.vmax
 
-    def pdf_pieces(self) -> tuple[PowerPiece, ...]:
-        return ((0.0, self.vmax, ((1.0 / self.vmax, 0.0),)),)
+    def pdf_pieces(self) -> Pieces:
+        coef = np.array([[1.0 / self.vmax]])
+        return Pieces(np.array([0.0]), np.array([self.vmax]), coef, np.zeros((1, 1)))
 
     def descriptor(self) -> dict:
         return {"kind": "uniform", "vmax": self.vmax}
@@ -262,9 +266,10 @@ class PowerCdfDistribution(ValueDistribution):
     def _quantile(self, u):
         return self.vmax * u ** (1.0 / self.exponent)
 
-    def pdf_pieces(self) -> tuple[PowerPiece, ...]:
+    def pdf_pieces(self) -> Pieces:
         k = self.exponent
-        return ((0.0, self.vmax, ((k / self.vmax, k - 1.0),)),)
+        coef, expo = np.array([[k / self.vmax]]), np.array([[k - 1.0]])
+        return Pieces(np.array([0.0]), np.array([self.vmax]), coef, expo)
 
     def descriptor(self) -> dict:
         return {"kind": "power_cdf", "vmax": self.vmax, "exponent": self.exponent}
@@ -346,14 +351,12 @@ class PiecewiseLinearDensity(ValueDistribution):
         t = np.where(denom > 0.0, 2.0 * du / np.where(denom > 0.0, denom, 1.0), 0.0)
         return np.minimum(b[i] + np.minimum(t, width), self.vmax)
 
-    def pdf_pieces(self) -> tuple[PowerPiece, ...]:
+    def pdf_pieces(self) -> Pieces:
         # f = d_i + slope (v - b_i), with slope per unit t = v / vmax
-        vmax, b = self.vmax, self.breakpoints
-        scaled = [s * vmax for s in self._slopes.tolist()]
-        return tuple(
-            (lo, hi, ((d_lo - s * lo / vmax, 0.0), (s, 1.0)))
-            for lo, hi, d_lo, s in zip(b[:-1], b[1:], self.densities, scaled)
-        )
+        vmax, (b, d) = self.vmax, self._arrays
+        s = self._slopes * vmax
+        coef = np.array([d[:-1] - s * b[:-1] / vmax, s]).T
+        return Pieces(b[:-1], b[1:], coef, np.broadcast_to([0.0, 1.0], coef.shape))
 
     def descriptor(self) -> dict:
         return {
@@ -425,11 +428,9 @@ class TabulatedCdf(ValueDistribution):
         interp = vs[lo] + frac * (vs[i] - vs[lo])
         return np.where(exact, vs[i], interp)
 
-    def pdf_pieces(self) -> tuple[PowerPiece, ...]:
-        return tuple(
-            (v0, v1, ((float(slope), 0.0),))
-            for (v0, _), (v1, _), slope in zip(self.points[:-1], self.points[1:], self._slopes)
-        )
+    def pdf_pieces(self) -> Pieces:
+        slopes = self._slopes[:, None]
+        return Pieces(self._vs[:-1], self._vs[1:], slopes, np.zeros_like(slopes))
 
     def descriptor(self) -> dict:
         return {
@@ -447,16 +448,6 @@ _REQUIRED_FIELDS = {
 }
 
 
-def _require_number(data: dict, key: str) -> float:
-    x = data[key]
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise DescriptorError(f"field {key!r} must be a number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError:
-        raise DescriptorError(f"field {key!r} is too large for a float") from None
-
-
 def distribution_from_descriptor(data: dict) -> ValueDistribution:
     """Build a distribution from its JSON-friendly descriptor; strict about fields."""
     if not isinstance(data, dict):
@@ -472,23 +463,18 @@ def distribution_from_descriptor(data: dict) -> ValueDistribution:
         raise DescriptorError(
             f"descriptor fields for kind {kind!r}: unknown {unknown}, missing {missing}"
         )
-    vmax = _require_number(data, "vmax")
-    try:
-        if kind == "uniform":
-            return UniformDistribution(vmax=vmax)
-        if kind == "power_cdf":
-            return PowerCdfDistribution(exponent=_require_number(data, "exponent"), vmax=vmax)
-        if kind == "piecewise_linear_density":
-            dist = PiecewiseLinearDensity(
-                breakpoints=tuple(float(x) for x in data["breakpoints"]),
-                densities=tuple(float(x) for x in data["densities"]),
-            )
-        else:
-            dist = TabulatedCdf(points=tuple((float(v), float(F)) for v, F in data["points"]))
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConstructionError):
-            raise
-        raise DescriptorError(f"malformed {kind!r} descriptor: {exc}") from exc
+    vmax = descriptor_number(data["vmax"], "field 'vmax'")
+    if kind == "uniform":
+        return UniformDistribution(vmax=vmax)
+    if kind == "power_cdf":
+        return PowerCdfDistribution(descriptor_number(data["exponent"], "field 'exponent'"), vmax)
+    if kind == "piecewise_linear_density":
+        dist = PiecewiseLinearDensity(
+            breakpoints=descriptor_numbers(data["breakpoints"], "field 'breakpoints'"),
+            densities=descriptor_numbers(data["densities"], "field 'densities'"),
+        )
+    else:
+        dist = TabulatedCdf(points=descriptor_pairs(data["points"], "field 'points'"))
     if abs(dist.vmax - vmax) > 1e-9 * vmax:
         raise DescriptorError(
             f"declared vmax {vmax!r} disagrees with the data endpoint {dist.vmax!r}"

@@ -2,47 +2,61 @@
 
 The routines are deliberately small and deterministic: plain bisection with
 an explicit bracket-width stopping rule, the closed-form integral of the
-product of two piecewise power curves (the threshold solve's G and the
-expected revenue), and adaptive Simpson with an absolute-tolerance budget
-split across subintervals. No library path calls adaptive Simpson; it stays
-only because the benchmark's tracer, ``perfbench/tracing.py``, wraps it by
-name.
+product of two ``Pieces`` (the threshold solve's G and the expected revenue),
+and adaptive Simpson with an absolute-tolerance budget split across
+subintervals. No library path calls adaptive Simpson; it stays only because
+the benchmark's tracer, ``perfbench/tracing.py``, wraps it by name.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import QuadratureError
 
-#: (lo, hi, ((a, e), ...)): a curve equal to the sum of a * (v / vmax)^e for lo <= v < hi;
-#: densities, allocation rules and payments are lowered to tuples of these
-PowerPiece = tuple[float, float, tuple[tuple[float, float], ...]]
+
+class Pieces(NamedTuple):
+    """The one piecewise power format: densities, psi, allocation rules and payments
+    all lower to it. On [lo[i], hi[i]) the curve is the sum over j of coef[i, j]
+    t^expo[i, j], t = v / vmax; lo and hi have shape (n,), coef and expo (n, k),
+    and a zero coefficient is an absent term."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    coef: np.ndarray
+    expo: np.ndarray
 
 
-def power_product_integral(
-    left: Sequence[PowerPiece], right: Sequence[PowerPiece], span: float, rescale: float
-) -> float:
-    """Integral over t = v / span in [0, 1] of the product of two piece lists.
+def power_product_integral(left: Pieces, right: Pieces, span: float, rescale: float) -> float:
+    """Integral over t = v / span in [0, 1] of the product of two piecewise power curves.
 
-    Both lists tile [0, ...) in order, bounded in v. A left term (a, e) is
-    a t^e, and a right term (b, k), b (rescale t)^k, is restated as
-    b rescale^k t^k. Pieces starting at or beyond span are dropped; each cell
-    [l, u] of the merged partition adds, pair by pair in term order, the moment
+    Both tile [0, ...) in order, bounded in v. A left term (a, e) is a t^e,
+    and a right term (b, k), b (rescale t)^k, is restated as b rescale^k t^k.
+    Pieces starting at or beyond span add nothing; each cell [l, u] of the
+    merged partition adds, pair by pair in term order, the moment
 
         integral_l^u a t^e b t^k dt = a b (u^q - l^q) / q,  q = e + k + 1.
+
+    Zero left terms are absent and skipped. The cells stay a Python loop: the
+    solve makes hundreds of one-cell calls, where a numpy form cost 65 us each.
     """
-    left = [piece for piece in left if piece[0] < span]
-    right = [(lo, hi, [(b * rescale**k, k) for b, k in f]) for lo, hi, f in right if lo < span]
-    left_los, right_los = [p[0] for p in left], [p[0] for p in right]
+    scaled = right.coef * np.float_power(rescale, right.expo)
+    left_los, right_los = left.lo.tolist(), right.lo.tolist()
+    # each row's (coefficient, exponent) pairs as floats, built column by column
+    left_terms = list(zip(*map(zip, left.coef.T.tolist(), left.expo.T.tolist())))
+    right_terms = list(zip(*map(zip, scaled.T.tolist(), right.expo.T.tolist())))
     cuts = sorted({0.0, span, *(v for v in left_los + right_los if 0.0 < v < span)})
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (lo + hi)
-        r_terms = right[bisect.bisect_right(right_los, mid) - 1][2]
+        r_terms = right_terms[bisect.bisect_right(right_los, mid) - 1]
         t_lo, t_hi = lo / span, hi / span
-        for a, e in left[bisect.bisect_right(left_los, mid) - 1][2]:
+        for a, e in left_terms[bisect.bisect_right(left_los, mid) - 1]:
+            if a == 0.0:
+                continue
             for b, k in r_terms:
                 q = e + k + 1.0
                 total += a * (t_hi**q - t_lo**q) * b / q

@@ -32,7 +32,7 @@ from .allocation import make_power_ramp
 from .audit import AuditCheck, AuditReport, _verdict
 from .distributions import ValueDistribution
 from .errors import ConstructionError, DomainError, PreconditionError, QuadratureError
-from .numerics import bisect_root, power_product_integral
+from .numerics import Pieces, bisect_root, power_product_integral
 from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, _envelope, payment_schedule
 from .revenue import expected_revenue_quadrature
 
@@ -50,7 +50,8 @@ class BoundaryCase(enum.Enum):
 
 def _scaled_integral(dist: ValueDistribution, m: RoiTarget, threshold: float) -> float:
     """G(threshold) = integral_0^1 psi(threshold * s) s^c ds, from exact piece moments."""
-    weight = ((0.0, threshold, ((1.0, 1.0 / (m.ratio - 1.0)),)),)
+    c = np.full((1, 1), 1.0 / (m.ratio - 1.0))
+    weight = Pieces(np.zeros(1), np.full(1, threshold), np.ones((1, 1)), c)
     return power_product_integral(weight, dist.psi_pieces(), threshold, threshold / dist.vmax)
 
 

@@ -19,12 +19,11 @@ structured shapes. A hand schedule, ``PaymentSchedule.hand(rule, m, grid,
 payments)``, holds only its grid and payments and charges their interpolant;
 it refuses a grid that does not rise strictly from 0 within vmax, and
 payments or slopes that are not finite.
-``PaymentSchedule.pieces`` gives either kind's payment as power terms in
-t = v / vmax for the exact revenue, and never samples the grid. A derived
-one comes from one array walk over the rule's lowered pieces: g at every
-sub-piece end, one running max over them, and a cut wherever that max
-switches between tight (p = v x) and flat (p = ratio p~ - R). A hand one is
-its interpolant.
+``PaymentSchedule.pieces`` gives either kind's payment as ``numerics.Pieces``
+in t = v / vmax for the exact revenue, and never samples the grid. A derived
+one comes from one array walk over the rule's ``pieces``: g at every sub-piece
+end, one running max over them, and a cut wherever that max switches between
+tight (p = v x) and flat (p = ratio p~ - R). A hand one is its interpolant.
 
 Ratio limit: g and R grow like ratio * vmax, so for ratios of 100 and more the
 payment error is up to about ratio 2^-52 vmax (tested below twice that); at
@@ -47,7 +46,7 @@ import numpy as np
 
 from .allocation import AllocationRule
 from .errors import ConstructionError
-from .numerics import PowerPiece
+from .numerics import Pieces
 
 DEFAULT_GRID_N = 10_001
 
@@ -218,7 +217,7 @@ class PaymentSchedule:
     def rebate_at(self, v: float) -> float:
         return float(self._sweep(np.asarray([v], dtype=float))[2][0])
 
-    def pieces(self) -> list[PowerPiece]:
+    def pieces(self) -> Pieces:
         """The payment as power terms in t = v / vmax, as ``value_many`` charges it.
 
         A derived schedule's come from one array walk over its rule's lowered
@@ -251,7 +250,7 @@ class PaymentSchedule:
             fp.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _derived_pieces(sched: PaymentSchedule) -> list[PowerPiece]:
+def _derived_pieces(sched: PaymentSchedule) -> Pieces:
     """Truthful payments of a derived schedule as power terms in t = v / vmax.
 
     On a rule piece x = sum a t^e, with C = integral_0^lo x, the envelope
@@ -269,7 +268,7 @@ def _derived_pieces(sched: PaymentSchedule) -> list[PowerPiece]:
     """
     rule, ratio = sched.allocation, sched.m.ratio
     vmax = rule.vmax
-    lo, hi, a, e, area = rule._lowered
+    (lo, hi, a, e), area = rule.pieces(), rule._below
     stationary = np.asarray(rule.stationary_candidates(ratio), dtype=float)
     # as in Python float arithmetic, an overflow or nan passes on silently
     with np.errstate(all="ignore"):
@@ -303,20 +302,20 @@ def _derived_pieces(sched: PaymentSchedule) -> list[PowerPiece]:
         k = np.flatnonzero(crossing)
         cross[k] = _rising_roots(c[k], p[k], ok[k], b[k] - best[k], l[k], u[k], vmax)
         level = b - start
-        tight_terms = _term_rows(vmax * a, q, live)
-        flat_terms = _term_rows(ratio * vmax * a * e / q, q, live & (e != 0.0))
+        # a flat row's terms are the rule row's one term with e != 0 (every shape
+        # lowers to at most one), lifted, and the level; a tight row's are both
+        one = np.argmax(e != 0.0, axis=1)[owner]
+        flat_c, flat_q = (ratio * vmax * a * e / q)[owner, one], q[owner, one]
+        tight_c, tight_q = vmax * a[owner], q[owner]
 
-    out: list[PowerPiece] = []
-    cols = (owner, l, u, cross, level, flat, crossing)
-    for i, l_, u_, x, r, is_flat, is_crossing in zip(*(col.tolist() for col in cols)):
-        if is_flat:
-            out.append((l_, u_, (*flat_terms[i], (r, 0.0))))
-            continue
-        if is_crossing:
-            out.append((l_, x, (*flat_terms[i], (r, 0.0))))
-            l_ = x
-        out.append((l_, u_, tight_terms[i]))
-    return out
+    # each sub-piece has a flat row (l to u, or to the crossing) and a tight row
+    # (from l, or from the crossing, to u); the rows it has are kept, flat first
+    keep = np.array([flat | crossing, ~flat]).T.ravel()
+    row_lo = np.array([l, np.where(crossing, cross, l)]).T.ravel()[keep]
+    row_hi = np.array([np.where(flat, u, cross), u]).T.ravel()[keep]
+    coef = np.array([[flat_c, tight_c[:, 0]], [level, tight_c[:, 1]]]).T
+    expo = np.array([[flat_q, tight_q[:, 0]], [np.zeros_like(level), tight_q[:, 1]]]).T
+    return Pieces(row_lo, row_hi, coef.reshape(-1, 2)[keep], expo.reshape(-1, 2)[keep])
 
 
 def _sum(terms: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -325,16 +324,6 @@ def _sum(terms: np.ndarray, live: np.ndarray) -> np.ndarray:
     for col in range(terms.shape[-1]):
         total = np.where(live[..., col], total + terms[..., col], total)
     return total
-
-
-def _term_rows(coef: np.ndarray, expo: np.ndarray, live: np.ndarray) -> list[tuple]:
-    """Each row's live (coefficient, exponent) pairs as a tuple; rows have two columns."""
-    first = zip(coef[:, 0].tolist(), expo[:, 0].tolist())
-    second = zip(coef[:, 1].tolist(), expo[:, 1].tolist())
-    return [
-        (t0, t1) if k0 and k1 else (t0,) if k0 else (t1,) if k1 else ()
-        for t0, t1, k0, k1 in zip(first, second, live[:, 0].tolist(), live[:, 1].tolist())
-    ]
 
 
 def _rising_roots(c, q, live, const, lo, hi, vmax: float) -> np.ndarray:
@@ -358,16 +347,15 @@ def _rising_roots(c, q, live, const, lo, hi, vmax: float) -> np.ndarray:
     return np.where(hi < v, hi, v)
 
 
-def _interpolant_pieces(sched: PaymentSchedule) -> list[PowerPiece]:
+def _interpolant_pieces(sched: PaymentSchedule) -> Pieces:
     """A hand-supplied schedule as value_many reads it: linear between grid
     points, flat past the last one."""
     grid, pays, slopes = sched._hand
     vmax = sched.allocation.vmax
     with np.errstate(over="ignore", invalid="ignore"):
-        cols = (grid[:-1], grid[1:], pays[:-1] - slopes * grid[:-1], slopes * vmax)
-    out: list[PowerPiece] = [
-        (va, vb, ((a, 0.0), (b, 1.0))) for va, vb, a, b in zip(*(col.tolist() for col in cols))
-    ]
+        coef = np.column_stack([pays[:-1] - slopes * grid[:-1], slopes * vmax])
+    lo, hi, expo = grid[:-1], grid[1:], np.broadcast_to([0.0, 1.0], coef.shape)
     if grid[-1] < vmax:
-        out.append((float(grid[-1]), vmax, ((float(pays[-1]), 0.0),)))
-    return out
+        lo, hi = np.append(lo, grid[-1]), np.append(hi, vmax)
+        coef, expo = np.vstack([coef, [pays[-1], 0.0]]), np.vstack([expo, [0.0, 0.0]])
+    return Pieces(lo, hi, coef, expo)

@@ -13,7 +13,20 @@ import math
 
 import numpy as np
 
-from roi_auction.numerics import PowerPiece
+from roi_auction.numerics import Pieces
+
+#: (lo, hi, ((a, e), ...)): a curve equal to the sum of a * (v / vmax)^e for
+#: lo <= v < hi, the tuple form the package used before ``numerics.Pieces``
+PowerPiece = tuple[float, float, tuple[tuple[float, float], ...]]
+
+
+def piece_tuples(pieces) -> tuple[PowerPiece, ...]:
+    """``numerics.Pieces`` (or such tuples) as one (lo, hi, terms) tuple per row,
+    zero-coefficient (absent) terms left out."""
+    if isinstance(pieces, Pieces):
+        cols = (pieces.lo.tolist(), pieces.hi.tolist(), pieces.coef.tolist(), pieces.expo.tolist())
+        pieces = [(lo, hi, zip(coef, expo)) for lo, hi, coef, expo in zip(*cols)]
+    return tuple((lo, hi, tuple((a, e) for a, e in terms if a != 0.0)) for lo, hi, terms in pieces)
 
 
 def simpson_integral(f, a: float, b: float, n: int = 2001) -> float:
@@ -304,7 +317,7 @@ def loop_scaled_integral(dist, m, threshold: float) -> float:
     c = 1.0 / (m.ratio - 1.0)
     top = threshold / dist.vmax
     total = 0.0
-    for lo, hi, terms in dist.psi_pieces():
+    for lo, hi, terms in piece_tuples(dist.psi_pieces()):
         if lo >= threshold:
             break
         s_lo = lo / threshold
@@ -320,10 +333,11 @@ def loop_revenue_quadrature(mech, dist) -> float:
     from roi_auction.revenue import _shared_support
 
     vmax = _shared_support(mech, dist)
-    pay = mech.pieces()
+    pay = piece_tuples(mech.pieces())
     # the density's terms, restated in the rule's t = v / vmax
     rescale = vmax / dist.vmax
-    dens = [(lo, [(b * rescale**k, k) for b, k in f]) for lo, _, f in dist.pdf_pieces()]
+    density = piece_tuples(dist.pdf_pieces())
+    dens = [(lo, [(b * rescale**k, k) for b, k in f]) for lo, _, f in density]
     pay_los = [lo for lo, _, _ in pay]
     dens_los = [lo for lo, _ in dens]
     cuts = sorted({0.0, vmax, *(v for v in pay_los + dens_los if 0.0 < v < vmax)})
@@ -446,7 +460,7 @@ def loop_payment_pieces(sched) -> list:
     rule = sched.allocation
     ratio = sched.m.ratio
     vmax = rule.vmax
-    pieces = rule.pieces()
+    pieces = piece_tuples(rule.pieces())
     below = rule.prefix_integral(np.asarray([lo for lo, _, _ in pieces]))
     stationary = rule.stationary_candidates(ratio)
     out: list[PowerPiece] = []
@@ -496,3 +510,45 @@ def _loop_rising_root(
         root = math.sqrt(max(c1 * c1 - 4.0 * c2 * const, 0.0))
         t = -2.0 * const / (c1 + root) if c1 >= 0.0 else (root - c1) / (2.0 * c2)
     return min(max(vmax * t, lo), hi)
+
+
+def loop_psi_pieces(dist) -> tuple[PowerPiece, ...]:
+    """v f(v) + F(v) - 1 as power terms in v / vmax, by the per-piece loop
+    ``ValueDistribution._psi_pieces`` ran on tuples of the density's pieces.
+
+    Kept verbatim as the bitwise reference for the array arithmetic that
+    replaced it; the density's rows come in through ``piece_tuples``.
+    """
+    vmax = dist.vmax
+    pieces = piece_tuples(dist.pdf_pieces())
+    starts = dist._cdf(np.asarray([lo for lo, _, _ in pieces]))
+    out = []
+    for (lo, hi, terms), start in zip(pieces, starts):
+        t0 = lo / vmax
+        const = float(start) - 1.0
+        for b, k in terms:
+            const -= vmax * b * t0 ** (k + 1.0) / (k + 1.0)
+        lifted = tuple((vmax * b * (k + 2.0) / (k + 1.0), k + 1.0) for b, k in terms)
+        out.append((lo, hi, lifted + ((const, 0.0),)))
+    return tuple(out)
+
+
+def tuple_power_product_integral(left, right, span: float, rescale: float) -> float:
+    """``numerics.power_product_integral`` as it ran on lists of (lo, hi, terms) tuples.
+
+    Kept verbatim as the bitwise reference for the array form that replaced it.
+    """
+    left = [piece for piece in left if piece[0] < span]
+    right = [(lo, hi, [(b * rescale**k, k) for b, k in f]) for lo, hi, f in right if lo < span]
+    left_los, right_los = [p[0] for p in left], [p[0] for p in right]
+    cuts = sorted({0.0, span, *(v for v in left_los + right_los if 0.0 < v < span)})
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        r_terms = right[bisect.bisect_right(right_los, mid) - 1][2]
+        t_lo, t_hi = lo / span, hi / span
+        for a, e in left[bisect.bisect_right(left_los, mid) - 1][2]:
+            for b, k in r_terms:
+                q = e + k + 1.0
+                total += a * (t_hi**q - t_lo**q) * b / q
+    return total

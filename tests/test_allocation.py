@@ -18,7 +18,7 @@ from roi_auction import (
     payment_schedule,
 )
 from roi_auction.allocation import Constant, Linear, PowerRamp, Segment, TableShape
-from oracles import simpson_integral
+from oracles import piece_tuples, simpson_integral
 from random_rules import random_monotone_rule, random_nonmonotone_rule
 
 STEP = make_step(0.4, 1.0)
@@ -250,7 +250,7 @@ STEEP = AllocationRule(
     "rule", [MIXED, STEEP, STEP, RAMP, TABLE], ids=["mixed", "steep", "step", "ramp", "table"]
 )
 def test_pieces_reproduce_evaluate(rule):
-    pieces = rule.pieces()
+    pieces = piece_tuples(rule.pieces())
     assert pieces[0][0] == 0.0 and pieces[-1][1] == rule.vmax
     assert all(a[1] == b[0] for a, b in zip(pieces[:-1], pieces[1:]))
     assert {lo for lo, _, _ in pieces} | {rule.vmax} == set(rule.knots())

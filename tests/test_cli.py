@@ -181,7 +181,9 @@ def test_unusable_solver_tolerance_is_unusable_input(tol, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "ratio", ["abc", [2], {}, 10**400], ids=["string", "list", "object", "huge_int"]
+    "ratio",
+    ["abc", [2], {}, 10**400, "2", True],
+    ids=["string", "list", "object", "huge_int", "digit_string", "bool"],
 )
 def test_non_numeric_file_ratio_is_unusable_input(ratio, tmp_path, capsys):
     path = _write(tmp_path, "mech.json", {"allocation": STEP_DESC, "m": ratio})
@@ -239,6 +241,13 @@ TINY_CELL_SCHEDULE = {
         ("audit", TINY_CELL_SCHEDULE),
         # ends at twice its declared vmax, which a mismatch of 1e-9 * max(1, vmax) let through
         ("solve", {"kind": "tabulated_cdf", "vmax": 1e-10, "points": [[0, 0], [2e-10, 1]]}),
+        # a string of digits or a bool is no number, nor a string an array of them
+        ("dmr-check", {**_linear_density([0, 1, 2], [0.5, 0.5, 0.5]), "breakpoints": "012"}),
+        ("solve", {"kind": "tabulated_cdf", "vmax": 1, "points": ["00", "11"]}),
+        ("payment-table", {"vmax": 1, "segments": [
+            {"lo": False, "hi": True, "shape": {"type": "constant", "level": True}}]}),
+        ("payment-table", {**_one_segment_rule({"type": "constant", "level": 1.0}), "vmax": "1"}),
+        ("audit", {"allocation": STEP_DESC, "m": 2, "schedule": {"grid": "01", "payments": [0, 0]}}),
     ],
     ids=[
         "big_uniform_vmax",
@@ -252,13 +261,20 @@ TINY_CELL_SCHEDULE = {
         "list_shape_type",
         "schedule_slope_overflow",
         "tiny_vmax_disagrees",
+        "string_breakpoints",
+        "string_points",
+        "bool_bounds_and_level",
+        "string_rule_vmax",
+        "string_schedule_grid",
     ],
 )
 def test_out_of_range_or_mistyped_descriptors_are_unusable_input(
     command, desc, tmp_path, capsys
 ):
     path = _write(tmp_path, "input.json", desc)
-    assert main([command, path, "--m", "2", "--out", str(tmp_path / "o.json")]) == 2
+    # dmr-check takes no ratio, and argparse would refuse the option before the file is read
+    options = [] if command == "dmr-check" else ["--m", "2", "--out", str(tmp_path / "o.json")]
+    assert main([command, path, *options]) == 2
     _single_error_line(capsys)
 
 
@@ -322,6 +338,23 @@ def test_hand_schedule_past_float_range_is_unusable_input(tmp_path, capsys):
     path = _write(tmp_path, "huge.json", data)
     assert main(["audit", path]) == 2
     assert "leaves the float range" in _single_error_line(capsys)
+
+
+def test_audit_gain_past_float_range_fails_without_a_warning(tmp_path, capsys):
+    # a value-4 bidder who reports 10 gains 1e308 - (-1e308), past the float range: the
+    # audit printed numpy's overflow warning and its source line on stderr before its report
+    rule = {
+        "vmax": 10.0,
+        "segments": [
+            {"lo": 0.0, "hi": 4.0, "shape": {"type": "constant", "level": 0.0}},
+            {"lo": 4.0, "hi": 10.0, "shape": {"type": "constant", "level": 1.0}},
+        ],
+    }
+    schedule = {"grid": [0.0, 5.0, 10.0], "payments": [1e308, 0.0, -1e308]}
+    path = _write(tmp_path, "mech.json", {"allocation": rule, "m": 2, "schedule": schedule})
+    code, out = _run_quietly(["audit", path], capsys)
+    assert code == 1
+    assert "dsic: FAIL (worst violation inf)" in out
 
 
 @pytest.mark.parametrize("command", ["solve", "payment-table", "audit", "compare", "example1", "dmr-check"])

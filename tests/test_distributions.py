@@ -13,7 +13,7 @@ from roi_auction import (
     UniformDistribution,
     distribution_from_descriptor,
 )
-from oracles import central_difference
+from oracles import central_difference, piece_tuples
 
 TRIANGULAR = PiecewiseLinearDensity((0.0, 1.0), (2.0, 0.0))
 TENT = PiecewiseLinearDensity((0.0, 0.5, 1.0), (0.0, 2.0, 0.0))
@@ -29,7 +29,7 @@ def test_cdf_endpoints(dist):
 
 @pytest.mark.parametrize("dist", ALL, ids=lambda d: type(d).__name__)
 def test_pdf_is_cdf_derivative_off_knots(dist):
-    kinks = {lo for lo, _, _ in dist.pdf_pieces()[1:]}
+    kinks = {lo for lo, _, _ in piece_tuples(dist.pdf_pieces())[1:]}
     h = dist.vmax * 1e-6
     for t in (0.137, 0.391, 0.622, 0.843):
         v = t * dist.vmax
@@ -60,7 +60,7 @@ SCALED = [
 
 @pytest.mark.parametrize("dist", ALL + SCALED, ids=lambda d: f"{type(d).__name__}-{d.vmax}")
 def test_psi_pieces_reproduce_marginal_revenue(dist):
-    pieces = dist.psi_pieces()
+    pieces = piece_tuples(dist.psi_pieces())
     assert pieces[0][0] == 0.0 and pieces[-1][1] == dist.vmax
     assert all(a[1] == b[0] for a, b in zip(pieces[:-1], pieces[1:]))
     for lo, hi, terms in pieces:
@@ -74,7 +74,7 @@ def test_psi_pieces_reproduce_marginal_revenue(dist):
 
 @pytest.mark.parametrize("dist", ALL + SCALED, ids=lambda d: f"{type(d).__name__}-{d.vmax}")
 def test_pdf_pieces_reproduce_pdf(dist):
-    pieces = dist.pdf_pieces()
+    pieces = piece_tuples(dist.pdf_pieces())
     assert pieces[0][0] == 0.0 and pieces[-1][1] == dist.vmax
     assert all(a[1] == b[0] for a, b in zip(pieces[:-1], pieces[1:]))
     for lo, hi, terms in pieces:
@@ -218,6 +218,10 @@ def test_descriptor_round_trip(dist):
         {"kind": "tabulated_cdf", "vmax": 2.0, "points": [[0.0, 0.0], [1.0, 1.0]]},
         [],
         {"kind": "tabulated_cdf", "vmax": 1e-10, "points": [[0.0, 0.0], [2e-10, 1.0]]},
+        # a string of digits is neither an array of numbers nor a list of pairs
+        {"kind": "piecewise_linear_density", "vmax": 2, "breakpoints": "012", "densities": [0.5] * 3},
+        {"kind": "tabulated_cdf", "vmax": 1, "points": ["00", "11"]},
+        {"kind": "power_cdf", "vmax": 1.0, "exponent": True},
     ],
 )
 def test_descriptor_rejects_malformed(bad):
@@ -253,7 +257,7 @@ def test_density_slope_below_normal_floats_is_refused(vmax):
 def test_density_slope_above_normal_floats_keeps_the_cdf():
     vmax = 1e150
     dist = PiecewiseLinearDensity((0.0, vmax), (2.0 / vmax, 0.0))
-    assert dist.pdf_pieces()[0][2][1][0] == pytest.approx(-2.0 / vmax, rel=1e-12)
+    assert piece_tuples(dist.pdf_pieces())[0][2][1][0] == pytest.approx(-2.0 / vmax, rel=1e-12)
     assert dist.cdf(0.5 * vmax) == pytest.approx(0.75, rel=1e-12)
     # equal densities have slope zero and stay accepted at any scale
     flat = PiecewiseLinearDensity((0.0, 1e200), (1e-200, 1e-200))
@@ -271,7 +275,8 @@ def test_piecewise_density_per_piece_slope_formulas_keep_their_bits(dist):
     for i in range(len(b) - 1):
         slope = (d[i + 1] - d[i]) / (b[i + 1] - b[i]) * vmax
         want_pieces.append((b[i], b[i + 1], ((d[i] - slope * b[i] / vmax, 0.0), (slope, 1.0))))
-    assert dist.pdf_pieces() == tuple(want_pieces)
+    # a zero coefficient is an absent term, left out on both sides
+    assert piece_tuples(dist.pdf_pieces()) == piece_tuples(want_pieces)
     v = np.linspace(0.0, vmax, 97)
     i = np.clip(np.searchsorted(b, v, side="right") - 1, 0, len(b) - 2)
     ba, da = np.asarray(b), np.asarray(d)

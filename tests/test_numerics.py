@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from roi_auction import (
     ConditioningWarning,
@@ -24,7 +24,13 @@ from roi_auction import (
 from roi_auction.errors import QuadratureError
 from roi_auction.numerics import adaptive_simpson, bisect_root
 from roi_auction.optimal import _scaled_integral
-from oracles import loop_revenue_quadrature, loop_scaled_integral
+from oracles import (
+    loop_psi_pieces,
+    loop_revenue_quadrature,
+    loop_scaled_integral,
+    piece_tuples,
+    tuple_power_product_integral,
+)
 
 
 def test_simpson_polynomial_exact():
@@ -97,7 +103,7 @@ def _integral_cases(draw):
         mass = sum(0.5 * (d0 + d1) * (b1 - b0) for d0, d1, b0, b1 in zip(ds, ds[1:], bs, bs[1:]))
         dist = PiecewiseLinearDensity(tuple(b * vmax for b in bs), tuple(d / mass / vmax for d in ds))
     ratio = draw(st.one_of(st.sampled_from([1.01, 2.0, 1e4]), st.floats(1.01, 1e4)))
-    thresholds = [lo for lo, _, _ in dist.psi_pieces() if lo > 0.0]
+    thresholds = [lo for lo, _, _ in piece_tuples(dist.psi_pieces()) if lo > 0.0]
     thresholds += [vmax, draw(st.floats(0.001, 1.0)) * vmax]
     # a rule vmax one float above the distribution's restates the density's terms
     top = math.nextafter(vmax, math.inf) if draw(st.booleans()) else vmax
@@ -131,7 +137,63 @@ def test_shared_integral_is_bitwise_the_two_loops_it_replaced(case):
         assert got.hex() == loop_revenue_quadrature(sched, dist).hex()
 
 
-@pytest.mark.parametrize("q", [0.0, 1.0, 2.0, 3.0, 1.25, 1.0 / 3.0, 101.0])
+def _hexed(pieces):
+    return [(lo.hex(), hi.hex(), [(a.hex(), e.hex()) for a, e in terms]) for lo, hi, terms in pieces]
+
+
+@st.composite
+def _psi_cases(draw):
+    """A distribution of any kind on [0, vmax], vmax from 1e-8 to 1e150, with zero
+    densities and flat CDF cells among its pieces; a ratio, thresholds and a schedule."""
+    vmax = draw(st.sampled_from([1e-8, 1.0, 1e150]) | st.floats(-8.0, 150.0).map(lambda k: 10.0**k))
+    kind = draw(st.sampled_from(["uniform", "power_cdf", "tabulated_cdf", "piecewise_linear"]))
+    if kind == "uniform":
+        dist = UniformDistribution(vmax)
+    elif kind == "power_cdf":
+        dist = PowerCdfDistribution(draw(st.floats(1.0, 6.0)), vmax=vmax)
+    elif kind == "tabulated_cdf":
+        vs = _cuts(draw, 8)
+        assume(len({v * vmax for v in vs}) == len(vs))
+        # a repeated value is a flat cell, whose density is zero
+        inner = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 1.0),
+                              min_size=len(vs) - 2, max_size=len(vs) - 2))
+        dist = TabulatedCdf(tuple((v * vmax, F) for v, F in zip(vs, [0.0, *sorted(inner), 1.0])))
+    else:
+        bs = _cuts(draw, 8)
+        assume(len({b * vmax for b in bs}) == len(bs))
+        ds = draw(st.lists(st.just(0.0) | st.floats(0.1, 3.0), min_size=len(bs), max_size=len(bs)))
+        mass = sum(0.5 * (d0 + d1) * (b1 - b0) for d0, d1, b0, b1 in zip(ds, ds[1:], bs, bs[1:]))
+        assume(mass > 0.0)
+        dist = PiecewiseLinearDensity(tuple(b * vmax for b in bs), tuple(d / mass / vmax for d in ds))
+    ratio = draw(st.sampled_from([1.01, 2.0, 1e4]) | st.floats(1.01, 1e4))
+    thresholds = [lo for lo in dist.pdf_pieces().lo.tolist() if lo > 0.0]
+    thresholds += [vmax, draw(st.floats(0.001, 1.0)) * vmax]
+    rule = make_step(draw(st.floats(0.0, 0.99)) * vmax, vmax)
+    return dist, RoiTarget(ratio), thresholds, payment_schedule(rule, RoiTarget(ratio), grid_n=51)
+
+
+@given(_psi_cases())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_psi_rows_and_integrals_are_bitwise_the_tuple_loops_they_replaced(case):
+    dist, m, thresholds, sched = case
+    vmax = dist.vmax
+    # a zero coefficient is an absent term of ``Pieces``, left out of the loop's rows too
+    assert _hexed(piece_tuples(dist.psi_pieces())) == _hexed(piece_tuples(loop_psi_pieces(dist)))
+    c = 1.0 / (m.ratio - 1.0)
+    for at in thresholds:
+        weight = ((0.0, at, ((1.0, c),)),)
+        want = tuple_power_product_integral(weight, loop_psi_pieces(dist), at, at / vmax)
+        assert _scaled_integral(dist, m, at).hex() == want.hex()
+    got = expected_revenue_quadrature(sched, dist).mean
+    pay, density = piece_tuples(sched.pieces()), piece_tuples(dist.pdf_pieces())
+    assert got.hex() == (vmax * tuple_power_product_integral(pay, density, vmax, 1.0)).hex()
+
+
+# psi raises t0 to the power k + 1 for each density exponent k; power_cdf's k is e - 1
+POWER_CDF_K1 = [(e - 1.0) + 1.0 for e in np.random.default_rng(7).uniform(1.0, 6.0, 3).tolist()]
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, 2.0, 3.0, 1.25, 1.0 / 3.0, 101.0, *POWER_CDF_K1])
 def test_float_power_is_libm_pow_bitwise(q):
     """The payment walk raises arrays to powers with ``np.float_power`` and
     matches Python's float arithmetic bit for bit only because that is libm

@@ -28,7 +28,7 @@ from roi_auction import (
     structural_audit,
     threshold_integral,
 )
-from oracles import central_difference, simpson_integral
+from oracles import central_difference, piece_tuples, simpson_integral
 from random_rules import flat_start_copy, perturbed_table_copy
 
 UNIFORM = UniformDistribution(1.0)
@@ -103,7 +103,7 @@ def _H_simpson(dist, c, upper, n=4001) -> float:
     # in w: no infinite slope at 0 as v^c has for c < 1, and a lower degree for c = 100
     r = {1.0 / 19.0: 9.5, 0.25: 4.0, 100.0: 0.5}.get(c, 1.0)
     total = 0.0
-    for lo, hi, terms in dist.pdf_pieces():
+    for lo, hi, terms in piece_tuples(dist.pdf_pieces()):
         if lo >= upper:
             break
         hi = min(hi, upper)

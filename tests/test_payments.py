@@ -27,7 +27,6 @@ from roi_auction import (
     run_standard_audit,
 )
 from roi_auction.allocation import AllocationRule, Constant, Linear, Segment
-from roi_auction.numerics import power_product_integral
 from roi_auction.payments import _envelope
 from oracles import (
     brute_rebate,
@@ -36,6 +35,8 @@ from oracles import (
     exact_payments,
     loop_payment_pieces,
     per_row_csv,
+    piece_tuples,
+    tuple_power_product_integral,
 )
 from random_rules import perturbed_table_copy, random_monotone_rule, random_nonmonotone_rule
 
@@ -278,7 +279,7 @@ def test_hand_schedule_holds_only_its_grid_and_payments():
     assert np.array_equal(hand.grid, grid) and np.array_equal(hand.payments, pays)
     assert hand.value_many([0.25, 0.75]).tolist() == [0.1, 0.30000000000000004]
     # the interpolant, linear between grid points, as power terms in t = v / vmax
-    assert [(lo, hi) for lo, hi, _ in hand.pieces()] == [(0.0, 0.5), (0.5, 1.0)]
+    assert [(lo, hi) for lo, hi, _ in piece_tuples(hand.pieces())] == [(0.0, 0.5), (0.5, 1.0)]
     for refused in (
         lambda: hand.allocations,
         lambda: hand.myerson,
@@ -503,14 +504,18 @@ def test_payment_pieces_are_bitwise_the_loop_they_replaced(case):
     # an array step that warns where Python arithmetic stayed silent would print on stderr
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = sched.pieces()
+        got = piece_tuples(sched.pieces())
         want = loop_payment_pieces(sched)
         revenue = expected_revenue_quadrature(sched, dist).mean
-        loop_revenue = vmax * power_product_integral(want, dist.pdf_pieces(), vmax, 1.0)
-    assert _hexed(got) == _hexed(want)
+        density = piece_tuples(dist.pdf_pieces())
+        loop_revenue = vmax * tuple_power_product_integral(want, density, vmax, 1.0)
+    # a zero coefficient is an absent term of ``Pieces``; the loop kept some, such as a zero level
+    assert _hexed(got) == _hexed(piece_tuples(want))
     assert revenue.hex() == loop_revenue.hex()
     # the running max is the loop's only where no g is nan, where np.maximum and max differ
     assert all(math.isfinite(v) for _, _, terms in got for a, e in terms for v in (a, e))
+    # a flat row lifts the rule row's one term with a nonzero exponent: there is at most one
+    assert np.all(np.count_nonzero(sched.allocation.pieces().expo, axis=1) <= 1)
 
 
 def test_stationary_point_on_a_cell_end_cuts_nothing():
@@ -518,4 +523,4 @@ def test_stationary_point_on_a_cell_end_cuts_nothing():
     for rule in ON_END.values():
         assert rule.stationary_candidates(1.5) == ()
         got = payment_schedule(rule, RoiTarget(1.5)).pieces()
-        assert 0.8 in {lo for lo, _, _ in got}
+        assert 0.8 in {lo for lo, _, _ in piece_tuples(got)}

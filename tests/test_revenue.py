@@ -36,7 +36,7 @@ from roi_auction import (
 )
 from roi_auction.cli import csv_text
 from roi_auction.revenue import _monte_carlo
-from oracles import table_revenue
+from oracles import piece_tuples, table_revenue
 from random_rules import perturbed_table_copy
 
 M2 = RoiTarget(2.0)
@@ -214,18 +214,20 @@ FOUR_CHUNKS = 4 * 2**16
 
 
 def _patch_quantile(monkeypatch, before):
-    """Make UniformDistribution.quantile call before(in_helper) first. The caller's
-    first call waits until the helper has begun one, so both threads hold a chunk."""
+    """Make UniformDistribution.quantile call before(in_helper) first. Each thread's
+    first call waits until the other has begun one, so both threads hold a chunk
+    before either can fail: a helper that failed first could stop the caller
+    before it took any chunk."""
     caller = threading.get_ident()
-    helper_began = threading.Event()
+    both_began = threading.Barrier(2, timeout=60)
+    began = set()
     original = UniformDistribution.quantile
 
     def quantile(self, u):
         in_helper = threading.get_ident() != caller
-        if in_helper:
-            helper_began.set()
-        elif not helper_began.wait(timeout=60):
-            raise AssertionError("the helper thread took no chunk")
+        if in_helper not in began:
+            began.add(in_helper)
+            both_began.wait()
         before(in_helper)
         return original(self, u)
 
@@ -424,7 +426,7 @@ TABLE_DISTS = [
 @pytest.mark.parametrize("dist", TABLE_DISTS, ids=lambda d: type(d).__name__)
 def test_table_revenue_matches_dense_oracle(dist, ratio):
     # seeded perturbations of a ramp onto 101 knots, as in the local-optimality gate
-    kinks = tuple(lo for lo, _, _ in dist.pdf_pieces()[1:])
+    kinks = tuple(lo for lo, _, _ in piece_tuples(dist.pdf_pieces())[1:])
     for seed in range(3):
         ramp = make_power_ramp(0.7 * dist.vmax, ratio, dist.vmax)
         table = perturbed_table_copy(ramp, seed, n_knots=101, magnitude=0.03)
