@@ -6,10 +6,10 @@ where first-price tightness makes violations show up) and report the worst
 observed violation with a witness.
 
 Each audited mechanism's truthful outcomes, the audit grid with x and p on
-it, are evaluated once: ``check_dsic`` and ``check_ir`` are wrappers over the
-kernels ``_dsic`` and ``_ir``, which take those outcomes, and
-``run_standard_audit``, ``uniqueness_probe`` and ``profile_audit`` hand one
-evaluation to every kernel that reads it.
+it, are evaluated once: ``check_dsic``, ``check_ir`` and ``uniqueness_probe``
+wrap the kernels ``_dsic``, ``_ir`` and ``_probe``, which take those outcomes,
+and ``run_standard_audit`` and ``profile_audit`` hand one evaluation to every
+kernel that reads it; the probe shifts the standard audit's own outcomes.
 """
 
 from __future__ import annotations
@@ -227,25 +227,20 @@ def uniqueness_probe(mech: PaymentSchedule) -> AuditCheck:
     so an absolute shift would vanish in their rounding at large vmax; below 1
     the unit stays 1, so the shift stays above the audits' absolute tolerances.
     The witness lists the offsets in those units.
-
-    Each probe is a hand schedule on ``mech``'s grid with its rule, so all of
-    them share one audit grid and one x on it; only the payments there, each
-    probe's own interpolation, differ. A probe goes uncaught when it passes
-    both ``_ir`` and ``_dsic``, and ``_dsic`` runs only once ``_ir`` has passed.
     """
-    vmax = mech.allocation.vmax
-    mask = mech.grid >= vmax / 2.0
-    probes = []
-    for off in PROBE_OFFSETS:
-        perturbed = mech.payments.copy()
-        perturbed[mask] += off * max(1.0, vmax)
-        probes.append(PaymentSchedule.hand(mech.allocation, mech.m, mech.grid, perturbed))
-    grid = _audit_grid(probes[0], AUDIT_GRID_N)
-    x = mech.allocation.evaluate(grid)
+    return _probe(_truthful_outcomes(mech, AUDIT_GRID_N), mech.m.ratio, mech.allocation.vmax)
+
+
+def _probe(outcomes, ratio: float, vmax: float) -> AuditCheck:
+    """``uniqueness_probe`` on truthful outcomes (grid, x, p), each offset added
+    to p where grid >= vmax / 2. A probe goes uncaught when it passes both
+    ``_ir`` and ``_dsic``, and ``_dsic`` runs only once ``_ir`` has passed."""
+    grid, x, p = outcomes
+    top = grid >= vmax / 2.0
     uncaught: list[float] = []
-    for off, probe in zip(PROBE_OFFSETS, probes):
-        outcomes = (grid, x, probe.value_many(grid))
-        if _ir(outcomes).passed and _dsic(outcomes, mech.m.ratio).passed:
+    for off in PROBE_OFFSETS:
+        shifted = (grid, x, np.where(top, p + off * max(1.0, vmax), p))
+        if _ir(shifted).passed and _dsic(shifted, ratio).passed:
             uncaught.append(off)
     witness = {"offsets": list(PROBE_OFFSETS), "uncaught": uncaught}
     return AuditCheck("uniqueness_probe", not uncaught, float(len(uncaught)), witness)
@@ -255,9 +250,9 @@ def run_standard_audit(mech: PaymentSchedule) -> AuditReport:
     """The audit battery used by the command-line front end.
 
     The rule's monotonicity is checked once, for its own line and for the
-    characterization, and the truthful outcomes are evaluated once, for DSIC
-    and IR; the uniqueness probe evaluates its shifted schedules on their own
-    grid. Every verdict is that of the public checks run one by one.
+    characterization, and the truthful outcomes are evaluated once, for DSIC,
+    IR and the uniqueness probe, which shifts them. Every verdict is that of
+    the public checks run one by one.
     """
     mono = mech.allocation.check_monotone(grid_n=AUDIT_GRID_N)
     outcomes = _truthful_outcomes(mech, AUDIT_GRID_N)
@@ -271,7 +266,7 @@ def run_standard_audit(mech: PaymentSchedule) -> AuditReport:
         _characterization(mech, mono),
         _dsic(outcomes, mech.m.ratio),
         _ir(outcomes),
-        uniqueness_probe(mech),
+        _probe(outcomes, mech.m.ratio, mech.allocation.vmax),
     )
     return AuditReport(checks)
 

@@ -4,9 +4,9 @@ Exit codes: 0 when the requested computation or check passes, 1 when a
 well-formed input fails a check (non-DMR distribution, failing audit,
 mismatched worked example), 2 for unusable input (bad JSON, unknown fields,
 ratio at or below 1 or at 2**51 and above, bad flag values, a flag the command
-does not take). Output is deterministic: floats render at 12 significant
-digits (the allocation that ``solve`` writes keeps full precision, so it reads
-back as the same rule) and rerunning a command reproduces its bytes.
+does not take, an ``--out`` that cannot be written). Output is deterministic:
+rerunning a command reproduces its bytes. Floats render at 12 significant
+digits; README lists the outputs that print more or fewer.
 """
 
 from __future__ import annotations
@@ -128,9 +128,12 @@ def _emit(text: str | Callable[[IO[str]], object], out: str | None) -> None:
     write = text if callable(text) else lambda fp: fp.write(text)
     if out is None:
         write(sys.stdout)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fp:
             write(fp)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out}: {exc}")
 
 
 def _require_m(args) -> RoiTarget:
@@ -183,9 +186,10 @@ def _cmd_solve(args) -> int:
     m = _require_m(args)
     sol = optimal_mechanism(dist, m, grid_n=args.grid, tol=args.tol)
     out = Path(args.out) if args.out is not None else Path("solution.json")
+    if not out.name:
+        raise _UsageError(f"cannot write {args.out!r}: it names a directory, not a file")
     csv_path = out.with_name(out.stem + "_schedule.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fp:
-        sol.schedule.write_csv(fp)
+    _emit(sol.schedule.write_csv, str(csv_path))
     fields = {
         **json_ready({"D": sol.threshold, "revenue": sol.expected_revenue}),
         "boundary_case": sol.boundary_case.value,

@@ -396,14 +396,15 @@ def composed_standard_audit(mech):
 
     This is the battery as the package ran it before its checks shared one
     truthful-outcome evaluation: ``check_characterization``, ``check_dsic`` and
-    ``check_ir`` each evaluate the mechanism afresh, and the uniqueness probe
-    runs ``check_dsic`` and ``check_ir`` on every shifted schedule. Both bodies
-    are kept as they were, with each probe built by ``PaymentSchedule.hand``,
-    as the bitwise reference for the shared evaluation.
+    ``check_ir`` each evaluate the mechanism afresh. The uniqueness probe is
+    built here from its definition: truthful outcomes on the broadcast audit
+    grid, each offset added to the payments from vmax / 2 on, the largest IR
+    violation taken directly and the misreport search over whole matrices.
     """
-    from roi_auction import PaymentSchedule
     from roi_auction.audit import (
         AUDIT_GRID_N,
+        DSIC_TOL,
+        IR_TOL,
         PROBE_OFFSETS,
         AuditCheck,
         AuditReport,
@@ -411,18 +412,21 @@ def composed_standard_audit(mech):
         check_dsic,
         check_ir,
     )
+    from roi_auction.payments import FEASIBILITY_TOL
 
     def uniqueness_probe(mech):
         vmax = mech.allocation.vmax
-        mask = mech.grid >= vmax / 2.0
+        grid = broadcast_audit_grid(mech, AUDIT_GRID_N)
+        x = mech.allocation.evaluate(grid)
+        pays = mech.value_many(grid)
         uncaught: list[float] = []
         for off in PROBE_OFFSETS:
-            perturbed = mech.payments.copy()
-            perturbed[mask] += off * max(1.0, vmax)
-            probe = PaymentSchedule.hand(mech.allocation, mech.m, mech.grid, perturbed)
-            dsic = check_dsic(probe)
-            ir = check_ir(probe)
-            if dsic.passed and ir.passed:
+            shifted = np.where(grid >= vmax / 2.0, pays + off * max(1.0, vmax), pays)
+            ir_passed = max(float(np.max(shifted - grid * x)), 0.0) <= IR_TOL
+            _, dsic_passed, _ = full_matrix_dsic(
+                grid, x, shifted, mech.m.ratio, DSIC_TOL, FEASIBILITY_TOL
+            )
+            if ir_passed and dsic_passed:
                 uncaught.append(off)
         witness = {"offsets": list(PROBE_OFFSETS), "uncaught": uncaught}
         return AuditCheck("uniqueness_probe", not uncaught, float(len(uncaught)), witness)

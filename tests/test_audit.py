@@ -28,7 +28,7 @@ from roi_auction import audit
 from roi_auction.allocation import AllocationRule, Segment, TableShape
 from roi_auction.audit import DSIC_TOL, _audit_grid
 from roi_auction.cli import json_text
-from roi_auction.payments import FEASIBILITY_TOL
+from roi_auction.payments import DEFAULT_GRID_N, FEASIBILITY_TOL
 from conftest import count_calls
 from oracles import (
     broadcast_audit_grid,
@@ -200,10 +200,15 @@ def test_standard_audit_evaluates_the_mechanism_once(form, monkeypatch):
     if form == "hand":
         mech = PaymentSchedule.hand(mech.allocation, M3, mech.grid, mech.payments)
     counts = count_calls(monkeypatch, audit, "_truthful_outcomes", "_audit_grid")
-    mono = count_calls(monkeypatch, AllocationRule, "check_monotone")
+    rule = count_calls(monkeypatch, AllocationRule, "check_monotone", "evaluate")
     assert run_standard_audit(mech).passed
-    # one audit grid for the mechanism's outcomes, one shared by both probes
-    assert {**mono, **counts} == {"check_monotone": 1, "_truthful_outcomes": 1, "_audit_grid": 2}
+    # one audit grid, whose x the probe shares; the other evaluate is check_monotone's
+    assert {**rule, **counts} == {
+        "check_monotone": 1,
+        "evaluate": 2,
+        "_truthful_outcomes": 1,
+        "_audit_grid": 1,
+    }
 
 
 @pytest.mark.parametrize("seed", [0, 3, 8])
@@ -217,7 +222,18 @@ def test_nonmonotone_rule_fails_audit(seed):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_uniqueness_probe_catches_both_directions(seed):
-    mech = payment_schedule(random_monotone_rule(seed), M2)
+    mech = payment_schedule(random_monotone_rule(seed), M2, DEFAULT_GRID_N)
+    check = uniqueness_probe(mech)
+    assert check.passed, check.witness
+    assert check.witness["uncaught"] == []
+
+
+@pytest.mark.parametrize("grid_n", [2, 51])
+@pytest.mark.parametrize("seed", range(30))
+def test_uniqueness_probe_ignores_the_payment_grid(seed, grid_n):
+    # the probe shifts the truthful outcomes on the audit grid, so its verdict
+    # does not depend on the payment grid the mechanism was derived on
+    mech = payment_schedule(random_monotone_rule(seed), M2, grid_n)
     check = uniqueness_probe(mech)
     assert check.passed, check.witness
     assert check.witness["uncaught"] == []

@@ -715,6 +715,48 @@ def test_example1_out_writes_the_frozen_line_to_the_file(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("grid", ["2", "21", "51"])
+def test_correct_mechanisms_pass_the_audit_at_coarse_payment_grids(grid, tmp_path, capsys):
+    # the audit of a correct mechanism must not depend on its payment grid; at 51
+    # points or fewer that grid holds no type close enough below vmax / 2 to gain
+    step = {
+        "vmax": 1.0,
+        "segments": [
+            {"lo": 0.0, "hi": 0.5, "shape": {"type": "constant", "level": 0.0}},
+            {"lo": 0.5, "hi": 1.0, "shape": {"type": "constant", "level": 1.0}},
+        ],
+    }
+    assert main(["example1", "--grid", grid]) == 0
+    assert capsys.readouterr().out == (
+        "Myerson: 0.250000, ROI-optimal: 0.375000, D = 0.750000, audit: PASS\n"
+    )
+    assert main(["audit", _write(tmp_path, "step.json", step), "--m", "2", "--grid", grid]) == 0
+    report = capsys.readouterr().out
+    assert report.endswith("uniqueness_probe: pass (worst violation 0)\noverall: PASS\n")
+
+
+@pytest.mark.parametrize("out", ["somedir", "missing/x.json", "."])
+@pytest.mark.parametrize("command", ["dmr-check", "solve", "payment-table", "audit", "compare", "example1"])
+def test_unwritable_out_is_unusable_input(
+    command, out, uniform_file, step_file, tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "somedir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    argv = {
+        "dmr-check": [uniform_file],
+        "solve": [uniform_file, "--m", "2", "--grid", "11"],
+        "payment-table": [step_file, "--m", "2", "--grid", "11"],
+        "audit": [step_file, "--m", "2", "--grid", "11"],
+        "compare": [uniform_file, "--m", "2", "--mc-samples", "1000"],
+        "example1": [],
+    }[command]
+    assert main([command, *argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: cannot write ")
+
+
 def test_csv_text_cells():
     records = [
         {"name": "a", "x": 1.0 / 3.0, "n": 7, "ok": True, "gap": None},

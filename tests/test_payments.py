@@ -316,8 +316,8 @@ def test_hand_refuses_grids_it_cannot_interpolate(grid, payments, message):
 
 
 def test_hand_takes_a_derived_grid_that_ends_past_vmax():
-    # a rule may end 1e-12 past vmax, and its knots join the derived grid; the
-    # uniqueness probe re-prices that grid as a hand schedule
+    # a rule may end 1e-12 past vmax, and its knots join the derived grid; a
+    # mechanism file may copy that grid as a hand schedule
     vmax = 1e-6
     rule = AllocationRule(
         vmax,
