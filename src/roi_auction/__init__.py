@@ -27,6 +27,7 @@ from .audit import (
     highest_bid_wins,
     profile_audit,
     run_standard_audit,
+    structural_audit,
     uniqueness_probe,
 )
 from .distributions import (
@@ -52,7 +53,6 @@ from .optimal import (
     OptimalSolution,
     optimal_mechanism,
     solve_threshold,
-    structural_audit,
     threshold_integral,
 )
 from .payments import (

@@ -384,9 +384,10 @@ class AllocationRule:
         """Grid-plus-endpoints test that the rule never decreases."""
         grid = np.unique(np.concatenate([np.linspace(0.0, self.vmax, grid_n), self.knots()]))
         x = self.evaluate(grid)
+        # the knots hold 0 and vmax, so there is at least one drop
         drops = x[:-1] - x[1:]
-        worst = float(np.max(drops)) if drops.size else 0.0
-        at = float(grid[int(np.argmax(drops))]) if drops.size else 0.0
+        worst = float(np.max(drops))
+        at = float(grid[int(np.argmax(drops))])
         for v0, left, right in self.jump_points():
             if left - right > worst:
                 worst = left - right

@@ -10,6 +10,7 @@ it, are evaluated once: ``check_dsic``, ``check_ir`` and ``uniqueness_probe``
 wrap the kernels ``_dsic``, ``_ir`` and ``_probe``, which take those outcomes,
 and ``run_standard_audit`` and ``profile_audit`` hand one evaluation to every
 kernel that reads it; the probe shifts the standard audit's own outcomes.
+``structural_audit`` checks a solver solution against the optimal shape.
 """
 
 from __future__ import annotations
@@ -21,13 +22,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .allocation import AllocationRule, MonotonicityReport, make_constant, make_step
+from .distributions import ValueDistribution
 from .errors import ConstructionError
-from .payments import FEASIBILITY_TOL, PaymentSchedule, RoiTarget, payment_schedule
+from .optimal import BoundaryCase, OptimalSolution, _scaled_integral
+from .payments import FEASIBILITY_TOL, PaymentSchedule, RoiTarget, _envelope, payment_schedule
 
 #: The fixed audit policy: the own-value grid, each check's pass tolerance, the
-#: uniqueness probe's payment shifts (in units of max(1, vmax)), and, for a
-#: profile audit, the grid of opponent bids and the grid of the payment schedule
-#: derived for each induced rule.
+#: uniqueness probe's payment shifts (in units of max(1, vmax)), for a profile
+#: audit the grid of opponent bids and the grid of the payment schedule derived
+#: for each induced rule, and the structural audit's grid and tolerance (in
+#: units of vmax).
 AUDIT_GRID_N = 201
 DSIC_TOL = 1e-6
 IR_TOL = 1e-9
@@ -35,6 +39,8 @@ CHARACTERIZATION_TOL = 1e-9
 PROBE_OFFSETS = (0.01, -0.01)
 PROFILE_OPPONENT_GRID_N = 21
 PROFILE_SCHEDULE_GRID_N = 2001
+STRUCTURAL_GRID_N = 2001
+STRUCTURAL_TOL = 1e-7
 
 #: report columns per block of check_dsic's misreport search; a block is
 #: evaluated only for the value rows its bounds leave open, so memory is
@@ -106,14 +112,13 @@ def _audit_grid(mech: PaymentSchedule, grid_n: int) -> np.ndarray:
         sg = mech.grid
         take = np.unique(np.linspace(0, sg.size - 1, min(grid_n, sg.size)).round().astype(int))
         base = sg[take]
-    if knots.size:
-        merge_tol = 10.0 * FEASIBILITY_TOL * max(1.0, mech.allocation.vmax)
-        # knots are sorted, so the nearest one to each point is a searchsorted neighbour
-        j = np.searchsorted(knots, base)
-        below = knots[(j - 1).clip(min=0)]
-        above = knots[j.clip(max=knots.size - 1)]
-        gap = np.minimum(np.abs(base - below), np.abs(base - above))
-        base = base[gap > merge_tol]
+    merge_tol = 10.0 * FEASIBILITY_TOL * max(1.0, mech.allocation.vmax)
+    # knots are sorted and hold 0 and vmax: each point's nearest is a searchsorted neighbour
+    j = np.searchsorted(knots, base)
+    below = knots[(j - 1).clip(min=0)]
+    above = knots[j.clip(max=knots.size - 1)]
+    gap = np.minimum(np.abs(base - below), np.abs(base - above))
+    base = base[gap > merge_tol]
     return np.unique(np.concatenate([base, knots]))
 
 
@@ -267,6 +272,53 @@ def run_standard_audit(mech: PaymentSchedule) -> AuditReport:
         _dsic(outcomes, mech.m.ratio),
         _ir(outcomes),
         _probe(outcomes, mech.m.ratio, mech.allocation.vmax),
+    )
+    return AuditReport(checks)
+
+
+def structural_audit(sol: OptimalSolution, dist: ValueDistribution) -> AuditReport:
+    """Shape checks any optimizer must satisfy, applied to a candidate solution.
+
+    Each passes within ``STRUCTURAL_TOL`` on a ``STRUCTURAL_GRID_N``-point grid
+    plus the rule's knots and the threshold, in units where vmax = 1: payments
+    over vmax, slopes times vmax, and the solver's residual |G(D)| (D / vmax)^(c+1).
+    Flat cells are those whose forward-difference slope is within the tolerance,
+    so a ramp steeper than that everywhere (true for ratio >= 1.5 on these grids)
+    has no plateau; ``single_flat_tail`` counts flat runs, less one ending at vmax.
+    """
+    sched, rule, tol = sol.schedule, sol.schedule.allocation, STRUCTURAL_TOL
+    ratio, vmax = sched.m.ratio, rule.vmax
+    threshold = min(sol.threshold, vmax)
+    uniform = np.linspace(0.0, vmax, STRUCTURAL_GRID_N)
+    grid = np.unique(np.concatenate([uniform, np.asarray(rule.knots()), [threshold]]))
+    x, _, cap = _envelope(rule, ratio, grid)
+    slopes = np.abs(np.diff(x)) / np.diff(grid) * vmax
+    tight = np.abs(sched.value_many(grid) - grid * x) / vmax
+    flat = slopes <= tol
+    n_runs = int(np.sum(flat[1:] & ~flat[:-1])) + int(flat[0])
+    ends_at_top = bool(flat[-1])
+    tail = {"flat_runs": n_runs, "ends_at_vmax": ends_at_top}
+    x_at_threshold = float(rule.evaluate(threshold))
+    gap_at_threshold = abs(x_at_threshold - 1.0)
+    at_threshold = {"x_at_threshold": x_at_threshold}
+    # a prefix of the sorted grid, so its indices are the grid's
+    below = grid <= threshold * (1.0 + 1e-15)
+    ramp = (grid[below] / threshold) ** (1.0 / (ratio - 1.0)) if threshold > 0.0 else 1.0
+    # at the boundary the integral need not vanish, only point the right way
+    interior = sol.boundary_case is BoundaryCase.INTERIOR_ROOT
+    g = abs(_scaled_integral(dist, sched.m, threshold)) if interior else 0.0
+    residual = g * (threshold / vmax) ** (1.0 / (ratio - 1.0) + 1.0)
+
+    def at_v(i: int) -> dict:
+        return {"v": float(grid[i])}
+
+    checks = (
+        _verdict("payment_cap", cap / vmax, tol, at_v),
+        _verdict("first_price_or_flat", np.minimum(np.append(slopes, slopes[-1]), tight), tol, at_v),
+        _verdict("single_flat_tail", [n_runs - int(ends_at_top)], 0.0, lambda _: tail),
+        _verdict("power_ramp_shape", np.abs(x[below] - ramp * x_at_threshold), tol, at_v),
+        _verdict("full_allocation_at_threshold", [gap_at_threshold], tol, lambda _: at_threshold),
+        _verdict("threshold_stationarity", [residual], tol, lambda _: {"threshold": threshold}),
     )
     return AuditReport(checks)
 

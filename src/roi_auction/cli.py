@@ -186,7 +186,8 @@ def _cmd_solve(args) -> int:
     m = _require_m(args)
     sol = optimal_mechanism(dist, m, grid_n=args.grid, tol=args.tol)
     out = Path(args.out) if args.out is not None else Path("solution.json")
-    if not out.name:
+    if out.is_dir():
+        # refused before the schedule CSV beside it is written
         raise _UsageError(f"cannot write {args.out!r}: it names a directory, not a file")
     csv_path = out.with_name(out.stem + "_schedule.csv")
     _emit(sol.schedule.write_csv, str(csv_path))

@@ -17,6 +17,9 @@ are a (D / vmax)^e s^e, and G is their product with the one-piece weight s^c
 on [0, D], summed in closed-form moments by ``numerics.power_product_integral``.
 No step of this depends on how steep the weight s^c is, so ratios near 1
 need no special path.
+
+The shape checks a solution must pass are ``audit.structural_audit``; this
+module builds on ``revenue`` and imports nothing from ``audit``.
 """
 
 from __future__ import annotations
@@ -29,18 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import make_power_ramp
-from .audit import AuditCheck, AuditReport, _verdict
 from .distributions import ValueDistribution
 from .errors import ConstructionError, DomainError, PreconditionError, QuadratureError
 from .numerics import Pieces, bisect_root, power_product_integral
-from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, _envelope, payment_schedule
+from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule
 from .revenue import expected_revenue_quadrature
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-#: Grid and pass tolerance of structural_audit's shape checks.
-STRUCTURAL_GRID_N = 2001
-STRUCTURAL_TOL = 1e-7
 
 
 class BoundaryCase(enum.Enum):
@@ -155,96 +153,3 @@ def optimal_mechanism(
         schedule=schedule,
         expected_revenue=revenue,
     )
-
-
-def structural_audit(sol: OptimalSolution, dist: ValueDistribution) -> AuditReport:
-    """Shape checks any optimizer must satisfy, applied to a candidate solution.
-
-    Each check passes within ``STRUCTURAL_TOL`` on a ``STRUCTURAL_GRID_N``-point
-    grid plus the rule's knots. Flat detection works on forward-difference
-    slopes, so a ramp steeper than the tolerance per cell everywhere (true for
-    ratio >= 1.5 on these grids) is never mistaken for a plateau.
-    """
-    tol = STRUCTURAL_TOL
-    sched = sol.schedule
-    rule = sched.allocation
-    ratio = sched.m.ratio
-    vmax = rule.vmax
-    threshold = min(sol.threshold, vmax)
-    grid = np.unique(
-        np.concatenate([np.linspace(0.0, vmax, STRUCTURAL_GRID_N), np.asarray(rule.knots()), [threshold]])
-    )
-    x, _, cap = _envelope(rule, ratio, grid)
-    p = sched.value_many(grid)
-    checks = [_verdict("payment_cap", cap, tol, lambda i: {"v": float(grid[i])})]
-
-    slopes = np.abs(np.diff(x)) / np.diff(grid)
-    slope_at = np.append(slopes, slopes[-1])
-    tight = np.abs(p - grid * x)
-    vio = np.minimum(slope_at, tight)
-    i = int(np.argmax(vio))
-    worst = float(vio[i])
-    checks.append(
-        AuditCheck(
-            "first_price_or_flat",
-            worst <= tol,
-            worst,
-            {"v": float(grid[i])} if worst > tol else None,
-        )
-    )
-
-    flat = slopes <= tol
-    n_runs = int(np.sum(flat[1:] & ~flat[:-1])) + int(flat[0] if flat.size else False)
-    ends_at_top = bool(flat[-1]) if flat.size else True
-    tail_ok = n_runs == 0 or (n_runs == 1 and ends_at_top)
-    checks.append(
-        AuditCheck(
-            "single_flat_tail",
-            tail_ok,
-            0.0 if tail_ok else float(n_runs - int(ends_at_top)),
-            None if tail_ok else {"flat_runs": n_runs, "ends_at_vmax": ends_at_top},
-        )
-    )
-
-    x_at_threshold = float(rule.evaluate(threshold))
-    below = grid <= threshold * (1.0 + 1e-15)
-    if threshold > 0.0:
-        expected = (grid[below] / threshold) ** (1.0 / (ratio - 1.0)) * x_at_threshold
-    else:
-        expected = np.full(int(np.sum(below)), x_at_threshold)
-    dev = np.abs(x[below] - expected)
-    i = int(np.argmax(dev)) if dev.size else 0
-    worst = float(dev[i]) if dev.size else 0.0
-    checks.append(
-        AuditCheck(
-            "power_ramp_shape",
-            worst <= tol,
-            worst,
-            {"v": float(grid[below][i])} if worst > tol else None,
-        )
-    )
-
-    worst = abs(x_at_threshold - 1.0)
-    checks.append(
-        AuditCheck(
-            "full_allocation_at_threshold",
-            worst <= tol,
-            worst,
-            {"x_at_threshold": x_at_threshold} if worst > tol else None,
-        )
-    )
-
-    if sol.boundary_case is BoundaryCase.INTERIOR_ROOT:
-        residual = abs(threshold_integral(dist, sched.m, threshold))
-        checks.append(
-            AuditCheck(
-                "threshold_stationarity",
-                residual <= tol,
-                residual,
-                {"threshold": threshold} if residual > tol else None,
-            )
-        )
-    else:
-        # at the boundary the integral need not vanish, only point the right way
-        checks.append(AuditCheck("threshold_stationarity", True, 0.0, None))
-    return AuditReport(tuple(checks))

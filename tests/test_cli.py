@@ -735,7 +735,7 @@ def test_correct_mechanisms_pass_the_audit_at_coarse_payment_grids(grid, tmp_pat
     assert report.endswith("uniqueness_probe: pass (worst violation 0)\noverall: PASS\n")
 
 
-@pytest.mark.parametrize("out", ["somedir", "missing/x.json", "."])
+@pytest.mark.parametrize("out", ["somedir", "somedir/.", "missing/x.json", "."])
 @pytest.mark.parametrize("command", ["dmr-check", "solve", "payment-table", "audit", "compare", "example1"])
 def test_unwritable_out_is_unusable_input(
     command, out, uniform_file, step_file, tmp_path, monkeypatch, capsys
@@ -750,11 +750,14 @@ def test_unwritable_out_is_unusable_input(
         "compare": [uniform_file, "--m", "2", "--mc-samples", "1000"],
         "example1": [],
     }[command]
+    before = sorted(tmp_path.rglob("*"))
     assert main([command, *argv, "--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: cannot write ")
+    # refused before anything is written: solve's schedule CSV included
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_csv_text_cells():

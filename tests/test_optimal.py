@@ -318,13 +318,23 @@ def test_steep_ratio_is_conditioned_but_correct():
     assert sol.boundary_case is BoundaryCase.INTERIOR_ROOT
 
 
-@pytest.mark.parametrize("dist", [UNIFORM, POWER2], ids=["uniform", "power2"])
+@pytest.mark.parametrize(
+    "make",
+    [UniformDistribution, lambda vmax: PowerCdfDistribution(2.0, vmax=vmax)],
+    ids=["uniform", "power2"],
+)
 @pytest.mark.parametrize("ratio", [1.5, 2.0, 3.0, 5.0])
-def test_structural_audit_passes_on_solutions(dist, ratio):
-    sol = optimal_mechanism(dist, RoiTarget(ratio), grid_n=2001)
-    report = structural_audit(sol, dist)
-    assert report.passed, report.summary()
-    assert max(c.worst_violation for c in report.checks) <= 1e-7
+def test_structural_audit_passes_on_solutions(make, ratio):
+    # the violations are in units of vmax, so a correct solution passes at every scale
+    for k in (-40, -20, 0, 20, 40):
+        dist = make(2.0**k)
+        sol = optimal_mechanism(dist, RoiTarget(ratio), grid_n=2001)
+        report = structural_audit(sol, dist)
+        assert report.passed, (k, report.summary())
+        assert max(c.worst_violation for c in report.checks) <= 1e-7
+        for c in report.checks:
+            # a check names where its largest violation is whenever there is one
+            assert (c.witness is not None) == (c.worst_violation > 0.0), (k, c)
 
 
 def test_structural_audit_rejects_capped_myerson_step():
