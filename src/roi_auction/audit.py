@@ -123,8 +123,12 @@ def _audit_grid(mech: PaymentSchedule, grid_n: int) -> np.ndarray:
 
 
 def _truthful_outcomes(mech: PaymentSchedule, grid_n: int):
-    """The audit grid with each point's truthful allocation and payment."""
+    """The audit grid with each point's truthful allocation and payment; a
+    derived schedule's lookup gives both from one evaluation of x."""
     grid = _audit_grid(mech, grid_n)
+    if mech.derived:
+        x, _, pay = mech._sweep(grid)
+        return grid, x, pay
     return grid, mech.allocation.evaluate(grid), mech.value_many(grid)
 
 

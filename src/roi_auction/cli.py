@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -185,9 +186,10 @@ def _cmd_solve(args) -> int:
     dist = distribution_from_descriptor(_load_json(args.file))
     m = _require_m(args)
     sol = optimal_mechanism(dist, m, grid_n=args.grid, tol=args.tol)
-    out = Path(args.out) if args.out is not None else Path("solution.json")
-    if out.is_dir():
-        # refused before the schedule CSV beside it is written
+    named = args.out if args.out is not None else "solution.json"
+    out = Path(named)
+    # refused before the schedule CSV beside it is written; Path drops a trailing /
+    if out.is_dir() or named.endswith((os.sep, "/")):
         raise _UsageError(f"cannot write {args.out!r}: it names a directory, not a file")
     csv_path = out.with_name(out.stem + "_schedule.csv")
     _emit(sol.schedule.write_csv, str(csv_path))

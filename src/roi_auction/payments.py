@@ -14,11 +14,14 @@ they are sampled on a candidate grid (``grid_n`` uniform points, every segment
 endpoint, right-continuous, and the stationary points of g on linear pieces),
 and one running max R of g gives p = v x - (R - g): exactly v x where g is its
 own running max, and never above v x in floating point. An off-grid payment
-joins the query point to that running max, so the rebate is exact for all
-structured shapes. A hand schedule, ``PaymentSchedule.hand(rule, m, grid,
-payments)``, holds only its grid and payments and charges their interpolant;
-it refuses a grid that does not rise strictly from 0 within vmax, and
-payments or slopes that are not finite.
+joins the query point's g to that running max, so the rebate is exact for all
+structured shapes; the lookup reads that max at its change points only. On
+the paper's first-price ramp g = 0 (the constraint binds) and past it g only
+falls, so R changes at a few dozen of the default 10,002 points. A hand
+schedule, ``PaymentSchedule.hand(rule, m, grid, payments)``, holds only its
+grid and payments and charges their interpolant; it refuses a grid that does
+not rise strictly from 0 within vmax, and payments or slopes that are not
+finite.
 ``PaymentSchedule.pieces`` gives either kind's payment as ``numerics.Pieces``
 in t = v / vmax for the exact revenue, and never samples the grid. A derived
 one comes from one array walk over the rule's ``pieces``: g at every sub-piece
@@ -196,26 +199,36 @@ class PaymentSchedule:
     rebates = property(lambda self: self._columns[3])
     payments = property(lambda self: self._columns[4] if self.derived else self._hand[1])
 
+    @cached_property
+    def _rebate_steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid points where ``rebates`` changes its bits (the first always),
+        and ``rebates`` there; between two of them the grid holds the same float."""
+        bits = self.rebates.view(np.int64)
+        at = np.flatnonzero(np.concatenate([[True], bits[1:] != bits[:-1]]))
+        return self.grid[at], self.rebates[at]
+
     def _sweep(self, a: np.ndarray):
-        """(x, g, R) at a: R joins g with the stored sweep's running max up to a."""
-        grid, rebates = self.grid, self.rebates
+        """(x, R, p) at a, p = a x - (R - g): R joins g with the running max
+        stored at its change points, which the paper's ramps (g = 0, the
+        constraint binding) keep to a few dozen."""
+        steps, rebates = self._rebate_steps
         x, _, g = _envelope(self.allocation, self.m.ratio, a)
-        idx = np.searchsorted(grid, a, side="right") - 1
+        idx = np.searchsorted(steps, a, side="right") - 1
         prev = np.where(idx >= 0, rebates[np.maximum(idx, 0)], 0.0)
-        return x, g, np.maximum(np.maximum(prev, g), 0.0)
+        reb = np.maximum(np.maximum(prev, g), 0.0)
+        return x, reb, a * x - (reb - g)
 
     def value_many(self, vs) -> np.ndarray:
         a = np.atleast_1d(np.asarray(vs, dtype=float))
         if not self.derived:
             return np.interp(a, self.grid, self.payments)
-        x, g, reb = self._sweep(a)
-        return a * x - (reb - g)
+        return self._sweep(a)[2]
 
     def value_at(self, v: float) -> float:
         return float(self.value_many(np.asarray([v]))[0])
 
     def rebate_at(self, v: float) -> float:
-        return float(self._sweep(np.asarray([v], dtype=float))[2][0])
+        return float(self._sweep(np.asarray([v], dtype=float))[1][0])
 
     def pieces(self) -> Pieces:
         """The payment as power terms in t = v / vmax, as ``value_many`` charges it.

@@ -556,3 +556,15 @@ def tuple_power_product_integral(left, right, span: float, rescale: float) -> fl
                 q = e + k + 1.0
                 total += a * (t_hi**q - t_lo**q) * b / q
     return total
+
+
+def full_grid_sweep(sched, a):
+    """(x, R, p) at the points a of a derived schedule, the stored running max
+    looked up by a binary search of the whole grid."""
+    from roi_auction.payments import _envelope
+
+    x, _, g = _envelope(sched.allocation, sched.m.ratio, a)
+    idx = np.searchsorted(sched.grid, a, side="right") - 1
+    prev = np.where(idx >= 0, sched.rebates[np.maximum(idx, 0)], 0.0)
+    reb = np.maximum(np.maximum(prev, g), 0.0)
+    return x, reb, a * x - (reb - g)

@@ -735,7 +735,7 @@ def test_correct_mechanisms_pass_the_audit_at_coarse_payment_grids(grid, tmp_pat
     assert report.endswith("uniqueness_probe: pass (worst violation 0)\noverall: PASS\n")
 
 
-@pytest.mark.parametrize("out", ["somedir", "somedir/.", "missing/x.json", "."])
+@pytest.mark.parametrize("out", ["somedir", "somedir/.", "missing/x.json", ".", "missing/"])
 @pytest.mark.parametrize("command", ["dmr-check", "solve", "payment-table", "audit", "compare", "example1"])
 def test_unwritable_out_is_unusable_input(
     command, out, uniform_file, step_file, tmp_path, monkeypatch, capsys

@@ -33,6 +33,7 @@ from oracles import (
     brute_roi_payment,
     eager_schedule_columns,
     exact_payments,
+    full_grid_sweep,
     loop_payment_pieces,
     per_row_csv,
     piece_tuples,
@@ -382,6 +383,52 @@ def test_revenue_leaves_a_derived_schedule_unsampled():
     # the first column read samples all five, once
     grid = sched.grid
     assert vars(sched)["_columns"][0] is grid and sched.payments is vars(sched)["_columns"][4]
+
+
+def _assert_lookup_is_the_full_grid_search(sched, points, one_by_one):
+    """value_many at points, and value_at and rebate_at at one_by_one, are
+    bitwise what a search of the whole stored grid gives."""
+    assert sched.value_many(points).tobytes() == full_grid_sweep(sched, points)[2].tobytes()
+    for v in one_by_one.tolist():
+        _, reb, pay = full_grid_sweep(sched, np.asarray([v]))
+        assert np.float64(sched.value_at(v)).tobytes() == pay.tobytes(), v
+        assert np.float64(sched.rebate_at(v)).tobytes() == reb.tobytes(), v
+
+
+@pytest.mark.parametrize("grid_n", [2, 201, 2001])
+@pytest.mark.parametrize("vmax", [1e-6, 1.0, 3.0, 1e9])
+@pytest.mark.parametrize("make", [random_monotone_rule, random_nonmonotone_rule])
+def test_payment_lookup_is_bitwise_the_full_grid_search(make, vmax, grid_n):
+    rng = np.random.default_rng(grid_n)
+    for seed in range(3):
+        rule = make(seed, vmax)
+        knots = np.asarray(rule.knots())
+        for ratio in (1.5, 2.0, 5.0):
+            sched = payment_schedule(rule, RoiTarget(ratio), grid_n)
+            grid = sched.grid[sched.grid <= vmax]
+            points = np.concatenate([
+                rng.uniform(0.0, vmax, 500), grid, np.nextafter(grid, 0.0), knots, [0.0, vmax],
+            ])
+            one_by_one = np.concatenate([rng.choice(points, 40), knots, [0.0, vmax]])
+            _assert_lookup_is_the_full_grid_search(sched, points, one_by_one)
+
+
+def test_payment_lookup_keeps_signed_zeros_and_nan_of_the_running_max():
+    grid = np.linspace(0.0, 1.0, 12)
+    rebates = np.array([0.0, -0.0, -0.0, 0.0, np.nan, np.nan, 0.2, 0.2, -0.0, 0.0, 0.5, 0.5])
+    sched = _sampled_as(np.stack([grid, grid, grid, grid, rebates]))
+    assert sched.rebates.tobytes() == rebates.tobytes()
+    assert sched._rebate_steps[0].tolist() == grid[[0, 1, 3, 4, 6, 8, 9, 10]].tolist()
+    points = np.concatenate([np.linspace(0.0, 1.0, 301), grid, np.nextafter(grid, 0.0)])
+    _assert_lookup_is_the_full_grid_search(sched, points, points)
+
+
+@pytest.mark.parametrize("desc", KINDS, ids=lambda d: d["kind"])
+def test_optimal_ramp_running_max_changes_at_few_points(desc):
+    # on the ramp the constraint binds (g = 0) and past it g falls, so the
+    # payment lookup searches a few dozen change points, not the whole grid
+    sched = optimal_mechanism(distribution_from_descriptor(desc), M2).schedule
+    assert sched._rebate_steps[0].size < 0.01 * sched.grid.size
 
 
 HUGE_STEP = make_step(0.4e300, 1e300)

@@ -289,6 +289,37 @@ def test_mc_one_chunk_starts_no_thread(monkeypatch):
     compare(UNIFORM, M2, mc_samples=2**16)
 
 
+def test_mc_fills_each_rebate_lookup_once_before_the_helper_starts(monkeypatch):
+    # cached_property takes no lock from Python 3.12 on, so two threads could both
+    # fill a schedule's rebate steps; the caller fills them before the helper exists
+    events = []
+    steps = PaymentSchedule.__dict__["_rebate_steps"]
+    fill, start, value_many = steps.func, threading.Thread.start, PaymentSchedule.value_many
+
+    def counted_fill(sched):
+        events.append(("fill", sched, threading.get_ident()))
+        return fill(sched)
+
+    def counted_start(thread):
+        events.append(("start", thread, threading.get_ident()))
+        return start(thread)
+
+    used = set()
+
+    def counted_value_many(sched, vs):
+        used.add(sched)
+        return value_many(sched, vs)
+
+    monkeypatch.setattr(steps, "func", counted_fill)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setattr(PaymentSchedule, "value_many", counted_value_many)
+    compare(UNIFORM, M2, mc_samples=FOUR_CHUNKS)
+    filled = [sched for kind, sched, _ in events if kind == "fill"]
+    assert [kind for kind, _, _ in events] == ["fill", "fill", "start"]
+    assert len(set(filled)) == 2 and used == set(filled)
+    assert {ident for _, _, ident in events} == {threading.get_ident()}
+
+
 def test_mc_memory_holds_one_payment_array_per_row():
     # the moments run in place, so Monte Carlo holds n floats per mechanism plus
     # sub-block temporaries; np.std's n-float deviation array would add 8n bytes
