@@ -3,11 +3,12 @@
 A rule is an ordered list of segments tiling [0, vmax], each carrying a shape
 in global coordinates (constant, linear, power, or an interpolated table).
 Evaluation is right-continuous at segment joins, so the stored value at a jump
-is the post-jump one; prefix integrals use the per-shape closed forms. For
-exact integration a rule lowers itself once to ``numerics.Pieces``, power
-terms in v / vmax with one row per segment or table cell and two term
-columns, at most one of them with a nonzero exponent; ``pieces`` gives that
-lowering and the payment walk reads it.
+is the post-jump one; prefix integrals use the per-shape closed forms. Each
+segment evaluates one slice of the sorted points (other points are sorted there
+and back). For exact integration a rule lowers itself once to
+``numerics.Pieces``, power terms in v / vmax with one row per segment or table
+cell and two term columns, at most one of them with a nonzero exponent;
+``pieces`` gives that lowering and the payment walk reads it.
 
 Range ([0, 1]) and tiling are enforced at construction. Monotonicity is NOT:
 check_monotone reports it, and the named constructors reject violations, which
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import ConditioningWarning, ConstructionError, DescriptorError, DomainError
 from .errors import descriptor_number, descriptor_pairs
-from .numerics import Pieces
+from .numerics import Pieces, _prepare
 
 _RANGE_TOL = 1e-12
 _JOIN_TOL = 1e-12
@@ -292,24 +293,21 @@ class AllocationRule:
 
     def _per_segment(self, v, *fns):
         """Each fn(i, segment, points) on the points in each segment, which must lie
-        in [0, vmax] up to the join tolerance; one output per fn, each a float for
-        a scalar v. The domain check and segment lookup run once for all fns."""
-        arr = np.asarray(v, dtype=float)
-        a = np.atleast_1d(arr)
-        if a.size:
-            slack = _JOIN_TOL * max(1.0, self.vmax)
-            if float(np.min(a)) < -slack or float(np.max(a)) > self.vmax + slack:
-                raise DomainError(f"evaluation point outside [0, {self.vmax}]")
-        a = np.clip(a, 0.0, self.vmax)
-        idx = np.clip(np.searchsorted(self._los, a, side="right") - 1, 0, len(self.segments) - 1)
-        outs = [np.empty_like(a) for _ in fns]
-        for i, seg in enumerate(self.segments):
-            mask = idx == i
-            if np.any(mask):
-                points = a[mask]
-                for out, fn in zip(outs, fns):
-                    out[mask] = fn(i, seg, points)
-        return tuple(float(out[0]) if arr.ndim == 0 else out for out in outs)
+        in [0, vmax] up to the support slack; one output per fn, each a float for a
+        scalar v. The domain check and segment lookup run once for all fns: the
+        segment starts are searched in the sorted points, not each point."""
+        a, scalar = _prepare(v, self.vmax)
+
+        def runs(a):
+            bounds = [0, *np.searchsorted(a, self._los[1:], side="left").tolist(), a.size]
+            outs = [np.empty_like(a) for _ in fns]
+            for i, (seg, lo, hi) in enumerate(zip(self.segments, bounds[:-1], bounds[1:])):
+                if hi > lo:
+                    for out, fn in zip(outs, fns):
+                        out[lo:hi] = fn(i, seg, a[lo:hi])
+            return outs
+
+        return tuple(float(out[0]) if scalar else out for out in _in_order(runs, a))
 
     def _value(self, i, seg, a):
         return seg.shape.value(a)
@@ -415,6 +413,22 @@ class AllocationRule:
                 {"lo": s.lo, "hi": s.hi, "shape": s.shape.descriptor()} for s in self.segments
             ],
         }
+
+
+def _in_order(fn, a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """fn(a), arrays aligned with the points a, from fn on a in non-decreasing
+    order: other points are ``_permuted``, so no result depends on their order."""
+    if a.size > 1 and np.any(a[1:] < a[:-1]):
+        return _permuted(fn, a)
+    return tuple(fn(a))
+
+
+def _permuted(fn, a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """fn on a stably sorted copy of a, each output gathered back to a's order."""
+    order = np.argsort(a, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(a.size)
+    return tuple(out[inverse] for out in fn(a[order]))
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,7 @@ def _truthful_outcomes(mech: PaymentSchedule, grid_n: int):
     derived schedule's lookup gives both from one evaluation of x."""
     grid = _audit_grid(mech, grid_n)
     if mech.derived:
-        x, _, pay = mech._sweep(grid)
+        x, _, _, pay = mech._sweep(grid)
         return grid, x, pay
     return grid, mech.allocation.evaluate(grid), mech.value_many(grid)
 
@@ -295,9 +295,12 @@ def structural_audit(sol: OptimalSolution, dist: ValueDistribution) -> AuditRepo
     threshold = min(sol.threshold, vmax)
     uniform = np.linspace(0.0, vmax, STRUCTURAL_GRID_N)
     grid = np.unique(np.concatenate([uniform, np.asarray(rule.knots()), [threshold]]))
-    x, _, cap = _envelope(rule, ratio, grid)
+    if sched.derived:  # one envelope pass gives x, the cap g and the payment
+        x, cap, _, pay = sched._sweep(grid)
+    else:
+        (x, _, cap), pay = _envelope(rule, ratio, grid), sched.value_many(grid)
     slopes = np.abs(np.diff(x)) / np.diff(grid) * vmax
-    tight = np.abs(sched.value_many(grid) - grid * x) / vmax
+    tight = np.abs(pay - grid * x) / vmax
     flat = slopes <= tol
     n_runs = int(np.sum(flat[1:] & ~flat[:-1])) + int(flat[0])
     ends_at_top = bool(flat[-1])

@@ -19,30 +19,12 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Any
 
 import numpy as np
 
 from .errors import ConstructionError, DescriptorError, DomainError
 from .errors import descriptor_number, descriptor_numbers, descriptor_pairs
-from .numerics import Pieces
-
-_SUPPORT_SLACK = 1e-12
-
-
-def _prepare(v: Any, vmax: float) -> tuple[np.ndarray, bool]:
-    """Coerce to a float array, reject points outside [0, vmax], clip roundoff."""
-    arr = np.asarray(v, dtype=float)
-    scalar = arr.ndim == 0
-    a = np.atleast_1d(arr)
-    if a.size:
-        slack = _SUPPORT_SLACK * max(1.0, vmax)
-        lo = float(np.min(a))
-        hi = float(np.max(a))
-        if lo < -slack or hi > vmax + slack:
-            bad = lo if lo < -slack else hi
-            raise DomainError(f"value {bad!r} outside support [0, {vmax}]")
-    return np.clip(a, 0.0, vmax), scalar
+from .numerics import Pieces, _prepare
 
 
 def _ret(a: np.ndarray, scalar: bool):
@@ -137,12 +119,7 @@ class ValueDistribution(abc.ABC):
 
     def quantile(self, u):
         """Generalized inverse of the CDF; exact where closed forms exist."""
-        arr = np.asarray(u, dtype=float)
-        scalar = arr.ndim == 0
-        a = np.atleast_1d(arr)
-        if a.size and (float(np.min(a)) < -1e-15 or float(np.max(a)) > 1.0 + 1e-15):
-            raise DomainError("quantile argument outside [0, 1]")
-        a = np.clip(a, 0.0, 1.0)
+        a, scalar = _prepare(u, 1.0, slack=1e-15)
         return _ret(self._quantile(a), scalar)
 
     def _piece_probes(self) -> tuple[list[float], list[float]]:

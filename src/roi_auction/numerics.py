@@ -1,4 +1,4 @@
-"""Root bracketing, integration and the piecewise power-term format.
+"""Root bracketing, integration, the piecewise power-term format, domain checks.
 
 The routines are deliberately small and deterministic: plain bisection with
 an explicit bracket-width stopping rule, the closed-form integral of the
@@ -15,7 +15,22 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import DomainError, QuadratureError
+
+#: roundoff past either end of [0, vmax], in units of max(1, vmax), that points may carry
+_SUPPORT_SLACK = 1e-12
+
+
+def _prepare(v, vmax: float, slack: float = _SUPPORT_SLACK) -> tuple[np.ndarray, bool]:
+    """(points, v is a scalar): v as a float array, with points outside [0, vmax]
+    by more than slack max(1, vmax), or nan, refused and roundoff clipped onto it."""
+    arr = np.asarray(v, dtype=float)
+    a = np.atleast_1d(arr)
+    if a.size:
+        lo, hi, pad = float(np.min(a)), float(np.max(a)), slack * max(1.0, vmax)
+        if not (lo >= -pad and hi <= vmax + pad):  # nan fails it too
+            raise DomainError(f"point {hi if lo >= -pad else lo!r} outside [0, {vmax}]")
+    return np.clip(a, 0.0, vmax), arr.ndim == 0
 
 
 class Pieces(NamedTuple):

@@ -15,13 +15,13 @@ endpoint, right-continuous, and the stationary points of g on linear pieces),
 and one running max R of g gives p = v x - (R - g): exactly v x where g is its
 own running max, and never above v x in floating point. An off-grid payment
 joins the query point's g to that running max, so the rebate is exact for all
-structured shapes; the lookup reads that max at its change points only. On
-the paper's first-price ramp g = 0 (the constraint binds) and past it g only
-falls, so R changes at a few dozen of the default 10,002 points. A hand
-schedule, ``PaymentSchedule.hand(rule, m, grid, payments)``, holds only its
-grid and payments and charges their interpolant; it refuses a grid that does
-not rise strictly from 0 within vmax, and payments or slopes that are not
-finite.
+structured shapes; the lookup reads that max at its change points only, each
+the start of one slice of the sorted query points. On the paper's first-price
+ramp g = 0 (the constraint binds) and past it g only falls, so R changes at a
+few dozen of the default 10,002 points. A hand schedule,
+``PaymentSchedule.hand(rule, m, grid, payments)``, holds only its grid and
+payments and charges their interpolant; it refuses a grid that does not rise
+strictly from 0 within vmax, and payments or slopes that are not finite.
 ``PaymentSchedule.pieces`` gives either kind's payment as ``numerics.Pieces``
 in t = v / vmax for the exact revenue, and never samples the grid. A derived
 one comes from one array walk over the rule's ``pieces``: g at every sub-piece
@@ -47,7 +47,7 @@ from typing import IO
 
 import numpy as np
 
-from .allocation import AllocationRule
+from .allocation import AllocationRule, _in_order
 from .errors import ConstructionError
 from .numerics import Pieces
 
@@ -208,27 +208,32 @@ class PaymentSchedule:
         return self.grid[at], self.rebates[at]
 
     def _sweep(self, a: np.ndarray):
-        """(x, R, p) at a, p = a x - (R - g): R joins g with the running max
+        """(x, g, R, p) at a, p = a x - (R - g): R joins g with the running max
         stored at its change points, which the paper's ramps (g = 0, the
-        constraint binding) keep to a few dozen."""
+        constraint binding) keep to a few dozen; each starts one run of the
+        points, sorted once for the whole sweep."""
         steps, rebates = self._rebate_steps
-        x, _, g = _envelope(self.allocation, self.m.ratio, a)
-        idx = np.searchsorted(steps, a, side="right") - 1
-        prev = np.where(idx >= 0, rebates[np.maximum(idx, 0)], 0.0)
-        reb = np.maximum(np.maximum(prev, g), 0.0)
-        return x, reb, a * x - (reb - g)
+
+        def runs(a):
+            x, _, g = _envelope(self.allocation, self.m.ratio, a)
+            starts = np.searchsorted(a, steps, side="left")
+            prev = np.repeat(np.append(0.0, rebates), np.diff(starts, prepend=0, append=a.size))
+            reb = np.maximum(np.maximum(prev, g), 0.0)
+            return x, g, reb, a * x - (reb - g)
+
+        return _in_order(runs, a)
 
     def value_many(self, vs) -> np.ndarray:
         a = np.atleast_1d(np.asarray(vs, dtype=float))
         if not self.derived:
             return np.interp(a, self.grid, self.payments)
-        return self._sweep(a)[2]
+        return self._sweep(a)[3]
 
     def value_at(self, v: float) -> float:
         return float(self.value_many(np.asarray([v]))[0])
 
     def rebate_at(self, v: float) -> float:
-        return float(self._sweep(np.asarray([v], dtype=float))[1][0])
+        return float(self._sweep(np.asarray([v], dtype=float))[2][0])
 
     def pieces(self) -> Pieces:
         """The payment as power terms in t = v / vmax, as ``value_many`` charges it.

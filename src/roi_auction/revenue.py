@@ -6,10 +6,10 @@ against the density's with ``numerics.power_product_integral``, for either
 kind of schedule alike. Monte Carlo draws values by quantile transform from
 counter-based substreams, so results are byte-identical for a given seed
 regardless of chunking order. Each chunk of draws is evaluated in sorted
-order, in sub-blocks of 16384 draws, so the quantile's and the allocation's
-table lookups scan forward, and scattered back; quantile and payment are
-elementwise, so every draw gets the same float and the sums still run in draw
-order. Both rows of ``compare`` read the same draws: each chunk is drawn,
+order, in sub-blocks of 16384 draws (the quantile's lookups scan forward, each
+rule segment and rebate step is one slice), and scattered back; quantile and
+payment are elementwise, so every draw gets the same float and the sums run
+in draw order. Both rows of ``compare`` share the draws: each chunk is drawn,
 sorted and inverted once, and each row's payments go to that row's own array.
 Chunks run on two threads, the caller and one helper, and each writes only its
 own slice of those arrays, so which thread takes a chunk cannot change a byte.
@@ -80,7 +80,7 @@ def expected_revenue_mc(
     chunk index), so the stream for chunk k never depends on how many draws
     preceded it; n and seed are integers, and seeds run from 0 to 2^64 - 1.
     A chunk's uniforms are evaluated in sorted order, in sub-blocks of 16384
-    draws, so every table lookup scans forward, and the
+    draws, where each rule segment and rebate step is one slice, and the
     payments are scattered back to draw order. Each draw gets the float it
     would get alone, and the mean and standard error sum the same array in the
     same order. The caller and one helper thread take chunks in turn, each

@@ -559,12 +559,40 @@ def tuple_power_product_integral(left, right, span: float, rescale: float) -> fl
 
 
 def full_grid_sweep(sched, a):
-    """(x, R, p) at the points a of a derived schedule, the stored running max
-    looked up by a binary search of the whole grid."""
-    from roi_auction.payments import _envelope
-
-    x, _, g = _envelope(sched.allocation, sched.m.ratio, a)
+    """(x, R, p) at the points a of a derived schedule: x and its integral from
+    ``masked_per_segment``, the stored running max looked up by a binary search
+    of the whole grid."""
+    rule = sched.allocation
+    x, area = masked_per_segment(rule, a, rule._value, rule._integral)
+    vx = a * x
+    g = sched.m.ratio * (vx - area) - vx
     idx = np.searchsorted(sched.grid, a, side="right") - 1
     prev = np.where(idx >= 0, sched.rebates[np.maximum(idx, 0)], 0.0)
     reb = np.maximum(np.maximum(prev, g), 0.0)
     return x, reb, a * x - (reb - g)
+
+
+def masked_per_segment(rule, v, *fns):
+    """``AllocationRule._per_segment`` with each point's segment found by a binary
+    search of the segment starts, then one boolean gather and scatter per segment
+    and output: the lookup the run slices replaced, kept as their reference."""
+    from roi_auction.allocation import _JOIN_TOL
+    from roi_auction.errors import DomainError
+
+    arr = np.asarray(v, dtype=float)
+    a = np.atleast_1d(arr)
+    if a.size:
+        slack = _JOIN_TOL * max(1.0, rule.vmax)
+        if float(np.min(a)) < -slack or float(np.max(a)) > rule.vmax + slack:
+            raise DomainError(f"evaluation point outside [0, {rule.vmax}]")
+    a = np.clip(a, 0.0, rule.vmax)
+    idx = np.clip(np.searchsorted(rule._los, a, side="right") - 1, 0, len(rule.segments) - 1)
+    outs = [np.empty_like(a) for _ in fns]
+    for i, seg in enumerate(rule.segments):
+        mask = idx == i
+        if np.any(mask):
+            points = a[mask]
+            for out, fn in zip(outs, fns):
+                out[mask] = fn(i, seg, points)
+    return tuple(float(out[0]) if arr.ndim == 0 else out for out in outs)
+

@@ -176,6 +176,14 @@ def test_evaluation_outside_support_fails():
         STEP.prefix_integral(-0.3)
 
 
+@pytest.mark.parametrize("call", ["evaluate", "prefix_integral"])
+def test_nan_evaluation_point_is_outside_the_domain(call):
+    # nan fails every comparison, so a check written as "below or above" passed it
+    for point in (float("nan"), [0.25, float("nan"), 0.75]):
+        with pytest.raises(DomainError):
+            getattr(STEP, call)(point)
+
+
 def test_stationary_candidates_for_sub_two_ratios():
     # x = v - 0.4 on [0.4, 1]: g'(z) = 0 at z = -0.4 / (1 * (1.5 - 2)) = 0.8
     rule = AllocationRule(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ from roi_auction import (
     ConstructionError,
     PaymentSchedule,
     RoiTarget,
+    UniformDistribution,
     check_characterization,
     check_dsic,
     check_ir,
@@ -19,9 +21,11 @@ from roi_auction import (
     make_power_ramp,
     make_step,
     make_table,
+    optimal_mechanism,
     payment_schedule,
     profile_audit,
     run_standard_audit,
+    structural_audit,
     uniqueness_probe,
 )
 from roi_auction import audit
@@ -210,6 +214,21 @@ def test_standard_audit_evaluates_the_mechanism_once(form, monkeypatch):
         "_truthful_outcomes": 1,
         "_audit_grid": 1,
     }
+
+
+@pytest.mark.parametrize("form", ["derived", "hand"])
+def test_structural_audit_evaluates_the_envelope_once(form, monkeypatch):
+    # a derived schedule's lookup gives x, the cap g and the payment from one pass;
+    # the other evaluation is the schedule's column sampling, which the lookup reads
+    dist = UniformDistribution(1.0)
+    sol = optimal_mechanism(dist, M2)
+    if form == "hand":
+        sched = sol.schedule
+        sol = dataclasses.replace(sol, schedule=PaymentSchedule.hand(
+            sched.allocation, M2, sched.grid, sched.payments))
+    counts = count_calls(monkeypatch, AllocationRule, "_value_and_integral")
+    assert structural_audit(sol, dist).passed
+    assert counts == {"_value_and_integral": 2 if form == "derived" else 1}
 
 
 @pytest.mark.parametrize("seed", [0, 3, 8])

@@ -115,6 +115,14 @@ def test_support_is_enforced():
         TABLE.quantile(1.2)
 
 
+@pytest.mark.parametrize("call", ["cdf", "pdf", "quantile"])
+def test_nan_point_is_outside_the_support(call):
+    for dist in (UniformDistribution(1.0), TABLE):
+        for point in (float("nan"), [0.25, float("nan")]):
+            with pytest.raises(DomainError):
+                getattr(dist, call)(point)
+
+
 def test_uniform_closed_forms():
     u = UniformDistribution(2.0)
     assert u.pdf(1.3) == 0.5

@@ -35,6 +35,7 @@ from oracles import (
     exact_payments,
     full_grid_sweep,
     loop_payment_pieces,
+    masked_per_segment,
     per_row_csv,
     piece_tuples,
     tuple_power_product_integral,
@@ -429,6 +430,73 @@ def test_optimal_ramp_running_max_changes_at_few_points(desc):
     # payment lookup searches a few dozen change points, not the whole grid
     sched = optimal_mechanism(distribution_from_descriptor(desc), M2).schedule
     assert sched._rebate_steps[0].size < 0.01 * sched.grid.size
+
+
+def _ordered(points, order, rng):
+    """Sorted points in the named order."""
+    return {"sorted": points, "reversed": points[::-1], "shuffled": rng.permutation(points)}[order]
+
+
+def _run_lookup_rules(vmax):
+    ramp = make_power_ramp(0.6 * vmax, 2.0, vmax)
+    return [
+        *(random_monotone_rule(seed, vmax) for seed in range(3)),
+        *(random_nonmonotone_rule(seed, vmax) for seed in range(3)),
+        ramp,
+        make_step(0.4 * vmax, vmax),
+        perturbed_table_copy(ramp, 0),
+    ]
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+@pytest.mark.parametrize("vmax", [1e-6, 1.0, 3.0, 1e9])
+def test_run_lookup_is_bitwise_the_masked_search(vmax, order):
+    # each segment and each rebate step is one slice of sorted points; any other
+    # order is sorted there and back, so every point gets the per-point search's bytes
+    rng = np.random.default_rng(27)
+    inside = 0.5e-12 * max(1.0, vmax)  # half the rule's join slack past each end
+    for rule in _run_lookup_rules(vmax):
+        knots = np.asarray(rule.knots())
+        for ratio in (2.0, 5.0):
+            sched = payment_schedule(rule, RoiTarget(ratio), 201)
+            points = np.sort(np.concatenate([
+                rng.uniform(0.0, vmax, 300), knots, knots[:3], sched.grid,
+                np.nextafter(sched.grid, 0.0), [0.0, -0.0, vmax, -inside, vmax + inside],
+            ]))
+            points = _ordered(points, order, rng)
+            both = rule._value_and_integral(points)
+            want = masked_per_segment(rule, points, rule._value, rule._integral)
+            assert [out.tobytes() for out in both] == [out.tobytes() for out in want]
+            assert rule.evaluate(points).tobytes() == want[0].tobytes()
+            assert rule.prefix_integral(points).tobytes() == want[1].tobytes()
+            assert sched.value_many(points).tobytes() == full_grid_sweep(sched, points)[2].tobytes()
+            for v in np.concatenate([rng.choice(points, 10), [-0.0, -inside, vmax + inside]]).tolist():
+                x, area = masked_per_segment(rule, v, rule._value, rule._integral)
+                got = (rule.evaluate(v), rule.prefix_integral(v), *rule._value_and_integral(v))
+                assert np.array(got).tobytes() == np.array((x, area) * 2).tobytes()
+                assert rule.evaluate(np.asarray([v])).tobytes() == np.float64(x).tobytes()
+                _, reb, pay = full_grid_sweep(sched, np.asarray([v]))
+                assert np.float64(sched.value_at(v)).tobytes() == pay.tobytes(), v
+                assert np.float64(sched.rebate_at(v)).tobytes() == reb.tobytes(), v
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+def test_run_lookup_keeps_signed_zeros_and_nan_of_the_running_max(order):
+    # a point on a change point starts that step's run (side="left"), whatever its order
+    grid = np.linspace(0.0, 1.0, 12)
+    rebates = np.array([0.0, -0.0, -0.0, 0.0, np.nan, np.nan, 0.2, 0.2, -0.0, 0.0, 0.5, 0.5])
+    sched = _sampled_as(np.stack([grid, grid, grid, grid, rebates]))
+    points = np.sort(np.concatenate([np.linspace(0.0, 1.0, 301), grid, np.nextafter(grid, 0.0)]))
+    points = _ordered(points, order, np.random.default_rng(1))
+    assert sched.value_many(points).tobytes() == full_grid_sweep(sched, points)[2].tobytes()
+
+
+@pytest.mark.parametrize("call", ["value_at", "rebate_at", "value_many"])
+def test_nan_payment_point_is_outside_the_domain(call):
+    sched = payment_schedule(make_step(0.5), M2)
+    point = [0.25, float("nan")] if call == "value_many" else float("nan")
+    with pytest.raises(DomainError):
+        getattr(sched, call)(point)
 
 
 HUGE_STEP = make_step(0.4e300, 1e300)

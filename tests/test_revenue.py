@@ -34,8 +34,10 @@ from roi_auction import (
     optimal_mechanism,
     payment_schedule,
 )
+from roi_auction import allocation
 from roi_auction.cli import csv_text
 from roi_auction.revenue import _monte_carlo
+from conftest import count_calls
 from oracles import piece_tuples, table_revenue
 from random_rules import perturbed_table_copy
 
@@ -318,6 +320,20 @@ def test_mc_fills_each_rebate_lookup_once_before_the_helper_starts(monkeypatch):
     assert [kind for kind, _, _ in events] == ["fill", "fill", "start"]
     assert len(set(filled)) == 2 and used == set(filled)
     assert {ident for _, _, ident in events} == {threading.get_ident()}
+
+
+def test_mc_sub_blocks_reach_the_lookups_already_sorted(monkeypatch):
+    # the sorted sub-blocks reach every lookup in non-decreasing order, so no
+    # value_many call takes the argsort-and-scatter step; a shuffled call takes it once
+    permuted = count_calls(monkeypatch, allocation, "_permuted")
+    compare(UNIFORM, M2, mc_samples=FOUR_CHUNKS)
+    assert permuted == {"_permuted": 0}
+    sched = optimal_mechanism(UNIFORM, M2).schedule
+    shuffled = np.random.default_rng(0).permutation(np.linspace(0.0, 1.0, 1001))
+    pays = sched.value_many(shuffled)
+    assert permuted == {"_permuted": 1}
+    order = np.argsort(shuffled)
+    assert pays[order].tobytes() == sched.value_many(shuffled[order]).tobytes()
 
 
 def test_mc_memory_holds_one_payment_array_per_row():
