@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConditioningWarning, ConstructionError, DescriptorError, DomainError
 from .errors import descriptor_number, descriptor_pairs
-from .numerics import Pieces, _prepare
+from .numerics import Pieces, _in_order, _prepare
 
 _RANGE_TOL = 1e-12
 _JOIN_TOL = 1e-12
@@ -294,20 +294,22 @@ class AllocationRule:
     def _per_segment(self, v, *fns):
         """Each fn(i, segment, points) on the points in each segment, which must lie
         in [0, vmax] up to the support slack; one output per fn, each a float for a
-        scalar v. The domain check and segment lookup run once for all fns: the
-        segment starts are searched in the sorted points, not each point."""
+        scalar v. The domain check and order check run once for all fns."""
         a, scalar = _prepare(v, self.vmax)
+        outs = _in_order(lambda a: self._runs(a, *fns), a)
+        return tuple(float(out[0]) if scalar else out for out in outs)
 
-        def runs(a):
-            bounds = [0, *np.searchsorted(a, self._los[1:], side="left").tolist(), a.size]
-            outs = [np.empty_like(a) for _ in fns]
-            for i, (seg, lo, hi) in enumerate(zip(self.segments, bounds[:-1], bounds[1:])):
-                if hi > lo:
-                    for out, fn in zip(outs, fns):
-                        out[lo:hi] = fn(i, seg, a[lo:hi])
-            return outs
-
-        return tuple(float(out[0]) if scalar else out for out in _in_order(runs, a))
+    def _runs(self, a: np.ndarray, *fns) -> list[np.ndarray]:
+        """``_per_segment`` on points a already sorted and clipped onto [0, vmax]:
+        the segment starts are searched in the points, not each point, and each
+        segment's points are one slice."""
+        bounds = [0, *np.searchsorted(a, self._los[1:], side="left").tolist(), a.size]
+        outs = [np.empty_like(a) for _ in fns]
+        for i, (seg, lo, hi) in enumerate(zip(self.segments, bounds[:-1], bounds[1:])):
+            if hi > lo:
+                for out, fn in zip(outs, fns):
+                    out[lo:hi] = fn(i, seg, a[lo:hi])
+        return outs
 
     def _value(self, i, seg, a):
         return seg.shape.value(a)
@@ -378,19 +380,16 @@ class AllocationRule:
         inside = (denom != 0.0) & (lo < z) & (z < hi)
         return tuple(np.sort(z[inside], kind="stable").tolist())
 
-    def check_monotone(self, grid_n: int = 2001) -> MonotonicityReport:
-        """Grid-plus-endpoints test that the rule never decreases."""
-        grid = np.unique(np.concatenate([np.linspace(0.0, self.vmax, grid_n), self.knots()]))
-        x = self.evaluate(grid)
-        # the knots hold 0 and vmax, so there is at least one drop
-        drops = x[:-1] - x[1:]
-        worst = float(np.max(drops))
-        at = float(grid[int(np.argmax(drops))])
+    def check_monotone(self) -> MonotonicityReport:
+        """Test that the rule never decreases: across each jump, and from end to
+        end of each segment and table cell. Every shape is monotone between its
+        knots, so these are the rule's only falls, each read on its own: a fall
+        and the jump that ends it are two falls, not one."""
+        worst, at = -math.inf, 0.0
         for v0, left, right in self.jump_points():
             if left - right > worst:
                 worst = left - right
                 at = v0
-        # a fall spread over a segment or table cell can stay below tol per grid step
         for seg in self.segments:
             ends = np.asarray((seg.lo, *seg.shape.interior_knots(seg.lo, seg.hi), seg.hi))
             falls = seg.shape.value(ends[:-1]) - seg.shape.value(ends[1:])
@@ -402,7 +401,6 @@ class AllocationRule:
             passed=worst <= MONOTONE_TOL,
             worst_violation=max(worst, 0.0),
             at_v=at if worst > 0.0 else None,
-            grid_n=grid_n,
             tol=MONOTONE_TOL,
         )
 
@@ -415,28 +413,11 @@ class AllocationRule:
         }
 
 
-def _in_order(fn, a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """fn(a), arrays aligned with the points a, from fn on a in non-decreasing
-    order: other points are ``_permuted``, so no result depends on their order."""
-    if a.size > 1 and np.any(a[1:] < a[:-1]):
-        return _permuted(fn, a)
-    return tuple(fn(a))
-
-
-def _permuted(fn, a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """fn on a stably sorted copy of a, each output gathered back to a's order."""
-    order = np.argsort(a, kind="stable")
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(a.size)
-    return tuple(out[inverse] for out in fn(a[order]))
-
-
 @dataclass(frozen=True)
 class MonotonicityReport:
     passed: bool
     worst_violation: float
     at_v: float | None
-    grid_n: int
     tol: float
 
     def to_dict(self) -> dict:

@@ -206,7 +206,7 @@ def _ir(outcomes) -> AuditCheck:
 
 def check_characterization(mech: PaymentSchedule) -> AuditCheck:
     """Payments must match the rebate formula for the rule, and the rule be monotone."""
-    return _characterization(mech, mech.allocation.check_monotone(grid_n=AUDIT_GRID_N))
+    return _characterization(mech, mech.allocation.check_monotone())
 
 
 def _characterization(mech: PaymentSchedule, mono: MonotonicityReport) -> AuditCheck:
@@ -263,7 +263,7 @@ def run_standard_audit(mech: PaymentSchedule) -> AuditReport:
     IR and the uniqueness probe, which shifts them. Every verdict is that of
     the public checks run one by one.
     """
-    mono = mech.allocation.check_monotone(grid_n=AUDIT_GRID_N)
+    mono = mech.allocation.check_monotone()
     outcomes = _truthful_outcomes(mech, AUDIT_GRID_N)
     checks = (
         AuditCheck(
@@ -298,14 +298,16 @@ def structural_audit(sol: OptimalSolution, dist: ValueDistribution) -> AuditRepo
     if sched.derived:  # one envelope pass gives x, the cap g and the payment
         x, cap, _, pay = sched._sweep(grid)
     else:
-        (x, _, cap), pay = _envelope(rule, ratio, grid), sched.value_many(grid)
+        x, _, _, cap = _envelope(rule, ratio, grid)
+        pay = sched.value_many(grid)
     slopes = np.abs(np.diff(x)) / np.diff(grid) * vmax
     tight = np.abs(pay - grid * x) / vmax
     flat = slopes <= tol
     n_runs = int(np.sum(flat[1:] & ~flat[:-1])) + int(flat[0])
     ends_at_top = bool(flat[-1])
     tail = {"flat_runs": n_runs, "ends_at_vmax": ends_at_top}
-    x_at_threshold = float(rule.evaluate(threshold))
+    # the grid holds the threshold
+    x_at_threshold = float(x[np.searchsorted(grid, threshold)])
     gap_at_threshold = abs(x_at_threshold - 1.0)
     at_threshold = {"x_at_threshold": x_at_threshold}
     # a prefix of the sorted grid, so its indices are the grid's
@@ -391,7 +393,7 @@ def _induced_audit(rule: AllocationRule, m: RoiTarget) -> tuple[tuple[float, dic
 
     A non-monotone curve has no payments to check; its DSIC and IR read 0.
     """
-    mono = rule.check_monotone(grid_n=AUDIT_GRID_N)
+    mono = rule.check_monotone()
     if not mono.passed:
         return (mono.worst_violation, None), (0.0, None), (0.0, None)
     mech = payment_schedule(rule, m, grid_n=PROFILE_SCHEDULE_GRID_N)

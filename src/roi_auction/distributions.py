@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConstructionError, DescriptorError, DomainError
 from .errors import descriptor_number, descriptor_numbers, descriptor_pairs
-from .numerics import Pieces, _prepare
+from .numerics import Pieces, _in_order, _prepare
 
 
 def _ret(a: np.ndarray, scalar: bool):
@@ -317,16 +317,26 @@ class PiecewiseLinearDensity(ValueDistribution):
         return np.minimum(self._cum[i] + d[i] * t + 0.5 * slope * t * t, 1.0)
 
     def _quantile(self, u):
-        (b, d), cum = self._arrays, self._cum
-        i = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, b.size - 2)
-        width = b[i + 1] - b[i]
-        slope = self._slopes[i]
-        du = u - cum[i]
-        # root of 0.5 s t^2 + f t - du in its stable form, valid for every slope sign
-        disc = np.maximum(d[i] ** 2 + 2.0 * slope * du, 0.0)
-        denom = d[i] + np.sqrt(disc)
-        t = np.where(denom > 0.0, 2.0 * du / np.where(denom > 0.0, denom, 1.0), 0.0)
-        return np.minimum(b[i] + np.minimum(t, width), self.vmax)
+        """The inverse CDF piece by piece: on sorted u each density piece's points
+        are one slice, found by searching the piece starts (``_cum``) in u, and
+        each piece reads its own coefficients as scalars; other orders are
+        sorted there and back."""
+        return _in_order(self._quantile_runs, u)[0]
+
+    def _quantile_runs(self, u):
+        (b, d), cum, slopes = self._arrays, self._cum, self._slopes
+        # piece j takes cum[j] <= u < cum[j + 1]; the last one every u from its start on
+        bounds = [0, *np.searchsorted(u, cum[1:-1], side="left").tolist(), u.size]
+        out = np.empty_like(u)
+        for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if hi > lo:
+                du = u[lo:hi] - cum[j]
+                # root of 0.5 s t^2 + f t - du in its stable form, valid for every slope sign
+                disc = np.maximum(d[j] * d[j] + 2.0 * slopes[j] * du, 0.0)
+                denom = d[j] + np.sqrt(disc)
+                t = np.where(denom > 0.0, 2.0 * du / np.where(denom > 0.0, denom, 1.0), 0.0)
+                out[lo:hi] = np.minimum(b[j] + np.minimum(t, b[j + 1] - b[j]), self.vmax)
+        return (out,)
 
     def pdf_pieces(self) -> Pieces:
         # f = d_i + slope (v - b_i), with slope per unit t = v / vmax
@@ -395,15 +405,31 @@ class TabulatedCdf(ValueDistribution):
         return self._slopes[i]
 
     def _quantile(self, u):
-        Fs = self._Fs
-        vs = self._vs
-        i = np.clip(np.searchsorted(Fs, u, side="left"), 0, Fs.size - 1)
-        exact = Fs[i] == u
-        lo = np.clip(i - 1, 0, Fs.size - 1)
-        dF = Fs[i] - Fs[lo]
-        frac = np.where(dF > 0.0, (u - Fs[lo]) / np.where(dF > 0.0, dF, 1.0), 0.0)
-        interp = vs[lo] + frac * (vs[i] - vs[lo])
-        return np.where(exact, vs[i], interp)
+        """The inverse CDF segment by segment: on sorted u each table segment's
+        points are one slice, found by searching the table's F values in u, and
+        each segment reads its two ends as scalars; other orders are sorted
+        there and back."""
+        return _in_order(self._quantile_runs, u)[0]
+
+    def _quantile_runs(self, u):
+        Fs, vs = self._Fs, self._vs
+        # u strictly between Fs[j - 1] and Fs[j] interpolates on segment j (u below
+        # Fs[0] reads vs[0]), and u equal to Fs[j] is vs[j], the first of equal Fs
+        below = np.searchsorted(u, Fs, side="left").tolist()
+        upto = np.searchsorted(u, Fs, side="right").tolist()
+        out = np.empty_like(u)
+        start = 0
+        for j, (stop, end) in enumerate(zip(below, upto)):
+            if stop > start:
+                lo = max(j - 1, 0)
+                dF = Fs[j] - Fs[lo]
+                frac = (u[start:stop] - Fs[lo]) / dF if dF > 0.0 else 0.0
+                out[start:stop] = vs[lo] + frac * (vs[j] - vs[lo])
+                start = stop
+            if end > start:
+                out[start:end] = vs[j]
+                start = end
+        return (out,)
 
     def pdf_pieces(self) -> Pieces:
         slopes = self._slopes[:, None]

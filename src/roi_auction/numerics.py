@@ -1,4 +1,5 @@
-"""Root bracketing, integration, the piecewise power-term format, domain checks.
+"""Root bracketing, integration, the piecewise power-term format, domain checks
+and the sorted order that piecewise lookups read their points in.
 
 The routines are deliberately small and deterministic: plain bisection with
 an explicit bracket-width stopping rule, the closed-form integral of the
@@ -23,14 +24,33 @@ _SUPPORT_SLACK = 1e-12
 
 def _prepare(v, vmax: float, slack: float = _SUPPORT_SLACK) -> tuple[np.ndarray, bool]:
     """(points, v is a scalar): v as a float array, with points outside [0, vmax]
-    by more than slack max(1, vmax), or nan, refused and roundoff clipped onto it."""
+    by more than slack max(1, vmax), or nan, refused and roundoff clipped onto it.
+    Points that need no clipping come back as they are, not copied."""
     arr = np.asarray(v, dtype=float)
     a = np.atleast_1d(arr)
     if a.size:
         lo, hi, pad = float(np.min(a)), float(np.max(a)), slack * max(1.0, vmax)
         if not (lo >= -pad and hi <= vmax + pad):  # nan fails it too
             raise DomainError(f"point {hi if lo >= -pad else lo!r} outside [0, {vmax}]")
-    return np.clip(a, 0.0, vmax), arr.ndim == 0
+        if lo < 0.0 or hi > vmax:
+            a = np.clip(a, 0.0, vmax)
+    return a, arr.ndim == 0
+
+
+def _in_order(fn, a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """fn(a), arrays aligned with the points a, from fn on a in non-decreasing
+    order: other points are ``_permuted``, so no result depends on their order."""
+    if a.size > 1 and np.any(a[1:] < a[:-1]):
+        return _permuted(fn, a)
+    return tuple(fn(a))
+
+
+def _permuted(fn, a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """fn on a stably sorted copy of a, each output gathered back to a's order."""
+    order = np.argsort(a, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(a.size)
+    return tuple(out[inverse] for out in fn(a[order]))
 
 
 class Pieces(NamedTuple):

@@ -9,7 +9,7 @@ violation left at lower reports:
 
 This is the one module that knows how a schedule pays. A derived schedule,
 ``PaymentSchedule(rule, m, grid_n)``, charges these payments. The kernel
-``_envelope`` gives x, p~ and the violation g = ratio p~ - v x. On first read
+``_envelope`` gives x, v x, p~ and the violation g = ratio p~ - v x. On first read
 they are sampled on a candidate grid (``grid_n`` uniform points, every segment
 endpoint, right-continuous, and the stationary points of g on linear pieces),
 and one running max R of g gives p = v x - (R - g): exactly v x where g is its
@@ -21,7 +21,8 @@ ramp g = 0 (the constraint binds) and past it g only falls, so R changes at a
 few dozen of the default 10,002 points. A hand schedule,
 ``PaymentSchedule.hand(rule, m, grid, payments)``, holds only its grid and
 payments and charges their interpolant; it refuses a grid that does not rise
-strictly from 0 within vmax, and payments or slopes that are not finite.
+strictly from 0 within vmax, and payments or slopes that are not finite, and
+its lookup refuses the points a derived one does, without clipping them.
 ``PaymentSchedule.pieces`` gives either kind's payment as ``numerics.Pieces``
 in t = v / vmax for the exact revenue, and never samples the grid. A derived
 one comes from one array walk over the rule's ``pieces``: g at every sub-piece
@@ -47,9 +48,9 @@ from typing import IO
 
 import numpy as np
 
-from .allocation import AllocationRule, _in_order
+from .allocation import AllocationRule
 from .errors import ConstructionError
-from .numerics import Pieces
+from .numerics import Pieces, _in_order, _prepare
 
 DEFAULT_GRID_N = 10_001
 
@@ -85,13 +86,17 @@ class RoiTarget:
         object.__setattr__(self, "ratio", float(self.ratio))
 
 
-def _envelope(rule: AllocationRule, ratio: float, v):
-    """(x, p~, g) at v: the allocation, the envelope payment v x - integral_0^v x,
-    and the violation g = ratio * p~ - v x."""
-    x, area = rule._value_and_integral(v)
+def _envelope(rule: AllocationRule, ratio: float, v: np.ndarray):
+    """(x, v x, p~, g) at points v in non-decreasing order: the allocation, v x,
+    the envelope payment p~ = v x - integral_0^v x, and the violation
+    g = ratio * p~ - v x. The rule reads v clipped onto [0, vmax] by the domain
+    check (``numerics._prepare``); v x reads v itself."""
+    x, area = rule._runs(_prepare(v, rule.vmax)[0], rule._value, rule._integral)
     vx = v * x
-    pt = vx - area
-    return x, pt, ratio * pt - vx
+    pt = np.subtract(vx, area, out=area)
+    g = ratio * pt
+    g -= vx
+    return x, vx, pt, g
 
 
 @lru_cache(maxsize=128)
@@ -189,9 +194,9 @@ class PaymentSchedule:
                 "its allocations, Myerson payments and rebates are not defined"
             )
         grid = _candidate_grid(self.allocation, self.m.ratio, self.grid_n)
-        x, pt, g = _envelope(self.allocation, self.m.ratio, grid)
+        x, vx, pt, g = _envelope(self.allocation, self.m.ratio, grid)
         reb = np.maximum.accumulate(g)
-        return grid, x, pt, reb, grid * x - (reb - g)
+        return grid, x, pt, reb, vx - (reb - g)
 
     grid = property(lambda self: self._columns[0] if self.derived else self._hand[0])
     allocations = property(lambda self: self._columns[1])
@@ -207,33 +212,40 @@ class PaymentSchedule:
         at = np.flatnonzero(np.concatenate([[True], bits[1:] != bits[:-1]]))
         return self.grid[at], self.rebates[at]
 
-    def _sweep(self, a: np.ndarray):
-        """(x, g, R, p) at a, p = a x - (R - g): R joins g with the running max
-        stored at its change points, which the paper's ramps (g = 0, the
-        constraint binding) keep to a few dozen; each starts one run of the
-        points, sorted once for the whole sweep."""
+    def _sweep(self, v):
+        """(x, g, R, p) at the points v, p = v x - (R - g): R joins g with the
+        running max stored at its change points, which the paper's ramps (g = 0,
+        the constraint binding) keep to a few dozen. One domain check and one
+        order check serve the whole sweep; on the points in non-decreasing
+        order each rule segment and each change point starts one slice."""
         steps, rebates = self._rebate_steps
 
         def runs(a):
-            x, _, g = _envelope(self.allocation, self.m.ratio, a)
+            x, vx, pt, g = _envelope(self.allocation, self.m.ratio, a)
             starts = np.searchsorted(a, steps, side="left")
-            prev = np.repeat(np.append(0.0, rebates), np.diff(starts, prepend=0, append=a.size))
-            reb = np.maximum(np.maximum(prev, g), 0.0)
-            return x, g, reb, a * x - (reb - g)
+            reb = np.repeat(np.append(0.0, rebates), np.diff(starts, prepend=0, append=a.size))
+            np.maximum(reb, g, out=reb)
+            np.maximum(reb, 0.0, out=reb)
+            # p = v x - (R - g), formed in the buffers of v x and p~
+            vx -= np.subtract(reb, g, out=pt)
+            return x, g, reb, vx
 
-        return _in_order(runs, a)
+        return _in_order(runs, np.atleast_1d(np.asarray(v, dtype=float)))
 
     def value_many(self, vs) -> np.ndarray:
+        if self.derived:
+            return self._sweep(vs)[3]
         a = np.atleast_1d(np.asarray(vs, dtype=float))
-        if not self.derived:
-            return np.interp(a, self.grid, self.payments)
-        return self._sweep(a)[3]
+        # the derived kind's refusals; the interpolant already holds its end
+        # values, so the points are not clipped
+        _prepare(a, self.allocation.vmax)
+        return np.interp(a, self.grid, self.payments)
 
     def value_at(self, v: float) -> float:
         return float(self.value_many(np.asarray([v]))[0])
 
     def rebate_at(self, v: float) -> float:
-        return float(self._sweep(np.asarray([v], dtype=float))[2][0])
+        return float(self._sweep(np.asarray([v]))[2][0])
 
     def pieces(self) -> Pieces:
         """The payment as power terms in t = v / vmax, as ``value_many`` charges it.

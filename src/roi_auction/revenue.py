@@ -6,8 +6,9 @@ against the density's with ``numerics.power_product_integral``, for either
 kind of schedule alike. Monte Carlo draws values by quantile transform from
 counter-based substreams, so results are byte-identical for a given seed
 regardless of chunking order. Each chunk of draws is evaluated in sorted
-order, in sub-blocks of 16384 draws (the quantile's lookups scan forward, each
-rule segment and rebate step is one slice), and scattered back; quantile and
+order, in sub-blocks of 16384 draws, and scattered back. In a sorted sub-block
+each piece of a table's inverse CDF, each rule segment and each rebate step is
+one slice, found by searching its few boundaries in the draws; quantile and
 payment are elementwise, so every draw gets the same float and the sums run
 in draw order. Both rows of ``compare`` share the draws: each chunk is drawn,
 sorted and inverted once, and each row's payments go to that row's own array.
@@ -28,7 +29,7 @@ import numpy as np
 from .allocation import make_step
 from .distributions import ValueDistribution
 from .errors import ConstructionError, PreconditionError, RoiAuctionError
-from .numerics import bisect_root, power_product_integral
+from .numerics import _SUPPORT_SLACK, bisect_root, power_product_integral
 from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule
 
 _MC_CHUNK = 1 << 16
@@ -48,9 +49,11 @@ class RevenueEstimate:
 
 
 def _shared_support(mech: PaymentSchedule, dist: ValueDistribution) -> float:
-    """The rule's vmax, once the distribution is known to share it."""
+    """The rule's vmax, once the distribution is known to share it: up to 1e-9
+    vmax, and above vmax only by the support slack the payment lookups accept,
+    so that no Monte Carlo draw is refused."""
     vmax = mech.allocation.vmax
-    if abs(dist.vmax - vmax) > 1e-9 * vmax:
+    if abs(dist.vmax - vmax) > 1e-9 * vmax or dist.vmax > vmax + _SUPPORT_SLACK * max(1.0, vmax):
         raise ConstructionError(
             f"distribution support [0, {dist.vmax}] does not match the rule's [0, {vmax}]"
         )
@@ -80,7 +83,7 @@ def expected_revenue_mc(
     chunk index), so the stream for chunk k never depends on how many draws
     preceded it; n and seed are integers, and seeds run from 0 to 2^64 - 1.
     A chunk's uniforms are evaluated in sorted order, in sub-blocks of 16384
-    draws, where each rule segment and rebate step is one slice, and the
+    draws, where each CDF piece, rule segment and rebate step is one slice, and the
     payments are scattered back to draw order. Each draw gets the float it
     would get alone, and the mean and standard error sum the same array in the
     same order. The caller and one helper thread take chunks in turn, each

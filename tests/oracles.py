@@ -252,7 +252,7 @@ def per_profile_audit(
         for profile in itertools.product(opponents, repeat=n - 1):
             bids = tuple(float(b) for b in profile)
             rule = factory(i, bids)
-            mono = rule.check_monotone(grid_n=AUDIT_GRID_N)
+            mono = rule.check_monotone()
             if not mono.passed:
                 if mono.worst_violation > worst["profile_monotone"]:
                     worst["profile_monotone"] = mono.worst_violation
@@ -358,13 +358,12 @@ def eager_schedule_columns(rule, m, grid_n: int) -> dict:
     """A derived schedule's five columns as the package built them before it
     sampled on first read: the candidate grid, then the running-max sweep.
 
-    The two bodies are kept verbatim, as the bitwise reference for the lazy
+    The bodies are kept verbatim, as the bitwise reference for the lazy
     ``PaymentSchedule``; the sweep returns its columns instead of a schedule.
     """
     import sys
 
     from roi_auction.errors import ConstructionError
-    from roi_auction.payments import _envelope
 
     # _candidate_grid
     if grid_n < 2:
@@ -380,7 +379,11 @@ def eager_schedule_columns(rule, m, grid_n: int) -> dict:
             f"ROI ratio {m.ratio!r} times vmax {rule.vmax!r} leaves the float range; "
             "payments would overflow"
         )
-    x, pt, g = _envelope(rule, m.ratio, grid)
+    # _envelope
+    x, area = masked_per_segment(rule, grid, rule._value, rule._integral)
+    vx = grid * x
+    pt = vx - area
+    g = m.ratio * pt - vx
     reb = np.maximum.accumulate(g)
     return {
         "grid": grid,
@@ -431,7 +434,7 @@ def composed_standard_audit(mech):
         witness = {"offsets": list(PROBE_OFFSETS), "uncaught": uncaught}
         return AuditCheck("uniqueness_probe", not uncaught, float(len(uncaught)), witness)
 
-    mono = mech.allocation.check_monotone(grid_n=AUDIT_GRID_N)
+    mono = mech.allocation.check_monotone()
     checks = (
         AuditCheck(
             "monotone",
@@ -596,3 +599,57 @@ def masked_per_segment(rule, v, *fns):
                 out[mask] = fn(i, seg, points)
     return tuple(float(out[0]) if arr.ndim == 0 else out for out in outs)
 
+
+
+def grid_check_monotone(rule, grid_n: int) -> tuple[bool, float, float | None]:
+    """(passed, worst_violation, at_v) of ``AllocationRule.check_monotone`` as it
+    was with a grid: the drops on a grid_n-point linspace plus the knots, then
+    the jumps and each segment's or table cell's end-to-end fall."""
+    from roi_auction.allocation import MONOTONE_TOL
+
+    grid = np.unique(np.concatenate([np.linspace(0.0, rule.vmax, grid_n), rule.knots()]))
+    x = rule.evaluate(grid)
+    drops = x[:-1] - x[1:]
+    worst = float(np.max(drops))
+    at = float(grid[int(np.argmax(drops))])
+    for v0, left, right in rule.jump_points():
+        if left - right > worst:
+            worst = left - right
+            at = v0
+    for seg in rule.segments:
+        ends = np.asarray((seg.lo, *seg.shape.interior_knots(seg.lo, seg.hi), seg.hi))
+        falls = seg.shape.value(ends[:-1]) - seg.shape.value(ends[1:])
+        i = int(np.argmax(falls))
+        if falls[i] > worst:
+            worst = float(falls[i])
+            at = float(ends[i])
+    return worst <= MONOTONE_TOL, max(worst, 0.0), at if worst > 0.0 else None
+
+
+def searched_quantile(dist, u):
+    """A table kind's quantile with each point's piece found by a binary search
+    of the table and its coefficients gathered per point: the lookup the run
+    slices replaced, kept as their reference. u lies in [0, 1] up to roundoff."""
+    from roi_auction.distributions import TabulatedCdf
+
+    arr = np.asarray(u, dtype=float)
+    u = np.clip(np.atleast_1d(arr), 0.0, 1.0)
+    if isinstance(dist, TabulatedCdf):
+        Fs, vs = dist._Fs, dist._vs
+        i = np.clip(np.searchsorted(Fs, u, side="left"), 0, Fs.size - 1)
+        exact = Fs[i] == u
+        lo = np.clip(i - 1, 0, Fs.size - 1)
+        dF = Fs[i] - Fs[lo]
+        frac = np.where(dF > 0.0, (u - Fs[lo]) / np.where(dF > 0.0, dF, 1.0), 0.0)
+        out = np.where(exact, vs[i], vs[lo] + frac * (vs[i] - vs[lo]))
+    else:
+        (b, d), cum = dist._arrays, dist._cum
+        i = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, b.size - 2)
+        width = b[i + 1] - b[i]
+        slope = dist._slopes[i]
+        du = u - cum[i]
+        disc = np.maximum(d[i] ** 2 + 2.0 * slope * du, 0.0)
+        denom = d[i] + np.sqrt(disc)
+        t = np.where(denom > 0.0, 2.0 * du / np.where(denom > 0.0, denom, 1.0), 0.0)
+        out = np.minimum(b[i] + np.minimum(t, width), dist.vmax)
+    return float(out[0]) if arr.ndim == 0 else out

@@ -17,8 +17,8 @@ from roi_auction import (
     make_table,
     payment_schedule,
 )
-from roi_auction.allocation import Constant, Linear, PowerRamp, Segment, TableShape
-from oracles import piece_tuples, simpson_integral
+from roi_auction.allocation import MONOTONE_TOL, Constant, Linear, PowerRamp, Segment, TableShape
+from oracles import grid_check_monotone, piece_tuples, simpson_integral
 from random_rules import random_monotone_rule, random_nonmonotone_rule
 
 STEP = make_step(0.4, 1.0)
@@ -110,6 +110,46 @@ def test_nonmonotone_rules_are_flagged_with_witness(seed):
     assert 0.0 <= report.at_v <= rule.vmax
 
 
+@pytest.mark.parametrize("vmax", [1e-6, 1.0, 3.0, 1e9])
+def test_check_monotone_without_a_grid_is_the_grid_check(vmax):
+    # every rule row is monotone between its knots, so the jumps and each piece's
+    # own fall give the grid check's verdict bit for bit, wherever no falling piece
+    # ends in a downward jump (the next test)
+    def hexed(passed, worst, at_v):
+        return passed, worst.hex(), None if at_v is None else at_v.hex()
+
+    for seed in range(50):
+        for rule in (random_monotone_rule(seed, vmax), random_nonmonotone_rule(seed, vmax)):
+            report = rule.check_monotone()
+            got = hexed(report.passed, report.worst_violation, report.at_v)
+            for grid_n in (201, 2001):
+                assert got == hexed(*grid_check_monotone(rule, grid_n)), (seed, grid_n)
+
+
+@pytest.mark.parametrize("scale", [1.0, MONOTONE_TOL])
+def test_a_fall_and_the_jump_ending_it_are_two_falls(scale):
+    # the piece falls by 0.1 scale, then the rule jumps down by 0.2 scale; the grid
+    # check read the grid step before the jump as one drop of the jump plus part of
+    # the fall (0.2001 scale at grid 2001), a figure that moved with the grid
+    fall, jump = 0.1 * scale, 0.2 * scale
+    rule = AllocationRule(1.0, (
+        Segment(0.0, 0.5, Linear(-2.0 * fall, 0.5)),
+        Segment(0.5, 1.0, Constant(0.5 - fall - jump)),
+    ))
+    report = rule.check_monotone()
+    assert report.passed == (scale < 1.0)
+    assert report.worst_violation == pytest.approx(jump, rel=0.0, abs=1e-15)
+    assert report.at_v == 0.5
+    # 0.6 tol twice: each fall passes, their sum on a 3-point grid fails
+    fall, jump = 0.6 * MONOTONE_TOL, 0.6 * MONOTONE_TOL
+    rule = AllocationRule(1.0, (
+        Segment(0.0, 0.5, Linear(-2.0 * fall, 0.5)),
+        Segment(0.5, 1.0, Constant(0.5 - fall - jump)),
+    ))
+    assert rule.check_monotone().passed
+    assert not grid_check_monotone(rule, 3)[0]
+
+
 @pytest.mark.parametrize(
     "shape,at_v",
     [
@@ -119,7 +159,7 @@ def test_nonmonotone_rules_are_flagged_with_witness(seed):
     ids=["linear", "table_cell"],
 )
 def test_fall_spread_over_a_piece_fails_check_monotone(shape, at_v):
-    # 1e-10 in all, 100 times MONOTONE_TOL, but at most 5e-14 per grid step
+    # 1e-10 in all, 100 times MONOTONE_TOL, spread over the whole piece
     rule = allocation_from_descriptor(
         {"vmax": 1.0, "segments": [{"lo": 0.0, "hi": 1.0, "shape": shape}]}
     )

@@ -206,11 +206,12 @@ def test_standard_audit_evaluates_the_mechanism_once(form, monkeypatch):
     counts = count_calls(monkeypatch, audit, "_truthful_outcomes", "_audit_grid")
     rule = count_calls(monkeypatch, AllocationRule, "check_monotone", "evaluate")
     assert run_standard_audit(mech).passed
-    # one audit grid, whose x the probe shares; check_monotone evaluates the rule once,
-    # and a hand schedule's outcomes once more (a derived one's payment lookup gives x)
+    # one audit grid, whose x the probe shares; check_monotone reads the shapes, not
+    # evaluate, and a hand schedule's outcomes evaluate the rule once (a derived
+    # one's payment lookup gives x)
     assert {**rule, **counts} == {
         "check_monotone": 1,
-        "evaluate": 1 if form == "derived" else 2,
+        "evaluate": 0 if form == "derived" else 1,
         "_truthful_outcomes": 1,
         "_audit_grid": 1,
     }
@@ -226,9 +227,9 @@ def test_structural_audit_evaluates_the_envelope_once(form, monkeypatch):
         sched = sol.schedule
         sol = dataclasses.replace(sol, schedule=PaymentSchedule.hand(
             sched.allocation, M2, sched.grid, sched.payments))
-    counts = count_calls(monkeypatch, AllocationRule, "_value_and_integral")
+    counts = count_calls(monkeypatch, AllocationRule, "_runs")
     assert structural_audit(sol, dist).passed
-    assert counts == {"_value_and_integral": 2 if form == "derived" else 1}
+    assert counts == {"_runs": 2 if form == "derived" else 1}
 
 
 @pytest.mark.parametrize("seed", [0, 3, 8])

@@ -13,7 +13,7 @@ from roi_auction import (
     UniformDistribution,
     distribution_from_descriptor,
 )
-from oracles import central_difference, piece_tuples
+from oracles import central_difference, piece_tuples, searched_quantile
 
 TRIANGULAR = PiecewiseLinearDensity((0.0, 1.0), (2.0, 0.0))
 TENT = PiecewiseLinearDensity((0.0, 0.5, 1.0), (0.0, 2.0, 0.0))
@@ -293,3 +293,43 @@ def test_piecewise_density_per_piece_slope_formulas_keep_their_bits(dist):
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (da[:-1] + da[1:]) * np.diff(ba))])
     want_cdf = np.minimum(cum[i] + da[i] * t + 0.5 * slope * t * t, 1.0)
     assert np.array_equal(dist.cdf(v), want_cdf)
+
+
+# a flat CDF piece and a CDF starting above 0; a zero-density piece and a falling
+# density, at vmax 1e-6 and 1e9 too; knots where 0.1 + (0.45 - 0.1) is not 0.45,
+# so a point on an F value must read the knot, not interpolate to it
+RUN_TABLES = [
+    TABLE,
+    TabulatedCdf(((0.0, 0.0), (0.1, 0.2), (0.45, 0.5), (0.9, 0.8), (1.0, 1.0))),
+    TabulatedCdf(((0.0, 1e-13), (0.2, 0.3), (0.5, 0.3), (0.7, 0.6), (0.8, 0.6), (1.0, 1.0))),
+    TabulatedCdf(((0.0, 0.0), (0.3e-6, 0.25), (0.6e-6, 0.25), (1e-6, 1.0))),
+    TRIANGULAR,
+    TENT,
+    FIVE_PIECES,
+    PiecewiseLinearDensity((0.0, 0.25, 0.5, 0.75, 1.0), (3.2, 0.0, 0.0, 1.6, 1.6)),
+    PiecewiseLinearDensity((0.0, 3e8, 5e8, 1e9), (2e-9, 0.0, 0.0, 2.8e-9)),
+]
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+@pytest.mark.parametrize("dist", RUN_TABLES, ids=lambda d: f"{type(d).__name__}-{d.vmax:g}")
+def test_run_quantile_is_bitwise_the_searched_quantile(dist, order):
+    # each piece of the inverse CDF is one slice of sorted u, found by searching the
+    # piece ends in u; any other order is sorted there and back, so every point gets
+    # the per-point search's bytes, on every knot and both its neighbours too
+    rng = np.random.default_rng(28)
+    ends = dist._Fs if isinstance(dist, TabulatedCdf) else dist._cum
+    u = np.sort(np.concatenate([
+        rng.uniform(0.0, 1.0, 500), ends, np.nextafter(ends, -1.0), np.nextafter(ends, 2.0),
+        [0.0, -0.0, 1.0, -0.5e-15, 1.0 + 0.5e-15],
+    ]))
+    u = u[(u >= -0.5e-15) & (u <= 1.0 + 0.5e-15)]
+    if order == "reversed":
+        u = u[::-1].copy()
+    elif order == "shuffled":
+        u = rng.permutation(u)
+    assert dist.quantile(u).tobytes() == searched_quantile(dist, u).tobytes()
+    for v in np.concatenate([rng.choice(u, 10), ends, [0.0, -0.0, 1.0, -0.5e-15]]).tolist():
+        want = searched_quantile(dist, v)
+        assert np.float64(dist.quantile(v)).tobytes() == np.float64(want).tobytes(), v
+        assert dist.quantile(np.asarray([v])).tobytes() == np.float64(want).tobytes(), v

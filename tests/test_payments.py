@@ -26,6 +26,7 @@ from roi_auction import (
     payment_schedule,
     run_standard_audit,
 )
+from roi_auction import allocation as allocation_module, payments as payments_module
 from roi_auction.allocation import AllocationRule, Constant, Linear, Segment
 from roi_auction.payments import _envelope
 from oracles import (
@@ -40,6 +41,7 @@ from oracles import (
     piece_tuples,
     tuple_power_product_integral,
 )
+from conftest import count_calls
 from random_rules import perturbed_table_copy, random_monotone_rule, random_nonmonotone_rule
 
 M2 = RoiTarget(2.0)
@@ -73,8 +75,9 @@ def test_step_rebate_value(ratio):
 
 
 def _on(rule, m, vs):
-    """(x, p~, g) of ``rule`` at vs, by the kernel that samples every derived schedule."""
-    return _envelope(rule, m.ratio, np.asarray(vs, dtype=float))
+    """(x, p~, g) of ``rule`` at sorted vs, by the kernel that samples every derived schedule."""
+    x, _, pt, g = _envelope(rule, m.ratio, np.asarray(vs, dtype=float))
+    return x, pt, g
 
 
 def test_myerson_payment_values():
@@ -497,6 +500,45 @@ def test_nan_payment_point_is_outside_the_domain(call):
     point = [0.25, float("nan")] if call == "value_many" else float("nan")
     with pytest.raises(DomainError):
         getattr(sched, call)(point)
+
+
+@pytest.mark.parametrize("point", [float("nan"), 1.5, -0.3])
+@pytest.mark.parametrize("form", ["derived", "hand"])
+def test_points_outside_the_domain_are_refused_by_either_kind(form, point):
+    sched = payment_schedule(make_step(0.5), M2)
+    if form == "hand":
+        sched = PaymentSchedule.hand(sched.allocation, M2, sched.grid, sched.payments)
+    with pytest.raises(DomainError, match="outside"):
+        sched.value_at(point)
+    with pytest.raises(DomainError, match="outside"):
+        sched.value_many([0.25, point])
+
+
+def test_hand_lookup_interpolates_points_it_does_not_clip():
+    # a hand grid may end inside the slack past vmax; the interpolant reads each
+    # point there as it is, so the refusal leaves every byte as np.interp gives it
+    grid = np.linspace(0.0, 1.0 + 0.5e-12, 51)
+    pays = 0.5 * grid * grid
+    sched = PaymentSchedule.hand(make_step(0.5), M2, grid, pays)
+    points = np.concatenate([grid, [-0.5e-12, -0.0, 1.0, 1.0 + 0.25e-12, 1.0 + 0.9e-12]])
+    assert sched.value_many(points).tobytes() == np.interp(points, grid, pays).tobytes()
+    for v in points.tolist():
+        assert np.float64(sched.value_at(v)).tobytes() == np.interp([v], grid, pays).tobytes()
+
+
+def test_derived_lookup_checks_its_points_once(monkeypatch):
+    # one domain check and one order scan serve the whole sweep; the rule's segment
+    # runs read the points already checked
+    sched = payment_schedule(RAMP, M2)
+    sched.value_at(0.5)  # the sampled columns, read before counting
+    counts = {}
+    for module in (payments_module, allocation_module):
+        counts[module.__name__] = count_calls(monkeypatch, module, "_prepare", "_in_order")
+    sched.value_many(np.linspace(0.0, 1.0, 1001))
+    assert counts == {
+        "roi_auction.payments": {"_prepare": 1, "_in_order": 1},
+        "roi_auction.allocation": {"_prepare": 0, "_in_order": 0},
+    }
 
 
 HUGE_STEP = make_step(0.4e300, 1e300)

@@ -34,7 +34,7 @@ from roi_auction import (
     optimal_mechanism,
     payment_schedule,
 )
-from roi_auction import allocation
+from roi_auction import numerics
 from roi_auction.cli import csv_text
 from roi_auction.revenue import _monte_carlo
 from conftest import count_calls
@@ -88,6 +88,22 @@ def test_support_mismatch_is_relative_below_unit_vmax():
         expected_revenue_quadrature(mech, wide)
     with pytest.raises(ConstructionError):
         expected_revenue_mc(mech, wide, 100)
+
+
+@pytest.mark.parametrize("form", ["derived", "hand"])
+def test_support_may_pass_vmax_only_by_the_lookup_slack(form):
+    # the payment lookups refuse a point past vmax by more than 1e-12 vmax, so a
+    # support wider than that is refused before any draw, by either kind
+    mech = payment_schedule(make_step(0.4, 1.0), M2)
+    if form == "hand":
+        mech = PaymentSchedule.hand(mech.allocation, M2, mech.grid, mech.payments)
+    with pytest.raises(ConstructionError, match="does not match"):
+        expected_revenue_mc(mech, UniformDistribution(1.0 + 1e-10), 100)
+    with pytest.raises(ConstructionError, match="does not match"):
+        expected_revenue_quadrature(mech, UniformDistribution(1.0 + 1e-10))
+    for vmax in (1.0 - 1e-10, 1.0 + 0.5e-12):
+        assert expected_revenue_mc(mech, UniformDistribution(vmax), 10_000).mean > 0.0
+        assert expected_revenue_quadrature(mech, UniformDistribution(vmax)).mean > 0.0
 
 
 def test_mc_seeded_reruns_are_identical():
@@ -324,16 +340,22 @@ def test_mc_fills_each_rebate_lookup_once_before_the_helper_starts(monkeypatch):
 
 def test_mc_sub_blocks_reach_the_lookups_already_sorted(monkeypatch):
     # the sorted sub-blocks reach every lookup in non-decreasing order, so no
-    # value_many call takes the argsort-and-scatter step; a shuffled call takes it once
-    permuted = count_calls(monkeypatch, allocation, "_permuted")
-    compare(UNIFORM, M2, mc_samples=FOUR_CHUNKS)
+    # quantile or value_many call takes the argsort-and-scatter step; a shuffled
+    # call takes it once
+    permuted = count_calls(monkeypatch, numerics, "_permuted")
+    for dist in (UNIFORM, CONVEX_TABLE, HUMP):
+        compare(dist, M2, mc_samples=FOUR_CHUNKS)
     assert permuted == {"_permuted": 0}
     sched = optimal_mechanism(UNIFORM, M2).schedule
     shuffled = np.random.default_rng(0).permutation(np.linspace(0.0, 1.0, 1001))
+    order = np.argsort(shuffled)
     pays = sched.value_many(shuffled)
     assert permuted == {"_permuted": 1}
-    order = np.argsort(shuffled)
     assert pays[order].tobytes() == sched.value_many(shuffled[order]).tobytes()
+    for calls, dist in enumerate((CONVEX_TABLE, HUMP), start=2):
+        values = dist.quantile(shuffled)
+        assert permuted == {"_permuted": calls}
+        assert values[order].tobytes() == dist.quantile(shuffled[order]).tobytes()
 
 
 def test_mc_memory_holds_one_payment_array_per_row():
