@@ -42,8 +42,20 @@ Lines = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 _NO_LINES: Lines = (np.empty(0),) * 4
 
 
+class _Shape:
+    """What a shape has unless it says otherwise: no linear piece and no knot
+    inside its segment."""
+
+    def lines(self, lo: float, hi: float) -> Lines:
+        # g' keeps one sign on a constant or power piece, so the extremes sit at the ends
+        return _NO_LINES
+
+    def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
+        return ()
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_Shape):
     level: float
 
     def validate(self, lo: float, hi: float) -> None:
@@ -56,12 +68,6 @@ class Constant:
     def integral(self, a, b):
         return self.level * (np.asarray(b, dtype=float) - a)
 
-    def lines(self, lo: float, hi: float) -> Lines:
-        return _NO_LINES
-
-    def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
-        return ()
-
     def lower(self, lo: float, hi: float, vmax: float) -> Pieces:
         coef = np.array([[self.level, 0.0]])
         return Pieces(np.array([lo]), np.array([hi]), coef, np.zeros((1, 2)))
@@ -71,7 +77,7 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class Linear:
+class Linear(_Shape):
     """x(v) = slope * v + intercept, in global coordinates."""
 
     slope: float
@@ -102,9 +108,6 @@ class Linear:
     def lines(self, lo: float, hi: float) -> Lines:
         return tuple(np.asarray([v]) for v in (lo, hi, self.slope, self.intercept))
 
-    def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
-        return ()
-
     def lower(self, lo: float, hi: float, vmax: float) -> Pieces:
         coef = np.array([[self.intercept, self.slope * vmax]])
         return Pieces(np.array([lo]), np.array([hi]), coef, np.array([[0.0, 1.0]]))
@@ -114,7 +117,7 @@ class Linear:
 
 
 @dataclass(frozen=True)
-class PowerRamp:
+class PowerRamp(_Shape):
     """x(v) = scale * v ** exponent with scale >= 0 and exponent > 0."""
 
     scale: float
@@ -147,13 +150,6 @@ class PowerRamp:
         # v^(e+1) left the float range; v x(v) / (e+1) is the same antiderivative
         return (b * self.value(b) - a * self.value(a)) / e1
 
-    def lines(self, lo: float, hi: float) -> Lines:
-        # g' keeps one sign on a power piece, so the extremes sit at the ends
-        return _NO_LINES
-
-    def interior_knots(self, lo: float, hi: float) -> tuple[float, ...]:
-        return ()
-
     def lower(self, lo: float, hi: float, vmax: float) -> Pieces:
         # the coefficient is x extrapolated to vmax
         e = self.exponent
@@ -177,7 +173,7 @@ class PowerRamp:
 
 
 @dataclass(frozen=True)
-class TableShape:
+class TableShape(_Shape):
     """Linear interpolation through sample points spanning the segment."""
 
     points: tuple[tuple[float, float], ...]
@@ -291,43 +287,31 @@ class AllocationRule:
         parts = [float(s.shape.integral(s.lo, s.hi)) for s in self.segments]
         return np.concatenate([[0.0], np.cumsum(parts)])
 
-    def _per_segment(self, v, *fns):
-        """Each fn(i, segment, points) on the points in each segment, which must lie
-        in [0, vmax] up to the support slack; one output per fn, each a float for a
-        scalar v. The domain check and order check run once for all fns."""
+    def _per_segment(self, v) -> tuple:
+        """(x, integral of x from 0) at v, which must lie in [0, vmax] up to the
+        support slack; each a float for a scalar v."""
         a, scalar = _prepare(v, self.vmax)
-        outs = _in_order(lambda a: self._runs(a, *fns), a)
-        return tuple(float(out[0]) if scalar else out for out in outs)
+        return tuple(float(out[0]) if scalar else out for out in _in_order(self._runs, a))
 
-    def _runs(self, a: np.ndarray, *fns) -> list[np.ndarray]:
+    def _runs(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_per_segment`` on points a already sorted and clipped onto [0, vmax]:
         the segment starts are searched in the points, not each point, and each
-        segment's points are one slice."""
+        segment evaluates x and its integral on one slice."""
         bounds = [0, *np.searchsorted(a, self._los[1:], side="left").tolist(), a.size]
-        outs = [np.empty_like(a) for _ in fns]
-        for i, (seg, lo, hi) in enumerate(zip(self.segments, bounds[:-1], bounds[1:])):
+        x, area = np.empty_like(a), np.empty_like(a)
+        for below, seg, lo, hi in zip(self._cum, self.segments, bounds[:-1], bounds[1:]):
             if hi > lo:
-                for out, fn in zip(outs, fns):
-                    out[lo:hi] = fn(i, seg, a[lo:hi])
-        return outs
-
-    def _value(self, i, seg, a):
-        return seg.shape.value(a)
-
-    def _integral(self, i, seg, a):
-        return self._cum[i] + seg.shape.integral(seg.lo, a)
+                x[lo:hi] = seg.shape.value(a[lo:hi])
+                area[lo:hi] = below + seg.shape.integral(seg.lo, a[lo:hi])
+        return x, area
 
     def evaluate(self, v):
         """Allocation at v; the right limit at every jump."""
-        return self._per_segment(v, self._value)[0]
+        return self._per_segment(v)[0]
 
     def prefix_integral(self, v):
         """Exact integral of the allocation from 0 to v."""
-        return self._per_segment(v, self._integral)[0]
-
-    def _value_and_integral(self, v):
-        """(evaluate(v), prefix_integral(v)) from one segment lookup."""
-        return self._per_segment(v, self._value, self._integral)
+        return self._per_segment(v)[1]
 
     def knots(self) -> tuple[float, ...]:
         """Segment endpoints plus interior table vertices, sorted."""

@@ -55,7 +55,12 @@ class DmrReport:
 
 
 class ValueDistribution(abc.ABC):
-    """A value distribution on [0, vmax] with F(0) = 0 and F(vmax) = 1."""
+    """A value distribution on [0, vmax] with F(0) = 0 and F(vmax) = 1.
+
+    A subclass's ``_cdf``, ``_pdf`` and ``_quantile`` receive checked float
+    arrays; ``_quantile`` receives u flattened, clipped onto [0, 1] and in
+    non-decreasing order, as ``quantile`` sorts other orders there and back.
+    """
 
     vmax: float
 
@@ -66,7 +71,8 @@ class ValueDistribution(abc.ABC):
     def _pdf(self, v: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def _quantile(self, u: np.ndarray) -> np.ndarray: ...
+    def _quantile(self, u: np.ndarray) -> np.ndarray:
+        """The quantile at sorted u (see the class docstring)."""
 
     @abc.abstractmethod
     def pdf_pieces(self) -> Pieces:
@@ -120,7 +126,7 @@ class ValueDistribution(abc.ABC):
     def quantile(self, u):
         """Generalized inverse of the CDF; exact where closed forms exist."""
         a, scalar = _prepare(u, 1.0, slack=1e-15)
-        return _ret(self._quantile(a), scalar)
+        return _ret(_in_order(lambda u: (self._quantile(u),), a)[0], scalar)
 
     def _piece_probes(self) -> tuple[list[float], list[float]]:
         """Pairs (start, end) of points inside each ``psi_pieces`` piece between
@@ -317,13 +323,9 @@ class PiecewiseLinearDensity(ValueDistribution):
         return np.minimum(self._cum[i] + d[i] * t + 0.5 * slope * t * t, 1.0)
 
     def _quantile(self, u):
-        """The inverse CDF piece by piece: on sorted u each density piece's points
-        are one slice, found by searching the piece starts (``_cum``) in u, and
-        each piece reads its own coefficients as scalars; other orders are
-        sorted there and back."""
-        return _in_order(self._quantile_runs, u)[0]
-
-    def _quantile_runs(self, u):
+        """The inverse CDF piece by piece: each density piece's points are one
+        slice of u, found by searching the piece starts (``_cum``) in u, and each
+        piece reads its own coefficients as scalars."""
         (b, d), cum, slopes = self._arrays, self._cum, self._slopes
         # piece j takes cum[j] <= u < cum[j + 1]; the last one every u from its start on
         bounds = [0, *np.searchsorted(u, cum[1:-1], side="left").tolist(), u.size]
@@ -336,7 +338,7 @@ class PiecewiseLinearDensity(ValueDistribution):
                 denom = d[j] + np.sqrt(disc)
                 t = np.where(denom > 0.0, 2.0 * du / np.where(denom > 0.0, denom, 1.0), 0.0)
                 out[lo:hi] = np.minimum(b[j] + np.minimum(t, b[j + 1] - b[j]), self.vmax)
-        return (out,)
+        return out
 
     def pdf_pieces(self) -> Pieces:
         # f = d_i + slope (v - b_i), with slope per unit t = v / vmax
@@ -405,13 +407,9 @@ class TabulatedCdf(ValueDistribution):
         return self._slopes[i]
 
     def _quantile(self, u):
-        """The inverse CDF segment by segment: on sorted u each table segment's
-        points are one slice, found by searching the table's F values in u, and
-        each segment reads its two ends as scalars; other orders are sorted
-        there and back."""
-        return _in_order(self._quantile_runs, u)[0]
-
-    def _quantile_runs(self, u):
+        """The inverse CDF segment by segment: each table segment's points are
+        one slice of u, found by searching the table's F values in u, and each
+        segment reads its two ends as scalars."""
         Fs, vs = self._Fs, self._vs
         # u strictly between Fs[j - 1] and Fs[j] interpolates on segment j (u below
         # Fs[0] reads vs[0]), and u equal to Fs[j] is vs[j], the first of equal Fs
@@ -429,7 +427,7 @@ class TabulatedCdf(ValueDistribution):
             if end > start:
                 out[start:end] = vs[j]
                 start = end
-        return (out,)
+        return out
 
     def pdf_pieces(self) -> Pieces:
         slopes = self._slopes[:, None]

@@ -38,11 +38,13 @@ def _prepare(v, vmax: float, slack: float = _SUPPORT_SLACK) -> tuple[np.ndarray,
 
 
 def _in_order(fn, a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """fn(a), arrays aligned with the points a, from fn on a in non-decreasing
-    order: other points are ``_permuted``, so no result depends on their order."""
-    if a.size > 1 and np.any(a[1:] < a[:-1]):
-        return _permuted(fn, a)
-    return tuple(fn(a))
+    """fn(a), arrays shaped as the points a, from fn on a flattened and in
+    non-decreasing order: other points are ``_permuted``, so no result depends
+    on their order or shape. The one place a lookup's points are sorted."""
+    flat = a.reshape(-1)
+    shuffled = flat.size > 1 and np.any(flat[1:] < flat[:-1])
+    outs = _permuted(fn, flat) if shuffled else fn(flat)
+    return tuple(out.reshape(a.shape) for out in outs)
 
 
 def _permuted(fn, a: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -91,7 +91,7 @@ def _envelope(rule: AllocationRule, ratio: float, v: np.ndarray):
     the envelope payment p~ = v x - integral_0^v x, and the violation
     g = ratio * p~ - v x. The rule reads v clipped onto [0, vmax] by the domain
     check (``numerics._prepare``); v x reads v itself."""
-    x, area = rule._runs(_prepare(v, rule.vmax)[0], rule._value, rule._integral)
+    x, area = rule._runs(_prepare(v, rule.vmax)[0])
     vx = v * x
     pt = np.subtract(vx, area, out=area)
     g = ratio * pt

@@ -380,7 +380,7 @@ def eager_schedule_columns(rule, m, grid_n: int) -> dict:
             "payments would overflow"
         )
     # _envelope
-    x, area = masked_per_segment(rule, grid, rule._value, rule._integral)
+    x, area = masked_per_segment(rule, grid)
     vx = grid * x
     pt = vx - area
     g = m.ratio * pt - vx
@@ -566,7 +566,7 @@ def full_grid_sweep(sched, a):
     ``masked_per_segment``, the stored running max looked up by a binary search
     of the whole grid."""
     rule = sched.allocation
-    x, area = masked_per_segment(rule, a, rule._value, rule._integral)
+    x, area = masked_per_segment(rule, a)
     vx = a * x
     g = sched.m.ratio * (vx - area) - vx
     idx = np.searchsorted(sched.grid, a, side="right") - 1
@@ -575,10 +575,11 @@ def full_grid_sweep(sched, a):
     return x, reb, a * x - (reb - g)
 
 
-def masked_per_segment(rule, v, *fns):
-    """``AllocationRule._per_segment`` with each point's segment found by a binary
-    search of the segment starts, then one boolean gather and scatter per segment
-    and output: the lookup the run slices replaced, kept as their reference."""
+def masked_per_segment(rule, v):
+    """``AllocationRule._per_segment``, (x, integral of x from 0), with each point's
+    segment found by a binary search of the segment starts, then one boolean gather
+    and scatter per segment and output: the lookup the run slices replaced, kept as
+    their reference."""
     from roi_auction.allocation import _JOIN_TOL
     from roi_auction.errors import DomainError
 
@@ -590,13 +591,13 @@ def masked_per_segment(rule, v, *fns):
             raise DomainError(f"evaluation point outside [0, {rule.vmax}]")
     a = np.clip(a, 0.0, rule.vmax)
     idx = np.clip(np.searchsorted(rule._los, a, side="right") - 1, 0, len(rule.segments) - 1)
-    outs = [np.empty_like(a) for _ in fns]
+    outs = [np.empty_like(a), np.empty_like(a)]
     for i, seg in enumerate(rule.segments):
         mask = idx == i
         if np.any(mask):
             points = a[mask]
-            for out, fn in zip(outs, fns):
-                out[mask] = fn(i, seg, points)
+            outs[0][mask] = seg.shape.value(points)
+            outs[1][mask] = rule._cum[i] + seg.shape.integral(seg.lo, points)
     return tuple(float(out[0]) if arr.ndim == 0 else out for out in outs)
 
 

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +28,9 @@ STEP = make_step(0.4, 1.0)
 RAMP = make_power_ramp(0.75, 2.0)  # x = (4/3) v below 0.75, then 1
 STAIRS = make_piecewise_constant([0.2, 0.6], [0.0, 0.5, 1.0], 1.0)
 TABLE = make_table([(0.0, 0.0), (0.3, 0.2), (0.6, 0.2), (1.0, 1.0)])
+LINEAR = AllocationRule(
+    2.0, (Segment(0.0, 0.5, Constant(0.1)), Segment(0.5, 2.0, Linear(0.3, 0.25)))
+)
 
 
 def test_step_is_right_continuous():
@@ -76,7 +82,7 @@ def test_one_segment_lookup_gives_evaluate_and_prefix_integral(seed):
         np.asarray([-0.5e-12 * vmax, vmax * (1.0 + 0.5e-12)]),
     )
     for v in points:
-        x, area = rule._value_and_integral(v)
+        x, area = rule._per_segment(v)
         want_x, want_area = rule.evaluate(v), rule.prefix_integral(v)
         if np.ndim(v) == 0:
             assert type(x) is float and type(area) is float
@@ -84,7 +90,7 @@ def test_one_segment_lookup_gives_evaluate_and_prefix_integral(seed):
         assert np.asarray(area).tobytes() == np.asarray(want_area).tobytes()
     for bad in (-2e-12 * vmax, vmax * (1.0 + 2e-12), np.asarray([0.5 * vmax, -vmax])):
         errors = []
-        for fn in (rule._value_and_integral, rule.evaluate, rule.prefix_integral):
+        for fn in (rule._per_segment, rule.evaluate, rule.prefix_integral):
             with pytest.raises(DomainError) as exc:
                 fn(bad)
             errors.append(str(exc.value))
@@ -235,12 +241,15 @@ def test_stationary_candidates_for_sub_two_ratios():
     assert all(abs(z - 0.8) > 1e-9 for z in rule.stationary_candidates(2.0))
 
 
-@pytest.mark.parametrize("rule", [STEP, RAMP, STAIRS, TABLE], ids=["step", "ramp", "stairs", "table"])
+@pytest.mark.parametrize(
+    "rule", [STEP, RAMP, STAIRS, TABLE, LINEAR], ids=["step", "ramp", "stairs", "table", "linear"]
+)
 def test_descriptor_round_trip(rule):
     again = allocation_from_descriptor(rule.descriptor())
     grid = np.linspace(0.0, rule.vmax, 97)
     assert np.array_equal(again.evaluate(grid), rule.evaluate(grid))
     assert again.descriptor() == rule.descriptor()
+    assert again == rule
 
 
 def test_descriptor_rejects_malformed():
@@ -255,6 +264,105 @@ def test_descriptor_rejects_malformed():
     }
     with pytest.raises(DescriptorError):
         allocation_from_descriptor(bad_shape)
+
+
+def _on_unit(shape):
+    return AllocationRule(1.0, (Segment(0.0, 1.0, shape),))
+
+
+def _with_segment(segment):
+    return allocation_from_descriptor({"vmax": 1.0, "segments": [segment]})
+
+
+# (build, error, message) for each refusal of the module
+REFUSALS = {
+    "constant nan": (lambda: _on_unit(Constant(math.nan)), ConstructionError, "outside [0, 1]"),
+    "constant above 1": (lambda: _on_unit(Constant(1.5)), ConstructionError, "outside [0, 1]"),
+    "linear not finite": (
+        lambda: _on_unit(Linear(math.inf, 0.0)), ConstructionError, "finite slope and intercept"
+    ),
+    "linear leaves [0, 1]": (
+        lambda: _on_unit(Linear(1.0, 0.5)), ConstructionError, "leaves [0, 1] at v=1.0"
+    ),
+    "power scale": (lambda: _on_unit(PowerRamp(-1.0, 2.0)), ConstructionError, "scale must be >= 0"),
+    "power exponent": (
+        lambda: _on_unit(PowerRamp(1.0, 0.0)), ConstructionError, "exponent must be > 0"
+    ),
+    "power exceeds 1": (lambda: _on_unit(PowerRamp(2.0, 1.0)), ConstructionError, "exceeds 1"),
+    "table one point": (
+        lambda: _on_unit(TableShape(((0.0, 0.0),))), ConstructionError, "at least two points"
+    ),
+    "table not finite": (
+        lambda: _on_unit(TableShape(((0.0, 0.0), (1.0, math.nan)))),
+        ConstructionError,
+        "must be finite",
+    ),
+    "table repeats a point": (
+        lambda: _on_unit(TableShape(((0.0, 0.0), (0.5, 0.1), (0.5, 0.2), (1.0, 1.0)))),
+        ConstructionError,
+        "strictly increasing",
+    ),
+    "table short of the segment": (
+        lambda: _on_unit(TableShape(((0.0, 0.0), (0.9, 1.0)))),
+        ConstructionError,
+        "span the segment",
+    ),
+    "table above 1": (
+        lambda: _on_unit(TableShape(((0.0, 0.0), (1.0, 1.5)))),
+        ConstructionError,
+        "within [0, 1]",
+    ),
+    "rule vmax": (
+        lambda: AllocationRule(math.nan, (Segment(0.0, 1.0, Constant(0.0)),)),
+        ConstructionError,
+        "vmax must be positive and finite",
+    ),
+    "rule without segments": (
+        lambda: AllocationRule(1.0, ()), ConstructionError, "at least one segment"
+    ),
+    "staircase level count": (
+        lambda: make_piecewise_constant([0.5], [0.0]), ConstructionError, "one more level"
+    ),
+    "staircase breaks": (
+        lambda: make_piecewise_constant([0.6, 0.4], [0.0, 0.5, 1.0]),
+        ConstructionError,
+        "strictly increasing inside (0, vmax)",
+    ),
+    "ramp threshold at 0": (
+        lambda: make_power_ramp(0.0, 2.0), ConstructionError, "threshold must lie in (0, vmax]"
+    ),
+    "ramp threshold past vmax": (
+        lambda: make_power_ramp(1.5, 2.0), ConstructionError, "threshold must lie in (0, vmax]"
+    ),
+    "table start": (
+        lambda: make_table([(0.1, 0.0), (1.0, 1.0)]), ConstructionError, "starting at v=0"
+    ),
+    "segments not a list": (
+        lambda: allocation_from_descriptor({"vmax": 1.0, "segments": []}),
+        DescriptorError,
+        "non-empty list",
+    ),
+    "shape not an object": (
+        lambda: _with_segment({"lo": 0.0, "hi": 1.0, "shape": [0.5]}),
+        DescriptorError,
+        "shape descriptor must be an object",
+    ),
+    "segment fields": (
+        lambda: _with_segment({"lo": 0.0, "hi": 1.0}),
+        DescriptorError,
+        "exactly 'lo', 'hi' and 'shape'",
+    ),
+    "segment not an object": (
+        lambda: _with_segment([0.0, 1.0]), DescriptorError, "exactly 'lo', 'hi' and 'shape'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_names_its_cause(case):
+    build, error, message = REFUSALS[case]
+    with pytest.raises(error, match=re.escape(message)):
+        build()
 
 
 def test_descriptor_rejects_bad_tiling():

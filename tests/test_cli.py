@@ -150,6 +150,24 @@ def _single_error_line(capsys) -> str:
     return lines[0]
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([STEP_DESC], "mechanism file must hold a JSON object"),
+        ({"allocation": STEP_DESC}, "no target ratio"),
+        ({"allocation": STEP_DESC, "m": 2.0, "schedule": {"grid": [0.0, 1.0]}},
+         "'schedule' needs exactly 'grid' and 'payments'"),
+        ({"allocation": STEP_DESC, "m": 2.0, "schedule": [[0.0, 1.0], [0.0, 0.5]]},
+         "'schedule' needs exactly 'grid' and 'payments'"),
+    ],
+    ids=["not an object", "no ratio", "schedule fields", "schedule not an object"],
+)
+def test_malformed_mechanism_files_are_unusable_input(data, message, tmp_path, capsys):
+    path = _write(tmp_path, "mech.json", data)
+    assert main(["audit", path]) == 2
+    assert message in _single_error_line(capsys)
+
+
 @pytest.mark.parametrize("command", ["solve", "compare"])
 def test_ratio_too_close_to_one_is_unusable_input(command, uniform_file, tmp_path, capsys):
     # c = 1e7: the ramp scale D^-c overflows a float

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from roi_auction import (
+    ConstructionError,
     DescriptorError,
     DomainError,
     PiecewiseLinearDensity,
@@ -250,6 +252,62 @@ def test_construction_guards():
         TabulatedCdf(((0.0, 0.1), (1.0, 1.0)))  # F(0) != 0
     with pytest.raises(ConstructionError):
         TabulatedCdf(((0.0, 0.0), (0.5, 0.6), (1.0, 0.4)))  # decreasing
+
+
+# (build, error, message) for each refusal of the module
+REFUSALS = {
+    "dmr grid of one point": (
+        lambda: UniformDistribution(1.0).check_dmr(grid_n=1),
+        ConstructionError,
+        "at least two grid points",
+    ),
+    "power vmax": (
+        lambda: PowerCdfDistribution(2.0, vmax=0.0), ConstructionError, "vmax must be positive"
+    ),
+    "power exponent": (lambda: PowerCdfDistribution(0.5), ConstructionError, "exponent must be >= 1"),
+    "density sizes": (
+        lambda: PiecewiseLinearDensity((0.0, 1.0), (1.0,)), ConstructionError, "need matching"
+    ),
+    "density one point": (
+        lambda: PiecewiseLinearDensity((0.0,), (1.0,)), ConstructionError, "at least two"
+    ),
+    "density start": (
+        lambda: PiecewiseLinearDensity((0.5, 1.0), (2.0, 2.0)),
+        ConstructionError,
+        "support must start at 0",
+    ),
+    "density breakpoints": (
+        lambda: PiecewiseLinearDensity((0.0, 0.5, 0.5, 1.0), (1.0, 1.0, 1.0, 1.0)),
+        ConstructionError,
+        "breakpoints must be strictly increasing",
+    ),
+    "density negative": (
+        lambda: PiecewiseLinearDensity((0.0, 1.0), (2.5, -0.5)),
+        ConstructionError,
+        "finite and non-negative",
+    ),
+    "table one point": (
+        lambda: TabulatedCdf(((0.0, 0.0),)), ConstructionError, "at least two (v, F) points"
+    ),
+    "table end": (
+        lambda: TabulatedCdf(((0.0, 0.0), (1.0, 0.9))), ConstructionError, "end at (vmax, 1)"
+    ),
+    "table values": (
+        lambda: TabulatedCdf(((0.0, 0.0), (0.5, 0.5), (0.5, 0.6), (1.0, 1.0))),
+        ConstructionError,
+        "value points must be strictly increasing",
+    ),
+    "descriptor not an object": (
+        lambda: distribution_from_descriptor([1.0]), DescriptorError, "must be an object, got list"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_names_its_cause(case):
+    build, error, message = REFUSALS[case]
+    with pytest.raises(error, match=re.escape(message)):
+        build()
 
 
 @pytest.mark.parametrize("vmax", [1e160, 1e200])

@@ -72,6 +72,54 @@ def test_bisect_linear(slope, root):
     assert abs(got - root) < 1e-11
 
 
+@pytest.mark.parametrize("root", [1.0, 2.0], ids=["lo", "hi"])
+def test_bisect_returns_an_end_where_f_is_exactly_zero(root):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - root
+
+    assert bisect_root(f, 1.0, 2.0, x_tol=1e-12) == root
+    assert calls == [1.0, 2.0]
+
+
+def _lookups():
+    """(name, lookup on arrays, the same lookup on one float) over one rule, its
+    derived and hand schedules and one distribution of each kind, all on [0, 1]."""
+    rule = make_power_ramp(0.6, 2.0)
+    sched = payment_schedule(rule, RoiTarget(2.0), 101)
+    hand = PaymentSchedule.hand(rule, RoiTarget(2.0), sched.grid, sched.payments)
+    out = [
+        ("evaluate", rule.evaluate, rule.evaluate),
+        ("prefix_integral", rule.prefix_integral, rule.prefix_integral),
+        ("derived value_many", sched.value_many, sched.value_at),
+        ("hand value_many", hand.value_many, hand.value_at),
+    ]
+    for dist in (
+        UniformDistribution(1.0),
+        PowerCdfDistribution(2.0),
+        PiecewiseLinearDensity((0.0, 0.5, 1.0), (0.0, 2.0, 0.0)),
+        TabulatedCdf(((0.0, 0.0), (0.25, 0.1), (0.5, 0.45), (1.0, 1.0))),
+    ):
+        for name in ("quantile", "cdf", "pdf", "marginal_revenue"):
+            fn = getattr(dist, name)
+            out.append((f"{type(dist).__name__} {name}", fn, fn))
+    return out
+
+
+@pytest.mark.parametrize("order", ["shuffled", "sorted"])
+def test_every_lookup_keeps_the_shape_of_its_points(order):
+    points = np.array([[0.7, 0.1], [0.45, 0.9]])
+    if order == "sorted":
+        points = np.sort(points, axis=None).reshape(2, 2)
+    for name, many, one in _lookups():
+        got = many(points)
+        assert got.shape == (2, 2), name
+        want = np.array([[one(v) for v in row] for row in points.tolist()])
+        assert got.tobytes() == want.tobytes(), name
+
+
 def test_bisect_requires_bracket():
     with pytest.raises(ValueError):
         bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, x_tol=1e-9)

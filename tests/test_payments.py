@@ -467,15 +467,15 @@ def test_run_lookup_is_bitwise_the_masked_search(vmax, order):
                 np.nextafter(sched.grid, 0.0), [0.0, -0.0, vmax, -inside, vmax + inside],
             ]))
             points = _ordered(points, order, rng)
-            both = rule._value_and_integral(points)
-            want = masked_per_segment(rule, points, rule._value, rule._integral)
+            both = rule._per_segment(points)
+            want = masked_per_segment(rule, points)
             assert [out.tobytes() for out in both] == [out.tobytes() for out in want]
             assert rule.evaluate(points).tobytes() == want[0].tobytes()
             assert rule.prefix_integral(points).tobytes() == want[1].tobytes()
             assert sched.value_many(points).tobytes() == full_grid_sweep(sched, points)[2].tobytes()
             for v in np.concatenate([rng.choice(points, 10), [-0.0, -inside, vmax + inside]]).tolist():
-                x, area = masked_per_segment(rule, v, rule._value, rule._integral)
-                got = (rule.evaluate(v), rule.prefix_integral(v), *rule._value_and_integral(v))
+                x, area = masked_per_segment(rule, v)
+                got = (rule.evaluate(v), rule.prefix_integral(v), *rule._per_segment(v))
                 assert np.array(got).tobytes() == np.array((x, area) * 2).tobytes()
                 assert rule.evaluate(np.asarray([v])).tobytes() == np.float64(x).tobytes()
                 _, reb, pay = full_grid_sweep(sched, np.asarray([v]))
