@@ -29,7 +29,8 @@ def _prepare(v, vmax: float, slack: float = _SUPPORT_SLACK) -> tuple[np.ndarray,
     arr = np.asarray(v, dtype=float)
     a = np.atleast_1d(arr)
     if a.size:
-        lo, hi, pad = float(np.min(a)), float(np.max(a)), slack * max(1.0, vmax)
+        lo, hi = float(np.minimum.reduce(a, axis=None)), float(np.maximum.reduce(a, axis=None))
+        pad = slack * max(1.0, vmax)
         if not (lo >= -pad and hi <= vmax + pad):  # nan fails it too
             raise DomainError(f"point {hi if lo >= -pad else lo!r} outside [0, {vmax}]")
         if lo < 0.0 or hi > vmax:
@@ -42,7 +43,7 @@ def _in_order(fn, a: np.ndarray) -> tuple[np.ndarray, ...]:
     non-decreasing order: other points are ``_permuted``, so no result depends
     on their order or shape. The one place a lookup's points are sorted."""
     flat = a.reshape(-1)
-    shuffled = flat.size > 1 and np.any(flat[1:] < flat[:-1])
+    shuffled = flat.size > 1 and np.less(flat[1:], flat[:-1]).any()
     outs = _permuted(fn, flat) if shuffled else fn(flat)
     return tuple(out.reshape(a.shape) for out in outs)
 

@@ -207,10 +207,11 @@ class PaymentSchedule:
     @cached_property
     def _rebate_steps(self) -> tuple[np.ndarray, np.ndarray]:
         """The grid points where ``rebates`` changes its bits (the first always),
-        and ``rebates`` there; between two of them the grid holds the same float."""
+        and one level more: 0.0 below the first, then ``rebates`` at each; between
+        two of them the grid holds the same float."""
         bits = self.rebates.view(np.int64)
         at = np.flatnonzero(np.concatenate([[True], bits[1:] != bits[:-1]]))
-        return self.grid[at], self.rebates[at]
+        return self.grid[at], np.concatenate([[0.0], self.rebates[at]])
 
     def _sweep(self, v):
         """(x, g, R, p) at the points v, p = v x - (R - g): R joins g with the
@@ -218,12 +219,12 @@ class PaymentSchedule:
         the constraint binding) keep to a few dozen. One domain check and one
         order check serve the whole sweep; on the points in non-decreasing
         order each rule segment and each change point starts one slice."""
-        steps, rebates = self._rebate_steps
+        steps, levels = self._rebate_steps
 
         def runs(a):
             x, vx, pt, g = _envelope(self.allocation, self.m.ratio, a)
-            starts = np.searchsorted(a, steps, side="left")
-            reb = np.repeat(np.append(0.0, rebates), np.diff(starts, prepend=0, append=a.size))
+            bounds = np.concatenate(([0], a.searchsorted(steps, side="left"), [a.size]))
+            reb = levels.repeat(bounds[1:] - bounds[:-1])
             np.maximum(reb, g, out=reb)
             np.maximum(reb, 0.0, out=reb)
             # p = v x - (R - g), formed in the buffers of v x and p~

@@ -5,13 +5,14 @@ payment pieces (``PaymentSchedule.pieces``, power terms in t = v / vmax)
 against the density's with ``numerics.power_product_integral``, for either
 kind of schedule alike. Monte Carlo draws values by quantile transform from
 counter-based substreams, so results are byte-identical for a given seed
-regardless of chunking order. Each chunk of draws is evaluated in sorted
-order, in sub-blocks of 16384 draws, and scattered back. In a sorted sub-block
-each piece of a table's inverse CDF, each rule segment and each rebate step is
-one slice, found by searching its few boundaries in the draws; quantile and
-payment are elementwise, so every draw gets the same float and the sums run
-in draw order. Both rows of ``compare`` share the draws: each chunk is drawn,
-sorted and inverted once, and each row's payments go to that row's own array.
+regardless of chunking order. Each chunk's draws are sorted once, evaluated in
+sub-blocks of 32768, each a slice of the sorted draws, and scattered back. In
+a sorted sub-block each piece of a table's inverse CDF, each rule segment and
+each rebate step is one slice, found by searching its few boundaries in the
+draws; quantile and payment are elementwise, so every draw gets the same float
+and the sums run in draw order. Both rows of ``compare`` share the draws: each
+chunk is drawn, sorted and inverted once, and each row's payments go to that
+row's own array.
 Chunks run on two threads, the caller and one helper, and each writes only its
 own slice of those arrays, so which thread takes a chunk cannot change a byte.
 """
@@ -33,7 +34,7 @@ from .numerics import _SUPPORT_SLACK, bisect_root, power_product_integral
 from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule
 
 _MC_CHUNK = 1 << 16
-_MC_BLOCK = 1 << 14
+_MC_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,15 @@ def expected_revenue_mc(
     Each 65536-draw chunk runs on its own Philox key derived from (seed,
     chunk index), so the stream for chunk k never depends on how many draws
     preceded it; n and seed are integers, and seeds run from 0 to 2^64 - 1.
-    A chunk's uniforms are evaluated in sorted order, in sub-blocks of 16384
-    draws, where each CDF piece, rule segment and rebate step is one slice, and the
-    payments are scattered back to draw order. Each draw gets the float it
-    would get alone, and the mean and standard error sum the same array in the
-    same order. The caller and one helper thread take chunks in turn, each
-    writing only that chunk's slice, and the sums start once both are done;
-    an error in either thread is raised here. ``compare`` runs its two rows
-    through the same loop, so each row reads these same draws.
+    A chunk's uniforms are sorted once and evaluated in sub-blocks of 32768,
+    each a slice of the sorted uniforms, where each CDF piece, rule segment and
+    rebate step is one slice, and the payments are scattered back to draw
+    order. Each draw gets the float it would get alone, and the mean and
+    standard error sum the same array in the same order. The caller and one
+    helper thread take chunks in turn, each writing only that chunk's slice,
+    and the sums start once both are done; an error in either thread is
+    raised here. ``compare`` runs its two rows through the same loop, so each
+    row reads these same draws.
     """
     return _monte_carlo((mech,), dist, n, seed)[0]
 
@@ -174,13 +176,13 @@ def _mc_chunk(
     gen = np.random.Generator(np.random.Philox(key=seed * 2**64 + k))
     u = gen.random(stop - start)
     order = np.argsort(u)
+    u = u[order]  # sorted once; the draws in draw order are freed
     # quantile and payment are elementwise, so a sub-block gives each draw the
     # float the whole chunk would; it keeps their temporaries small
     for at in range(0, stop - start, _MC_BLOCK):
-        idx = order[at:at + _MC_BLOCK]
-        values = dist.quantile(u[idx])
+        values = dist.quantile(u[at:at + _MC_BLOCK])
         for mech, out in zip(mechs, pays):
-            out[start:stop][idx] = mech.value_many(values)
+            out[start:stop][order[at:at + _MC_BLOCK]] = mech.value_many(values)
 
 
 def _moments(pays: np.ndarray, vmax: float, n: int, seed: int) -> RevenueEstimate:

@@ -21,8 +21,8 @@ from roi_auction import (
     myerson_baseline,
     payment_schedule,
 )
-from roi_auction.errors import QuadratureError
-from roi_auction.numerics import adaptive_simpson, bisect_root
+from roi_auction.errors import DomainError, QuadratureError
+from roi_auction.numerics import _prepare, adaptive_simpson, bisect_root
 from roi_auction.optimal import _scaled_integral
 from oracles import (
     loop_psi_pieces,
@@ -250,3 +250,17 @@ def test_float_power_is_libm_pow_bitwise(q):
     want = np.asarray([math.pow(v, q) for v in t.tolist()])
     assert np.array_equal(np.float_power(t, np.full_like(t, q)).view(np.int64), want.view(np.int64))
     assert np.array_equal(np.float_power(t, q).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_prepare_refuses_nan_and_infinities_in_every_shape(bad):
+    # the domain check reduces the points to their least and greatest; nan and
+    # either infinity fail it whether the points are a scalar, 1-D or 2-D
+    two_d = [[0.25, 0.5], [bad, 0.75]]
+    for v in (bad, np.float64(bad), [0.25, bad], two_d, np.full((2, 3), bad)):
+        with pytest.raises(DomainError, match=f"point {bad!r} outside"):
+            _prepare(v, 1.0)
+    # an empty lookup has no point to refuse, in any shape
+    for empty in (np.empty(0), np.empty((0, 3)), np.empty((2, 0))):
+        a, scalar = _prepare(empty, 1.0)
+        assert a.shape == empty.shape and not scalar

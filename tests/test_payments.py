@@ -435,6 +435,36 @@ def test_optimal_ramp_running_max_changes_at_few_points(desc):
     assert sched._rebate_steps[0].size < 0.01 * sched.grid.size
 
 
+@pytest.mark.parametrize("vmax", [1e-6, 1.0, 3.0, 1e9])
+def test_rebate_runs_are_bitwise_the_full_grid_search_at_their_edges(vmax):
+    # each rebate level runs from one change point to the next: an empty lookup,
+    # one-point lookups (value_at, rebate_at), every change point and the floats
+    # either side of it, and points all below the first change point or all above
+    # the last
+    scheds = [
+        payment_schedule(rule, RoiTarget(ratio), 201)
+        for rule in _run_lookup_rules(vmax) for ratio in (2.0, 5.0)
+    ]
+    if vmax == 1.0:
+        # stored levels no sweep gives (signed zeros, nan, rises off the grid's g),
+        # so a point on a change point must read the level that starts there
+        grid = np.linspace(0.0, 1.0, 12)
+        rebates = np.array([0.0, -0.0, -0.0, 0.0, np.nan, np.nan, 0.2, 0.2, -0.0, 0.0, 0.5, 0.5])
+        scheds.append(_sampled_as(np.stack([grid, grid, grid, grid, rebates])))
+    inside = 0.5e-12 * max(1.0, vmax)  # half the rule's join slack past each end
+    empty = np.empty(0)
+    for sched in scheds:
+        steps = sched._rebate_steps[0]
+        assert steps[0] == 0.0
+        assert sched.value_many(empty).tobytes() == full_grid_sweep(sched, empty)[2].tobytes()
+        around = np.concatenate([steps, np.nextafter(steps, -1.0), np.nextafter(steps, 2.0 * vmax)])
+        around = np.sort(around[(around >= -inside) & (around <= vmax + inside)])
+        below = np.linspace(-inside, -inside / 8.0, 5)
+        above = np.linspace(np.nextafter(steps[-1], 2.0 * vmax), vmax + inside, 7)
+        for points in (around, below, above[above <= vmax + inside]):
+            _assert_lookup_is_the_full_grid_search(sched, points, points)
+
+
 def _ordered(points, order, rng):
     """Sorted points in the named order."""
     return {"sorted": points, "reversed": points[::-1], "shuffled": rng.permutation(points)}[order]

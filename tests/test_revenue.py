@@ -206,9 +206,10 @@ CONVEX_TABLE = TabulatedCdf(((0.0, 0.0), (0.25, 0.05), (0.5, 0.2), (0.75, 0.45),
     ids=lambda d: type(d).__name__,
 )
 def test_mc_sorted_evaluation_is_bitwise_draw_order(dist):
-    # compare's two rows and a hand schedule share one stream of draws, sorted and
-    # evaluated in sub-blocks; each estimate must equal its mechanism's run alone and
-    # the unsorted draw-order reference, across sub-block and chunk boundaries
+    # compare's two rows and a hand schedule share one stream of draws, sorted once
+    # per chunk and evaluated in sub-blocks of 2**15 sorted draws; each estimate must
+    # equal its mechanism's run alone and the unsorted draw-order reference, across
+    # sub-block and chunk boundaries
     base = myerson_baseline(dist, M2)
     sched = optimal_mechanism(dist, M2).schedule
     mechs = {
@@ -216,7 +217,10 @@ def test_mc_sorted_evaluation_is_bitwise_draw_order(dist):
         "optimal": sched,
         "hand": PaymentSchedule.hand(sched.allocation, M2, sched.grid, 0.9 * sched.payments),
     }
-    for n in (1, 2, 2**14 - 1, 2**14 + 1, 2**16, 2**16 + 1, 2 * 2**16 + 123, 3 * 2**16 + 5):
+    for n in (
+        1, 2, 2**14 - 1, 2**14 + 1, 2**15 - 1, 2**15 + 1, 2**16, 2**16 + 1, 2 * 2**16 + 123,
+        3 * 2**16 + 5,
+    ):
         for seed in (0, 11, 2**64 - 1):
             rows = compare(dist, M2, mc_samples=n, seed=seed).rows
             shared = _monte_carlo(tuple(mechs.values()), dist, n, seed)
