@@ -4,7 +4,8 @@ and the sorted order that piecewise lookups read their points in.
 The routines are deliberately small and deterministic: plain bisection with
 an explicit bracket-width stopping rule, the closed-form integral of the
 product of two ``Pieces`` (the threshold solve's G and the expected revenue),
-and adaptive Simpson with an absolute-tolerance budget split across
+one ``Pieces`` summed on sorted points (the Monte Carlo payments), and
+adaptive Simpson with an absolute-tolerance budget split across
 subintervals. No library path calls adaptive Simpson; it stays only because
 the benchmark's tracer, ``perfbench/tracing.py``, wraps it by name.
 """
@@ -66,6 +67,73 @@ class Pieces(NamedTuple):
     hi: np.ndarray
     coef: np.ndarray
     expo: np.ndarray
+
+
+def _pow(t: np.ndarray, q: float) -> np.ndarray:
+    """t^q written over t, which it returns: exact for q in {0, 1, 2} (ones, t,
+    the correctly rounded t * t) and libm ``pow`` per element
+    (``np.float_power``) otherwise, so no float depends on numpy's CPU
+    dispatch."""
+    if q == 0.0:
+        t.fill(1.0)
+    elif q == 2.0:
+        np.multiply(t, t, out=t)
+    elif q != 1.0:
+        np.float_power(t, q, out=t)
+    return t
+
+
+class PieceTerms(NamedTuple):
+    """``Pieces`` lowered for ``sum_sorted``: the row starts past the first, and
+    one entry per live (column, exponent) pair, in column order: (first row,
+    end row, the coefficients of the rows from first to end, 0.0 where the
+    pair is absent, exponent)."""
+
+    starts: np.ndarray
+    terms: tuple[tuple[int, int, np.ndarray, float], ...]
+
+
+def piece_terms(p: Pieces) -> PieceTerms:
+    """The terms of p that ``sum_sorted`` evaluates one slice each. A term
+    spans the rows from the first to the last where it is live; zero
+    coefficients are absent terms, whatever their exponent. Exponents must
+    not be negative, as no payment's is, so that an absent term adds 0."""
+    live = p.coef != 0.0
+    if np.any(p.expo[live] < 0.0):
+        raise ValueError("sum_sorted needs non-negative exponents")
+    terms = []
+    for j in range(p.coef.shape[1]):
+        for q in np.unique(p.expo[live[:, j], j]).tolist():
+            has = live[:, j] & (p.expo[:, j] == q)
+            rows = np.flatnonzero(has)
+            r0, r1 = int(rows[0]), int(rows[-1]) + 1
+            terms.append((r0, r1, np.where(has[r0:r1], p.coef[r0:r1, j], 0.0), q))
+    return PieceTerms(p.lo[1:], tuple(terms))
+
+
+def sum_sorted(lowered: PieceTerms, a: np.ndarray, vmax: float) -> np.ndarray:
+    """The curve at points a in [0, vmax], in non-decreasing order, each point
+    on the last row starting at or below it (right-continuous).
+
+    One search of the row starts in the points splits them into rows. Each
+    term is one slice of the points, the rows it spans: t = a / vmax, then
+    ``_pow`` of it, times the rows' coefficients repeated over their point
+    counts, added to a sum that starts at +0.0. A point's absent terms add
+    +-0.0 (t^q is finite), which leaves a sum that started at +0.0 as it was,
+    so each point's float is the sum of its own live terms in column order
+    from +0.0, as at that point alone. The Python steps are one per term, not
+    one per row."""
+    bounds = np.concatenate(([0], a.searchsorted(lowered.starts, side="left"), [a.size]))
+    ends, sizes = bounds.tolist(), bounds[1:] - bounds[:-1]
+    out = np.zeros_like(a)
+    work = np.empty_like(a)
+    for r0, r1, coef, q in lowered.terms:
+        lo, hi = ends[r0], ends[r1]
+        if hi > lo:
+            term = _pow(np.divide(a[lo:hi], vmax, out=work[:hi - lo]), q)
+            term *= coef.repeat(sizes[r0:r1])
+            out[lo:hi] += term
+    return out
 
 
 def power_product_integral(left: Pieces, right: Pieces, span: float, rescale: float) -> float:

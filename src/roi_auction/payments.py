@@ -28,6 +28,9 @@ in t = v / vmax for the exact revenue, and never samples the grid. A derived
 one comes from one array walk over the rule's ``pieces``: g at every sub-piece
 end, one running max over them, and a cut wherever that max switches between
 tight (p = v x) and flat (p = ratio p~ - R). A hand one is its interpolant.
+``PaymentSchedule.lookup`` is the payment Monte Carlo charges: a derived
+schedule's ``pieces`` summed on the points by ``numerics.sum_sorted``, a hand
+schedule's ``value_many``.
 
 Ratio limit: g and R grow like ratio * vmax, so for ratios of 100 and more the
 payment error is up to about ratio 2^-52 vmax (tested below twice that); at
@@ -44,13 +47,13 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
 from .allocation import AllocationRule
 from .errors import ConstructionError
-from .numerics import Pieces, _in_order, _prepare
+from .numerics import Pieces, _in_order, _prepare, piece_terms, sum_sorted
 
 DEFAULT_GRID_N = 10_001
 
@@ -208,7 +211,9 @@ class PaymentSchedule:
     def _rebate_steps(self) -> tuple[np.ndarray, np.ndarray]:
         """The grid points where ``rebates`` changes its bits (the first always),
         and one level more: 0.0 below the first, then ``rebates`` at each; between
-        two of them the grid holds the same float."""
+        two of them the grid holds the same float. Only ``_sweep`` reads them,
+        for ``value_many``, ``value_at``, ``rebate_at`` and the audits; Monte
+        Carlo charges ``lookup()`` instead."""
         bits = self.rebates.view(np.int64)
         at = np.flatnonzero(np.concatenate([[True], bits[1:] != bits[:-1]]))
         return self.grid[at], np.concatenate([[0.0], self.rebates[at]])
@@ -248,8 +253,24 @@ class PaymentSchedule:
     def rebate_at(self, v: float) -> float:
         return float(self._sweep(np.asarray([v]))[2][0])
 
+    def lookup(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The payments at points v, as a function made once: a hand schedule's
+        ``value_many``; a derived schedule's ``pieces()``, lowered here, summed
+        by ``numerics.sum_sorted`` behind one domain and one order check. This
+        is the payment the exact revenue integrates; ``value_many``'s
+        v x - (R - g) can differ from it in the last bits."""
+        if not self.derived:
+            return self.value_many
+        lowered, vmax = piece_terms(self.pieces()), self.allocation.vmax
+
+        def charge(v):
+            return _in_order(lambda a: (sum_sorted(lowered, a, vmax),), _prepare(v, vmax)[0])[0]
+
+        return charge
+
     def pieces(self) -> Pieces:
-        """The payment as power terms in t = v / vmax, as ``value_many`` charges it.
+        """The payment as power terms in t = v / vmax, which the exact revenue
+        integrates and ``lookup`` charges; ``value_many`` forms it another way.
 
         A derived schedule's come from one array walk over its rule's lowered
         pieces, and each float is the one a per-piece loop of Python arithmetic

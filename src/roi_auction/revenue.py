@@ -7,10 +7,13 @@ kind of schedule alike. Monte Carlo draws values by quantile transform from
 counter-based substreams, so results are byte-identical for a given seed
 regardless of chunking order. Each chunk's draws are sorted once, evaluated in
 sub-blocks of 32768, each a slice of the sorted draws, and scattered back. In
-a sorted sub-block each piece of a table's inverse CDF, each rule segment and
-each rebate step is one slice, found by searching its few boundaries in the
-draws; quantile and payment are elementwise, so every draw gets the same float
-and the sums run in draw order. Both rows of ``compare`` share the draws: each
+a sorted sub-block each piece of a table's inverse CDF is one slice, found by
+searching its few boundaries in the draws. The payments come from
+``PaymentSchedule.lookup``: a derived schedule's ``pieces()``, the payment the
+exact path integrates, with each power term one slice across the rows that
+hold it; a hand schedule's interpolant.
+Quantile and payment are elementwise, so every draw gets the same float and
+the sums run in draw order. Both rows of ``compare`` share the draws: each
 chunk is drawn, sorted and inverted once, and each row's payments go to that
 row's own array.
 Chunks run on two threads, the caller and one helper, and each writes only its
@@ -24,6 +27,7 @@ import math
 import operator
 import threading
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -84,13 +88,16 @@ def expected_revenue_mc(
     chunk index), so the stream for chunk k never depends on how many draws
     preceded it; n and seed are integers, and seeds run from 0 to 2^64 - 1.
     A chunk's uniforms are sorted once and evaluated in sub-blocks of 32768,
-    each a slice of the sorted uniforms, where each CDF piece, rule segment and
-    rebate step is one slice, and the payments are scattered back to draw
-    order. Each draw gets the float it would get alone, and the mean and
-    standard error sum the same array in the same order. The caller and one
-    helper thread take chunks in turn, each writing only that chunk's slice,
-    and the sums start once both are done; an error in either thread is
-    raised here. ``compare`` runs its two rows through the same loop, so each
+    each a slice of the sorted uniforms, where each CDF piece and each payment
+    term is one slice, and the payments are scattered back to draw order. The
+    draws are charged through ``mech.lookup()``, made once per call: a derived
+    schedule's ``pieces()``, the payment the exact revenue integrates, which
+    ``value_many``'s v x - (R - g) can differ from in the last bits; a hand
+    schedule's ``value_many``. Each draw gets the float it would get alone,
+    and the mean and standard error sum the same array in the same order. The
+    caller and one helper thread take chunks in turn, each writing only that
+    chunk's slice, and the sums start once both are done; an error in either
+    thread is raised here. ``compare`` runs its two rows through the same loop, so each
     row reads these same draws.
     """
     return _monte_carlo((mech,), dist, n, seed)[0]
@@ -124,12 +131,9 @@ def _monte_carlo(
     if n < 1:
         raise ConstructionError(f"need at least one sample, got {n}")
     vmaxes = [_shared_support(mech, dist) for mech in mechs]
-    # the payments read a derived schedule's sampled columns and rebate steps; fill
-    # them before any chunk array exists, so the kept columns do not split the memory
-    # chunks reuse, and before the helper starts, so no two threads fill one property
-    for mech in mechs:
-        if mech.derived:
-            mech._rebate_steps
+    # each lookup lowers its schedule's pieces on this thread before the helper
+    # starts, so no two threads fill a rule's cached pieces
+    lookups = [mech.lookup() for mech in mechs]
     try:
         pays = [np.empty(n) for _ in mechs]
     except (ValueError, MemoryError):
@@ -145,7 +149,7 @@ def _monte_carlo(
                 k = next(chunks, None)
                 if k is None:
                     return
-                _mc_chunk(mechs, dist, pays, n, seed, k)
+                _mc_chunk(lookups, dist, pays, n, seed, k)
         except BaseException as exc:  # re-raised by the caller once both threads stop
             errors.append(exc)
 
@@ -163,7 +167,7 @@ def _monte_carlo(
 
 
 def _mc_chunk(
-    mechs: tuple[PaymentSchedule, ...],
+    lookups: list[Callable[[np.ndarray], np.ndarray]],
     dist: ValueDistribution,
     pays: list[np.ndarray],
     n: int,
@@ -181,8 +185,8 @@ def _mc_chunk(
     # float the whole chunk would; it keeps their temporaries small
     for at in range(0, stop - start, _MC_BLOCK):
         values = dist.quantile(u[at:at + _MC_BLOCK])
-        for mech, out in zip(mechs, pays):
-            out[start:stop][order[at:at + _MC_BLOCK]] = mech.value_many(values)
+        for lookup, out in zip(lookups, pays):
+            out[start:stop][order[at:at + _MC_BLOCK]] = lookup(values)
 
 
 def _moments(pays: np.ndarray, vmax: float, n: int, seed: int) -> RevenueEstimate:

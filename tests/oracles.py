@@ -654,3 +654,21 @@ def searched_quantile(dist, u):
         t = np.where(denom > 0.0, 2.0 * du / np.where(denom > 0.0, denom, 1.0), 0.0)
         out = np.minimum(b[i] + np.minimum(t, width), dist.vmax)
     return float(out[0]) if arr.ndim == 0 else out
+
+
+def per_point_pieces(pieces, v, vmax: float) -> np.ndarray:
+    """The curve of ``pieces`` at points v in [0, vmax], in any order, point by
+    point: each point's row found by a binary search of the row starts, then
+    its live terms summed in column order from +0.0, each power t^q exact for
+    q in {0, 1, 2} (1, t, t * t) and libm ``pow`` otherwise. The per-point form
+    of ``numerics.sum_sorted``, kept as its reference."""
+    v = np.clip(np.asarray(v, dtype=float), 0.0, vmax)
+    row = np.searchsorted(pieces.lo, v, side="right") - 1
+    t = v / vmax
+    total = np.zeros_like(t)
+    for coef, q in zip(pieces.coef[row].T, pieces.expo[row].T):
+        power = np.where(
+            q == 0.0, 1.0, np.where(q == 1.0, t, np.where(q == 2.0, t * t, np.float_power(t, q)))
+        )
+        total = np.where(coef != 0.0, total + coef * power, total)
+    return total

@@ -400,6 +400,19 @@ def test_monte_carlo_stderr_stays_finite_at_large_payments(tmp_path, capsys):
     assert all(math.isfinite(se) and se > 0.0 for se in stderrs)
 
 
+def test_monte_carlo_agrees_with_the_exact_revenue_at_large_payments(tmp_path, capsys):
+    # charged from value_many, the optimum's draws lost g = ratio p~ - v x to
+    # cancellation near 1e175 and averaged -1.97e161 beside the exact 5.0e159;
+    # charged from the schedule's pieces, both rows sit within 4 stderr of it
+    path = _write(tmp_path, "wide.json", {"kind": "uniform", "vmax": 1e160})
+    code, out = _run_quietly(["compare", path, "--m", "1e15", "--format", "json"], capsys)
+    assert code == 0
+    rows = {row["name"]: row for row in json.loads(out)["rows"]}
+    for row in rows.values():
+        assert abs(row["rev_mc"] - row["rev_quad"]) <= 4.0 * row["stderr"], row
+    assert rows["roi_optimal"]["rev_quad"] == pytest.approx(5e159, rel=1e-6)
+
+
 @pytest.mark.parametrize(
     "flags,message",
     [

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,10 +23,19 @@ from roi_auction import (
     payment_schedule,
 )
 from roi_auction.errors import DomainError, QuadratureError
-from roi_auction.numerics import _prepare, adaptive_simpson, bisect_root
+from roi_auction.numerics import (
+    Pieces,
+    _pow,
+    _prepare,
+    adaptive_simpson,
+    bisect_root,
+    piece_terms,
+    sum_sorted,
+)
 from roi_auction.optimal import _scaled_integral
 from oracles import (
     loop_psi_pieces,
+    per_point_pieces,
     loop_revenue_quadrature,
     loop_scaled_integral,
     piece_tuples,
@@ -250,6 +260,105 @@ def test_float_power_is_libm_pow_bitwise(q):
     want = np.asarray([math.pow(v, q) for v in t.tolist()])
     assert np.array_equal(np.float_power(t, np.full_like(t, q)).view(np.int64), want.view(np.int64))
     assert np.array_equal(np.float_power(t, q).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("q", [3.0, 1.25, 0.5, 1.0 / 3.0, 101.0, *POWER_CDF_K1])
+def test_pow_is_libm_pow_bitwise_off_the_exact_exponents(q):
+    # _pow's counterpart of the test above: past {0, 1, 2} it is np.float_power,
+    # written over its argument
+    t = np.concatenate([[0.0, 1.0, 5e-324], np.random.default_rng(0).random(100_000)])
+    want = np.float_power(t, q)
+    into = t.copy()
+    assert _pow(into, q) is into
+    assert np.array_equal(into.view(np.int64), want.view(np.int64))
+
+
+def test_pow_is_exact_at_zero_one_and_two():
+    # ones, t itself, and t * t, the correctly rounded square that libm's pow(t, 2)
+    # is not always; each written over its argument
+    t = np.concatenate([[0.0, 1.0, 5e-324, 1e-200], np.random.default_rng(1).random(2000)])
+    ones, same, square = (_pow(t.copy(), q) for q in (0.0, 1.0, 2.0))
+    assert np.array_equal(ones, np.ones_like(t))
+    assert np.array_equal(same.view(np.int64), t.view(np.int64))
+    assert all(float(Fraction(v) ** 2) == got for v, got in zip(t.tolist(), square.tolist()))
+    for q in (0.0, 1.0, 2.0):
+        into = t.copy()
+        assert _pow(into, q) is into
+
+
+def _sorted_points(pieces, vmax, n, seed):
+    """n sorted uniform points on [0, vmax] plus every row start and vmax itself."""
+    u = np.random.default_rng(seed).random(n) * vmax
+    return np.sort(np.concatenate([u, pieces.lo, pieces.hi, [0.0, vmax]]))
+
+
+def _table_rule(n_points):
+    v = np.linspace(0.0, 1.0, n_points)
+    x = np.clip(np.maximum.accumulate(v + 0.05 * np.sin(37.0 * v)), 0.0, 1.0)
+    return make_table(list(zip(v.tolist(), x.tolist())))
+
+
+SUM_SORTED_CASES = {
+    "posted_price": lambda: myerson_baseline(UniformDistribution(1.0)),
+    "ramp_ratio_2": lambda: payment_schedule(make_power_ramp(0.75, 2.0), RoiTarget(2.0)),
+    "ramp_ratio_5": lambda: payment_schedule(make_power_ramp(0.9, 5.0, 3.5), RoiTarget(5.0)),
+    "table_1001_ratio_2": lambda: payment_schedule(_table_rule(1001), RoiTarget(2.0)),
+    "table_1001_ratio_5": lambda: payment_schedule(_table_rule(1001), RoiTarget(5.0)),
+    "hand": lambda: PaymentSchedule.hand(
+        make_power_ramp(0.75, 2.0), RoiTarget(2.0), [0.0, 0.25, 0.5], [0.0, 0.1, 0.3]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SUM_SORTED_CASES)
+def test_sum_sorted_is_the_per_point_sum_bitwise(case):
+    # row starts (right-continuous), row ends and vmax are among the points; each
+    # point's float is the per-point row search and term sum
+    sched = SUM_SORTED_CASES[case]()
+    pieces, vmax = sched.pieces(), sched.allocation.vmax
+    lowered = piece_terms(pieces)
+    a = _sorted_points(pieces, vmax, 20_000, 3)
+    got = sum_sorted(lowered, a, vmax)
+    want = per_point_pieces(pieces, a, vmax)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # a block that holds no point of most rows, and an empty one
+    for lo, hi in ((0.3, 0.31), (0.999, 1.0), (0.0, 0.0)):
+        part = a[(a >= lo * vmax) & (a <= hi * vmax)]
+        assert np.array_equal(
+            sum_sorted(lowered, part, vmax).view(np.int64),
+            per_point_pieces(pieces, part, vmax).view(np.int64),
+        )
+    assert sum_sorted(lowered, np.empty(0), vmax).shape == (0,)
+
+
+def test_sum_sorted_takes_one_slice_per_term_across_rows():
+    # the derived pieces of a 1,001-point table rule switch rows between tight and
+    # flat, yet lower to a few terms, each spanning hundreds of rows
+    rule_terms = piece_terms(payment_schedule(_table_rule(1001), RoiTarget(2.0)).pieces()).terms
+    assert len(rule_terms) <= 6 and max(r1 - r0 for r0, r1, _, _ in rule_terms) > 500
+    # zero coefficients are absent terms, whatever their exponent; a term's slice
+    # may hold rows without it (coefficient 0.0); a row with no live term is
+    # +0.0, and a negative term at t = 0 (-0.0) sums to +0.0 too
+    pieces = Pieces(
+        np.array([0.0, 0.25, 0.5, 0.5, 0.75]),
+        np.array([0.25, 0.5, 0.5, 0.75, 1.0]),
+        np.array([[0.0, -2.0], [0.0, 3.0], [7.0, 0.0], [-1.5, 4.0], [0.0, 0.0]]),
+        np.array([[1.7, 1.0], [2.0, 1.0], [0.5, 5.0], [0.5, 1.0], [2.0, 3.0]]),
+    )
+    lowered = piece_terms(pieces)
+    assert [(r0, r1, coef.tolist(), q) for r0, r1, coef, q in lowered.terms] == [
+        (2, 4, [7.0, -1.5], 0.5), (0, 4, [-2.0, 3.0, 0.0, 4.0], 1.0),
+    ]
+    a = np.array([0.0, 0.1, 0.25, 0.5, 0.6, 0.75, 1.0])
+    got = sum_sorted(lowered, a, 1.0)
+    want = per_point_pieces(pieces, a, 1.0)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got[0] == 0.0 and math.copysign(1.0, got[0]) == 1.0
+    assert got[3] == -1.5 * math.pow(0.5, 0.5) + 4.0 * 0.5 and got[-1] == 0.0
+    assert math.copysign(1.0, got[-1]) == 1.0
+    # an absent term adds 0 only where t^q is finite, so negative exponents are refused
+    with pytest.raises(ValueError, match="non-negative"):
+        piece_terms(pieces._replace(expo=-pieces.expo))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -38,7 +38,7 @@ from roi_auction import numerics
 from roi_auction.cli import csv_text
 from roi_auction.revenue import _monte_carlo
 from conftest import count_calls
-from oracles import piece_tuples, table_revenue
+from oracles import per_point_pieces, piece_tuples, table_revenue
 from random_rules import perturbed_table_copy
 
 M2 = RoiTarget(2.0)
@@ -179,13 +179,18 @@ def test_mc_takes_numpy_integers_as_python_ints():
 
 
 def _draw_order_mc(mech, dist, n, seed):
-    """(mean, stderr) with every chunk evaluated in draw order, unsorted."""
+    """(mean, stderr) with every chunk evaluated in draw order, unsorted: a derived
+    schedule's pieces point by point, a hand schedule's value_many."""
     chunk = 1 << 16
     pays = np.empty(n)
+    pieces, vmax = mech.pieces(), mech.allocation.vmax
     for k, start in enumerate(range(0, n, chunk)):
         stop = min(start + chunk, n)
         u = np.random.Generator(np.random.Philox(key=seed * 2**64 + k)).random(stop - start)
-        pays[start:stop] = mech.value_many(dist.quantile(u))
+        values = dist.quantile(u)
+        pays[start:stop] = (
+            per_point_pieces(pieces, values, vmax) if mech.derived else mech.value_many(values)
+        )
     e = math.frexp(dist.vmax)[1]
     np.ldexp(pays, -e, out=pays)
     mean = math.ldexp(float(np.mean(pays)), e)
@@ -311,16 +316,20 @@ def test_mc_one_chunk_starts_no_thread(monkeypatch):
     compare(UNIFORM, M2, mc_samples=2**16)
 
 
-def test_mc_fills_each_rebate_lookup_once_before_the_helper_starts(monkeypatch):
+def test_mc_lowers_each_derived_schedule_once_before_the_helper_starts(monkeypatch):
     # cached_property takes no lock from Python 3.12 on, so two threads could both
-    # fill a schedule's rebate steps; the caller fills them before the helper exists
+    # fill a rule's cached pieces; the caller lowers each derived schedule's pieces
+    # once, before the helper exists, and a hand schedule goes through value_many
+    sched = optimal_mechanism(UNIFORM, M2).schedule
+    hand = PaymentSchedule.hand(sched.allocation, M2, sched.grid, 0.9 * sched.payments)
+    mechs = (myerson_baseline(UNIFORM, M2), sched, hand)
     events = []
-    steps = PaymentSchedule.__dict__["_rebate_steps"]
-    fill, start, value_many = steps.func, threading.Thread.start, PaymentSchedule.value_many
+    lower, value_many = PaymentSchedule.pieces, PaymentSchedule.value_many
+    start = threading.Thread.start
 
-    def counted_fill(sched):
-        events.append(("fill", sched, threading.get_ident()))
-        return fill(sched)
+    def counted_lower(sched):
+        events.append(("lower", sched, threading.get_ident()))
+        return lower(sched)
 
     def counted_start(thread):
         events.append(("start", thread, threading.get_ident()))
@@ -332,20 +341,20 @@ def test_mc_fills_each_rebate_lookup_once_before_the_helper_starts(monkeypatch):
         used.add(sched)
         return value_many(sched, vs)
 
-    monkeypatch.setattr(steps, "func", counted_fill)
+    monkeypatch.setattr(PaymentSchedule, "pieces", counted_lower)
     monkeypatch.setattr(threading.Thread, "start", counted_start)
     monkeypatch.setattr(PaymentSchedule, "value_many", counted_value_many)
-    compare(UNIFORM, M2, mc_samples=FOUR_CHUNKS)
-    filled = [sched for kind, sched, _ in events if kind == "fill"]
-    assert [kind for kind, _, _ in events] == ["fill", "fill", "start"]
-    assert len(set(filled)) == 2 and used == set(filled)
+    _monte_carlo(mechs, UNIFORM, FOUR_CHUNKS, 0)
+    lowered = [sched for kind, sched, _ in events if kind == "lower"]
+    assert [kind for kind, _, _ in events] == ["lower", "lower", "start"]
+    assert lowered == list(mechs[:2]) and used == {hand}
     assert {ident for _, _, ident in events} == {threading.get_ident()}
 
 
 def test_mc_sub_blocks_reach_the_lookups_already_sorted(monkeypatch):
     # the sorted sub-blocks reach every lookup in non-decreasing order, so no
-    # quantile or value_many call takes the argsort-and-scatter step; a shuffled
-    # call takes it once
+    # quantile or payment lookup takes the argsort-and-scatter step; a shuffled
+    # call takes it once, a derived schedule's Monte Carlo lookup included
     permuted = count_calls(monkeypatch, numerics, "_permuted")
     for dist in (UNIFORM, CONVEX_TABLE, HUMP):
         compare(dist, M2, mc_samples=FOUR_CHUNKS)
@@ -353,10 +362,11 @@ def test_mc_sub_blocks_reach_the_lookups_already_sorted(monkeypatch):
     sched = optimal_mechanism(UNIFORM, M2).schedule
     shuffled = np.random.default_rng(0).permutation(np.linspace(0.0, 1.0, 1001))
     order = np.argsort(shuffled)
-    pays = sched.value_many(shuffled)
-    assert permuted == {"_permuted": 1}
-    assert pays[order].tobytes() == sched.value_many(shuffled[order]).tobytes()
-    for calls, dist in enumerate((CONVEX_TABLE, HUMP), start=2):
+    for calls, lookup in enumerate((sched.value_many, sched.lookup()), start=1):
+        pays = lookup(shuffled)
+        assert permuted == {"_permuted": calls}
+        assert pays[order].tobytes() == lookup(shuffled[order]).tobytes()
+    for calls, dist in enumerate((CONVEX_TABLE, HUMP), start=3):
         values = dist.quantile(shuffled)
         assert permuted == {"_permuted": calls}
         assert values[order].tobytes() == dist.quantile(shuffled[order]).tobytes()
