@@ -37,7 +37,7 @@ from .errors import (
     descriptor_numbers,
 )
 from .optimal import optimal_mechanism
-from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, payment_schedule
+from .payments import DEFAULT_GRID_N, PaymentSchedule, RoiTarget, _g12_blocks, payment_schedule
 from .revenue import compare as compare_mechanisms
 from .revenue import expected_revenue_quadrature, myerson_baseline
 
@@ -45,8 +45,11 @@ from .revenue import expected_revenue_quadrature, myerson_baseline
 def fmt(x: float) -> str:
     """Fixed 12-significant-digit rendering, the package-wide float format.
 
-    ``PaymentSchedule.write_csv`` renders the same ``.12g`` spec through
-    %-formatting, a block of rows at a time; the two give the same text.
+    The schedule CSV and ``columns_json`` render the same ``.12g`` spec a
+    block of cells at a time with ``payments._g12_blocks``, which gives
+    ``"%.12g" % x`` byte for byte: in numpy where it can prove the digits,
+    and through ``%`` itself for the other cells (non-finite ones, |x| below
+    1e-290 or from 1e290 up, and those within 2^-9 of a 12-digit tie).
     """
     return format(float(x), ".12g")
 
@@ -75,7 +78,8 @@ _OTHER_CELL = re.compile(r"\n(\S*e(?:\+1[2-5]|-3(?:0[89]|[12]\d))|-?inf|nan)(?=\
 
 
 def columns_json(columns: dict[str, np.ndarray]) -> str:
-    """``json_text`` of float columns given as arrays, with one %-format per column.
+    """``json_text`` of float columns given as arrays, each column rendered at
+    ``%.12g`` by ``payments._g12_blocks`` as a one-column table.
 
     For a finite x, ``json_text`` writes repr(float(fmt(x))). Decimals of up to
     15 significant digits read back as distinct normal floats, so repr keeps
@@ -87,7 +91,7 @@ def columns_json(columns: dict[str, np.ndarray]) -> str:
     parts = []
     for name in sorted(columns):
         col = columns[name]
-        text = "\n" + "%.12g\n" * col.size % tuple(col.tolist())
+        text = "\n" + "".join(_g12_blocks(np.reshape(col, (-1, 1))))
         text = _INTEGER_CELL.sub(r"\n\1.0", text)
         text = _OTHER_CELL.sub(lambda m: "\n" + json.dumps(json_ready(float(m[1]))), text)
         items = text[1:-1].replace("\n", ",\n    ")

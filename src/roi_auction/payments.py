@@ -46,8 +46,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import IO, Callable
+from functools import cache, cached_property, lru_cache
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -57,9 +57,13 @@ from .numerics import Pieces, _in_order, _prepare, piece_terms, sum_sorted
 
 DEFAULT_GRID_N = 10_001
 
-# rows per write in ``write_csv``: one %-format call each, so the text of a
-# whole schedule is never held at once
+# rows per block of ``_g12_blocks``: a block's arrays stay in cache, and the text
+# of a whole schedule is never held at once
 _CSV_BLOCK_ROWS = 1024
+
+# decimal exponents k the renderer's tables cover: |x| < 1e290 of the cells it
+# renders itself, a first guess one off and the carry of a rounding to 10^12
+_G12_EXP = 292
 
 #: Feasibility slack for the hard constraint v * x >= p, fixed package-wide.
 FEASIBILITY_TOL = 1e-12
@@ -292,14 +296,141 @@ class PaymentSchedule:
 
     def write_csv(self, fp: IO[str]) -> None:
         """The ``columns`` at 12 significant digits (``cli.fmt``'s spec), one
-        %-formatted block of rows per write."""
+        block of rows per write: each cell is the text of ``"%.12g" % x``,
+        rendered by ``_g12_blocks``."""
         cols = self.columns()
         fp.write(",".join(cols) + "\n")
-        row = ",".join(["%.12g"] * len(cols)) + "\n"
-        rows = np.column_stack(tuple(cols.values()))
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS]
-            fp.write(row * len(block) % tuple(block.ravel().tolist()))
+        for text in _g12_blocks(np.column_stack(tuple(cols.values()))):
+            fp.write(text)
+
+
+@cache
+def _g12_tables() -> tuple[np.ndarray, ...]:
+    """The lookup tables of ``_g12_blocks``, built on its first call.
+
+    By decimal exponent k, at k + _G12_EXP: 10^(11 - k) correctly rounded (the
+    float Python parses from the literal); the base of k's layout rows; and
+    "e" with the signed exponent, at bytes 2 to 6 of a word (0 where %g writes
+    k in fixed notation). By 4-digit group g < 10^4: its ASCII digits, first
+    digit in the lowest byte; and, for g as the first, second or third group
+    of 12 digits, how many of the 12 end with g's last nonzero digit (0 for
+    g = 0). A layout row (columns below) serves every cell of one exponent
+    class, significant-digit count and sign.
+    """
+    def le(text: bytes) -> int:  # first byte lowest
+        return int.from_bytes(text, "little")
+
+    exps = range(-_G12_EXP, _G12_EXP + 1)
+    powers = np.array([float(f"1e{11 - k}") for k in exps])
+    suffix = np.array([0 if -4 <= k < 12 else le(b"e%+03d" % k) << 16 for k in exps], np.uint64)
+    g = np.arange(10_000, dtype=np.uint64)
+    digits = [g // 1000, g // 100 % 10, g // 10 % 10, g % 10]
+    ascii4 = sum((48 + d) << np.uint64(8 * j) for j, d in enumerate(digits))
+    last = np.select([d > 0 for d in digits[::-1]], [4, 3, 2, 1], 0)
+    ends = np.array([last, np.where(last > 0, last + 4, 0), np.where(last > 0, last + 8, 0)], np.uint8)
+
+    # A cell's 12 digits are a 16-byte string in two words. Its text keeps the
+    # first nd of them with "." after the first p, where p = 12 means no point;
+    # the columns: the head mask (bytes before min(nd, p)), the tail mask
+    # (bytes p to nd, moved up one byte for the point), the point, the sign and
+    # the "0.000" of a fixed -4 <= k < 0 at bytes 0 to 5, and the shift that
+    # puts the digits at byte 6 there and at byte 1 otherwise, with 64 minus it
+    def mask(n):
+        return [(1 << 8 * min(n, 8)) - 1, (1 << 8 * max(n - 8, 0)) - 1]
+
+    rows = []
+    for kk in range(-5, 13):  # k clipped: -5 is every k < -4, 12 every k >= 12
+        sci, small = kk in (-5, 12), -4 <= kk < 0
+        fixed = not (sci or small)
+        for s in range(13):  # significant digits; 0 only for x = 0, as "0"
+            nd = max(s, kk + 1) if fixed else s
+            # the point follows the integer part, or the first digit of d.ddd
+            p = kk + 1 if fixed and s > kk + 1 else 1 if sci and s > 1 else 12
+            head, keep, cut = mask(min(nd, p)), mask(nd), mask(p)
+            dot = le(b"\0" * p + b".") if p < 12 else 0
+            shift = 48 if small else 8
+            for sign in (b"\0", b"-"):
+                prefix = sign + (b"0." + b"0" * (-kk - 1) if small else b"")
+                rows.append([*head, keep[0] & ~cut[0], keep[1] & ~cut[1],
+                             dot & (2**64 - 1), dot >> 64, le(prefix), shift, 64 - shift])
+    layout = np.array(rows, np.uint64).T.copy()  # field by field: one take gathers all
+    bases = 26 * (np.clip(np.arange(-_G12_EXP, _G12_EXP + 1), -5, 12) + 5)
+    return powers, bases, suffix, ascii4, ends, layout
+
+
+def _g12_percent(cells: np.ndarray) -> np.ndarray:
+    """``"%.12g" % x`` of each cell, NUL-padded to 23 bytes: the renderer's
+    text for the cells whose digits it does not prove."""
+    text = b"".join(("%.12g" % x).encode().ljust(23, b"\0") for x in cells.tolist())
+    return np.frombuffer(text, np.uint8).reshape(-1, 23)
+
+
+def _g12_blocks(table: np.ndarray) -> Iterator[str]:
+    """The text of a 2-D float table with each cell at ``"%.12g"``, cells
+    joined by "," and each row ended by "\\n", one block of _CSV_BLOCK_ROWS
+    rows per string.
+
+    Every byte is %-formatting's. A cell with 1e-290 <= |x| < 1e290 whose
+    digits can be proved is rendered here: y = |x| 10^(11 - k) at its
+    decimal exponent k, N = rint(y) its 12 digits, laid out as %g does (fixed
+    notation for -4 <= k < 12, else d.ddde±XX, trailing zeros dropped), and
+    so is a signed zero. The rest fall back to Python's ``"%.12g" %``: NaN,
+    the infinities, nonzero |x| < 1e-290 or >= 1e290, and a y within 2^-9 of
+    a half-integer, which holds every exact tie. Each cell is built in a
+    24-byte NUL-padded slot: sign and "0.000" at bytes 0 to 5, the digits
+    with their point from byte 1 or 6, the exponent at 18 to 22 and the
+    separator at 23; the NULs are then deleted.
+    """
+    table = np.asarray(table, dtype=float)
+    rows, cols = table.shape
+    powers, bases, suffix, ascii4, ends, layout = _g12_tables()
+    seps = np.array([ord(",")] * (cols - 1) + [ord("\n")], np.uint64) << np.uint64(56)
+    seps = np.tile(seps, min(rows, _CSV_BLOCK_ROWS))
+    byte, half = np.uint64(8), np.uint64(32)
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
+        x = table[start:start + _CSV_BLOCK_ROWS].ravel()
+        a = np.abs(x)
+        own = (a >= 1e-290) & (a < 1e290)
+        a = np.where(own, a, 1.0)
+        # log10 only guesses k; y checks the guess and moves it by one
+        k = np.floor(np.log10(a)).astype(np.intp) + _G12_EXP
+        y = a * powers[k]
+        k += y >= 1e12
+        k -= y < 1e11
+        # two roundings of relative size 2^-53 each (the power and the
+        # product), so |y - exact| < 2^-12 for y < 2^40: a y at least 2^-9 from
+        # every half-integer rounds as the exact product does. A y just outside
+        # [1e11, 1e12] is within 2^-9 + 2^-12 of the end, where the exact
+        # product rounds to that end's 10^k at either exponent
+        y = a * powers[k]
+        n = np.rint(y)
+        back = ~own & (x != 0.0)
+        back |= np.abs(y - n) > 0.5 - 2.0**-9
+        back |= (y < 1e11 - 2.0**-9) | (y > 1e12 + 2.0**-9)
+        top = n == 1e12
+        n -= 9e11 * top
+        k += top
+        n *= own & ~back
+        # the three 4-digit groups of N, exact in floats below 2^53
+        g0 = np.floor(n / 1e8)
+        n -= g0 * 1e8
+        g1 = np.floor(n / 1e4)
+        g2 = (n - g1 * 1e4).astype(np.intp)
+        g0, g1 = g0.astype(np.intp), g1.astype(np.intp)
+        sig = np.maximum(np.maximum(ends[0][g0], ends[1][g1]), ends[2][g2])
+        form = np.take(layout, bases[k] + 2 * sig + np.signbit(x), axis=1)
+        lo, hi = ascii4[g0] | (ascii4[g1] << half), ascii4[g2]
+        tail = lo & form[2]
+        m0 = (lo & form[0]) | form[4] | (tail << byte)
+        m1 = (hi & form[1]) | form[5] | ((hi & form[3]) << byte) | (tail >> np.uint64(56))
+        slots = np.empty((x.size, 3), "<u8")
+        slots[:, 0] = form[6] | (m0 << form[7])
+        slots[:, 1] = (m0 >> form[8]) | (m1 << form[7])
+        slots[:, 2] = (m1 >> form[8]) | suffix[k] | seps[:x.size]
+        fallback = np.flatnonzero(back)
+        if fallback.size:
+            slots.view(np.uint8).reshape(-1, 24)[fallback, :23] = _g12_percent(x[fallback])
+        yield slots.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _derived_pieces(sched: PaymentSchedule) -> Pieces:

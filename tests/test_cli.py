@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -550,6 +551,52 @@ def test_module_entry_point_runs(uniform_file, tmp_path):
     assert done.returncode == 0, done.stderr
     assert "D = 0.75" in done.stdout
     assert out.exists() and (tmp_path / "sol_schedule.csv").exists()
+
+
+# a fixed table of random float bit patterns, rendered; prints the text's
+# sha256 and whether numpy dispatches its AVX-512 kernels
+_RENDER_RANDOM_TABLE = """
+import hashlib
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from roi_auction.payments import _g12_blocks
+bits = np.random.default_rng(11).integers(0, 2**64, (40_000, 5), dtype=np.uint64)
+print(hashlib.sha256("".join(_g12_blocks(bits.view(np.float64))).encode()).hexdigest())
+print(__cpu_features__["X86_V4"])
+"""
+
+
+def test_rendered_bytes_do_not_depend_on_cpu_dispatch(uniform_file, tmp_path):
+    # numpy's AVX-512 log10 differs from its other kernels in the last bit of
+    # some results; the renderer only takes a guess from it, which it checks
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    if "X86_V4" not in __cpu_dispatch__ or not __cpu_features__.get("X86_V4"):
+        pytest.skip("numpy dispatches no AVX-512 kernels here")
+    src = str(Path(roi_auction.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path,
+               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+
+    def fresh(argv):
+        done = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    with contextlib.redirect_stdout(io.StringIO()) as here:
+        exec(_RENDER_RANDOM_TABLE, {})
+    digest, dispatched = here.getvalue().split()
+    assert dispatched == "True"
+    assert fresh(["-c", _RENDER_RANDOM_TABLE]).split() == [digest, "False"]
+    # ratio 2: the solve's own floats do not depend on dispatch there
+    fresh(["-m", "roi_auction.cli", "solve", uniform_file, "--m", "2",
+           "--out", str(tmp_path / "off.json")])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["solve", uniform_file, "--m", "2", "--out", str(tmp_path / "on.json")]) == 0
+    digests = [hashlib.sha256((tmp_path / f"{name}_schedule.csv").read_bytes()).hexdigest()
+               for name in ("off", "on")]
+    assert digests[0] == digests[1]
 
 
 def test_steep_ratio_keeps_stderr_clean(uniform_file, tmp_path):

@@ -28,7 +28,7 @@ from roi_auction import (
 )
 from roi_auction import allocation as allocation_module, payments as payments_module
 from roi_auction.allocation import AllocationRule, Constant, Linear, Segment
-from roi_auction.payments import _envelope
+from roi_auction.payments import _CSV_BLOCK_ROWS, _envelope, _g12_blocks
 from oracles import (
     brute_rebate,
     brute_roi_payment,
@@ -264,6 +264,125 @@ def test_schedule_csv_matches_per_row_writer_on_optimal_ramps(desc, ratio):
         warnings.simplefilter("ignore", ConditioningWarning)
         sol = optimal_mechanism(distribution_from_descriptor(desc), RoiTarget(ratio))
     assert _csv(sol.schedule) == per_row_csv(sol.schedule)
+
+
+def _g12_mismatches(table) -> list[tuple[float, str, str]]:
+    """(x, rendered, "%.12g" % x) for each cell where ``_g12_blocks`` differs
+    from %-formatting; the rendered text is split back into its cells."""
+    table = np.asarray(table, dtype=float)
+    text = "".join(_g12_blocks(table))
+    lines = text.split("\n")
+    assert lines[-1] == "" and len(lines) == table.shape[0] + 1
+    got = [cell for line in lines[:-1] for cell in line.split(",")]
+    want = ["%.12g" % x for x in table.ravel().tolist()]
+    assert len(got) == len(want)
+    return [(x, g, w) for x, g, w in zip(table.ravel().tolist(), got, want) if g != w]
+
+
+G12_SPECIALS = np.array(
+    [0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+     0xFFF8000000000000, 0x7FF0000000000001, 0x1, 0x8000000000000001, 0x000FFFFFFFFFFFFF,
+     0x0010000000000000, 0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF],
+    dtype=np.uint64,
+).view(np.float64)
+
+
+def test_g12_renderer_is_percent_format_on_random_bit_patterns():
+    # uniform bit patterns reach every exponent, subnormals and NaN payloads;
+    # the specials add both zeros and infinities, quiet, signalling and
+    # negative NaNs, the subnormal ends and the largest floats
+    bits = np.random.default_rng(20_261_022).integers(0, 2**64, 1_000_000, dtype=np.uint64)
+    cells = np.concatenate([G12_SPECIALS, bits.view(np.float64)])
+    cells = np.concatenate([cells, np.zeros(-cells.size % 5)])
+    assert _g12_mismatches(cells.reshape(-1, 5)) == []
+
+
+def _exact_ties() -> list[float]:
+    """Floats whose exact decimal value is a tie at 12 significant digits:
+    13 digits ending in 5, times 10^j for j = -1 to 4 where that is a float."""
+    rng = np.random.default_rng(5)
+    heads = [10**11, 10**12 - 1, 10**11 + 1, 123456789012] + rng.integers(10**11, 10**12, 400).tolist()
+    ties = []
+    for head in heads:
+        for j in range(-1, 5):
+            tie = (10 * head + 5) * 10**j if j >= 0 else (10 * head + 5) / 10
+            if j < 0 or float(tie) == tie:
+                ties.append(float(tie))
+    return ties
+
+
+def test_g12_renderer_is_percent_format_on_ties_and_decade_ends():
+    ties = np.array(_exact_ties())
+    decades = np.array([float(f"1e{e}") for e in range(-320, 309)])
+    # 9.9999999999995 10^e and its neighbours round up to 10^(e + 1), or just miss
+    up = np.array([float(f"{m}e{e}") for e in range(-310, 308)
+                   for m in ("9.999999999995", "9.9999999999949", "9.99999999999951", "9.999999999999")])
+    cells = [ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf), up]
+    for steps in range(1, 4):  # the floats around each correctly rounded power of ten
+        below, above = decades.copy(), decades.copy()
+        for _ in range(steps):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        cells += [decades, below, above, np.nextafter(up, 0.0), np.nextafter(up, np.inf)]
+    cells = np.concatenate(cells)
+    cells = np.concatenate([cells, -cells])
+    assert np.isin([999999999999.5, 100000000000.5, 1e12, 1e-4], cells).all()
+    assert _g12_mismatches(cells[:, None]) == []
+    assert _g12_mismatches(np.resize(cells, (cells.size // 7, 7))) == []
+
+
+def _g12_fallbacks(monkeypatch, table) -> list[float]:
+    """The cells ``_g12_blocks`` sends to %-formatting while rendering table."""
+    sent = []
+    percent = payments_module._g12_percent
+    monkeypatch.setattr(payments_module, "_g12_percent", lambda cells: sent.extend(cells) or percent(cells))
+    assert _g12_mismatches(table) == []
+    monkeypatch.setattr(payments_module, "_g12_percent", percent)
+    return sent
+
+
+@pytest.mark.parametrize("off", [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+def test_g12_renderer_bytes_do_not_depend_on_the_log10_guess(monkeypatch, off):
+    # log10 only guesses each exponent: a guess one off is corrected from the
+    # scaled value, and one further off falls back to %
+    bits = np.random.default_rng(3).integers(0, 2**64, 20_000, dtype=np.uint64)
+    decades = np.array([float(f"1e{e}") for e in range(-300, 300)])
+    cells = np.concatenate([bits.view(np.float64), decades, np.nextafter(decades, 0.0),
+                            np.nextafter(decades, np.inf), _exact_ties(), G12_SPECIALS])[:, None]
+    exact = _g12_fallbacks(monkeypatch, cells)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + off)
+    sent = _g12_fallbacks(monkeypatch, cells)
+    if abs(off) < 2.0:
+        assert np.array_equal(sent, exact, equal_nan=True)
+    else:  # the scaled value leaves [1e11, 1e12], but at most for 0 and the floats at 10^k
+        a = np.abs(cells)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = log10(a)
+            at_power = (np.abs(k - np.rint(k)) < 1e-13) & (a >= 1e-290) & (a < 1e290)
+        assert len(sent) >= cells.size - np.count_nonzero(at_power | (a == 0.0))
+
+
+def test_g12_renderer_proves_nearly_every_schedule_cell(monkeypatch):
+    # a finite cell falls back only within 2^-9 of a half-integer: 1 in 256 of
+    # random digits, and fewer on a schedule, whose zeros and ones are exact
+    sched = optimal_mechanism(UniformDistribution(1.0), RoiTarget(2.0)).schedule
+    table = np.column_stack(tuple(sched.columns().values()))
+    sent = _g12_fallbacks(monkeypatch, table)
+    assert 0 < len(sent) < table.size / 256
+    assert np.all(np.isfinite(sent)) and np.all(np.asarray(sent) != 0.0)
+
+
+@pytest.mark.parametrize("cols", [1, 3, 5])
+@pytest.mark.parametrize("rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+                                  2 * _CSV_BLOCK_ROWS + 1])
+def test_g12_renderer_is_percent_format_across_block_boundaries(rows, cols):
+    rng = np.random.default_rng(rows * 10 + cols)
+    table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-20, 20, (rows, cols))
+    table.flat[rng.integers(0, table.size, 9)] = rng.choice(np.append(G12_SPECIALS, 0.5), 9)
+    blocks = list(_g12_blocks(table))
+    assert len(blocks) == -(-rows // _CSV_BLOCK_ROWS)
+    assert all(block.endswith("\n") for block in blocks)
+    assert _g12_mismatches(table) == []
 
 
 def test_hand_schedules_interpolate_and_hide_rebates():
